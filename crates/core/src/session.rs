@@ -39,6 +39,9 @@
 //! assert_eq!(ids.len(), session.stats().schemas);
 //! ```
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use cupid_lexical::{SimStore, Thesaurus, TokenSimCache, TokenTable};
 use cupid_model::{
     expand, ModelError, NodeId, Schema, SchemaTree, WireError, WireReader, WireWriter,
@@ -763,31 +766,35 @@ fn execute_pair(
         nonleaf_mappings(&s1.tree, &s2.tree, &res, &pair.lsim, cfg, Cardinality::OneToOne);
 
     // Top-k leaf similarities, threshold-free (discovery signal even
-    // when nothing clears th_accept). Deterministic order: descending
-    // wsim, then source/target node index.
-    let leaves = |tree: &SchemaTree| -> Vec<usize> {
-        tree.iter().filter(|(_, n)| n.is_leaf()).map(|(id, _)| id.index()).collect()
-    };
-    let (leaves1, leaves2) = (leaves(&s1.tree), leaves(&s2.tree));
-    let mut entries: Vec<(f64, usize, usize)> = Vec::with_capacity(leaves1.len() * leaves2.len());
-    for &s in &leaves1 {
-        for &t in &leaves2 {
-            entries.push((res.wsim.get(s, t), s, t));
+    // when nothing clears th_accept), in `RankedPair` order. One bounded
+    // selection pass: the heap holds at most min(k, n₁·n₂) pairs with
+    // the worst kept pair on top, so a pair that cannot make the cut
+    // costs one comparison, and only the survivors get path strings.
+    let (t1, t2) = (&s1.tree, &s2.tree);
+    let cap = top_k.min(t1.leaf_count() * t2.leaf_count());
+    let mut kept = BinaryHeap::with_capacity(cap);
+    for l1 in 0..t1.leaf_count() as u32 {
+        let source = t1.leaf_node(l1).index();
+        let row = res.wsim.row(source);
+        for l2 in 0..t2.leaf_count() as u32 {
+            let target = t2.leaf_node(l2).index();
+            let pair = RankedPair { wsim: row[target], source, target };
+            if kept.len() < cap {
+                kept.push(pair);
+            } else if let Some(mut worst) = kept.peek_mut() {
+                if pair < *worst {
+                    *worst = pair;
+                }
+            }
         }
     }
-    entries.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.1.cmp(&b.1))
-            .then(a.2.cmp(&b.2))
-    });
-    entries.truncate(top_k);
-    let top_pairs = entries
+    let top_pairs = kept
+        .into_sorted_vec()
         .into_iter()
-        .map(|(wsim, s, t)| SimilarityEntry {
-            source_path: s1.tree.path(NodeId::from_index(s)).to_string(),
-            target_path: s2.tree.path(NodeId::from_index(t)).to_string(),
-            wsim,
+        .map(|p| SimilarityEntry {
+            source_path: t1.path(NodeId::from_index(p.source)).to_string(),
+            target_path: t2.path(NodeId::from_index(p.target)).to_string(),
+            wsim: p.wsim,
         })
         .collect();
 
@@ -801,6 +808,40 @@ fn execute_pair(
         total_pairs: pair.total_pairs,
     }
 }
+
+/// A leaf pair in [`MatchSummary::top_pairs`] order: wsim descending,
+/// then source node index, then target node index. `Ord` sorts the
+/// better pair first, so a max-heap's top is the worst pair it holds.
+struct RankedPair {
+    wsim: f64,
+    source: usize,
+    target: usize,
+}
+
+impl Ord for RankedPair {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .wsim
+            .partial_cmp(&self.wsim)
+            .unwrap_or(Ordering::Equal)
+            .then(self.source.cmp(&other.source))
+            .then(self.target.cmp(&other.target))
+    }
+}
+
+impl PartialOrd for RankedPair {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for RankedPair {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for RankedPair {}
 
 #[cfg(test)]
 mod tests {
@@ -980,6 +1021,38 @@ mod tests {
         assert_eq!(s.top_pairs.len(), 2);
         assert!(s.top_pairs[0].wsim >= s.top_pairs[1].wsim);
         assert_eq!(s.best_wsim(), s.top_pairs[0].wsim);
+    }
+
+    #[test]
+    fn top_pairs_order_contract_at_the_edges() {
+        // No two leaf names share a token, and all leaves have one type
+        // and one parent, so every leaf pair's wsim ties exactly and node
+        // indices alone order them, lowest first.
+        let cfg = CupidConfig::default();
+        let th = Thesaurus::empty();
+        let int = DataType::Int;
+        let corpus = [
+            schema("P", "Foo", &[("Kx", int), ("Jm", int), ("Wz", int)]),
+            schema("Q", "Bar", &[("Vy", int), ("Hb", int)]),
+        ];
+        let all = [
+            ("P.Foo.Kx", "Q.Bar.Vy"),
+            ("P.Foo.Kx", "Q.Bar.Hb"),
+            ("P.Foo.Jm", "Q.Bar.Vy"),
+            ("P.Foo.Jm", "Q.Bar.Hb"),
+            ("P.Foo.Wz", "Q.Bar.Vy"),
+            ("P.Foo.Wz", "Q.Bar.Hb"),
+        ];
+        // k ≥ n₁·n₂ keeps every pair; `usize::MAX` must not size a buffer.
+        for k in [0, 1, 4, all.len(), all.len() + 1, usize::MAX] {
+            let mut session = MatchSession::new(&cfg, &th).threads(1).top_k(k);
+            let ids = session.add_corpus(&corpus).unwrap();
+            let top = session.match_pair(ids[0], ids[1]).top_pairs;
+            let got: Vec<(&str, &str)> =
+                top.iter().map(|e| (e.source_path.as_str(), e.target_path.as_str())).collect();
+            assert_eq!(got, all[..k.min(all.len())], "k = {k}");
+            assert!(top.iter().all(|e| e.wsim.to_bits() == top[0].wsim.to_bits()), "k = {k}");
+        }
     }
 
     #[test]

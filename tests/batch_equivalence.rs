@@ -3,17 +3,23 @@
 //! A `MatchSession` must be a pure optimization of independent
 //! `Cupid::match_schemas` calls: over randomized schema corpora and
 //! thesauri, the all-pairs session output — mappings, similarity
-//! components, `lsim` tables — must be *bit-identical* to the
-//! single-pair path, and identical again under 1, 2 and 4 worker
-//! threads (shard assignment must never leak into results).
+//! components, top-k leaf pairs, `lsim` tables — must be
+//! *bit-identical* to the single-pair path, and identical again under
+//! 1, 2 and 4 worker threads (shard assignment must never leak into
+//! results).
+
+use std::cmp::Ordering;
 
 use cupid::core::linguistic::analyze;
 use cupid::core::session::{MatchSession, MatchSummary};
-use cupid::core::{Cupid, CupidConfig, MappingElement};
+use cupid::core::{Cupid, CupidConfig, MappingElement, MatchOutcome};
 use cupid::corpus::synthetic::{generate, SyntheticConfig};
 use cupid::lexical::{Thesaurus, ThesaurusBuilder};
-use cupid::model::Schema;
+use cupid::model::{NodeId, Schema, SchemaTree};
 use proptest::prelude::*;
+
+/// `MatchSession`'s default number of top leaf pairs per summary.
+const DEFAULT_TOP_K: usize = 10;
 
 /// Words that occur in the synthetic generator's vocabulary, so
 /// randomized thesaurus entries bite instead of being dead weight.
@@ -99,6 +105,28 @@ fn assert_mappings_bit_identical(got: &[MappingElement], want: &[MappingElement]
     }
 }
 
+/// The reference for `MatchSummary::top_pairs`: every leaf pair of the
+/// single-pair engine's final `wsim` matrix, fully sorted by wsim
+/// descending, then source node index, then target node index, and cut
+/// to `k` — as (source path, target path, wsim).
+fn reference_top_pairs(outcome: &MatchOutcome, k: usize) -> Vec<(String, String, f64)> {
+    let leaves = |tree: &SchemaTree| -> Vec<NodeId> {
+        tree.iter().filter(|(_, n)| n.is_leaf()).map(|(id, _)| id).collect()
+    };
+    let (t1, t2) = (&outcome.source_tree, &outcome.target_tree);
+    let mut all = Vec::new();
+    for &s in &leaves(t1) {
+        for &t in &leaves(t2) {
+            all.push((outcome.structural.wsim.get(s.index(), t.index()), s, t));
+        }
+    }
+    all.sort_by(|a, b| {
+        b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
+    });
+    all.truncate(k);
+    all.into_iter().map(|(w, s, t)| (t1.path(s).to_string(), t2.path(t).to_string(), w)).collect()
+}
+
 /// Assert one session run (with the given thread count) reproduces the
 /// independent single-pair outcomes bit for bit.
 fn assert_session_equivalent(
@@ -132,6 +160,14 @@ fn assert_session_equivalent(
             );
             assert_eq!(summary.compared_pairs, outcome.linguistic.compared_pairs);
             assert_eq!(summary.total_pairs, outcome.linguistic.total_pairs);
+            let what = format!("top pairs ({i},{j}), {threads} threads");
+            let want = reference_top_pairs(&outcome, DEFAULT_TOP_K);
+            assert_eq!(summary.top_pairs.len(), want.len(), "{what}: length");
+            for (g, (source, target, wsim)) in summary.top_pairs.iter().zip(&want) {
+                assert_eq!(&g.source_path, source, "{what}");
+                assert_eq!(&g.target_path, target, "{what}");
+                assert_eq!(g.wsim.to_bits(), wsim.to_bits(), "{what}: wsim bits");
+            }
         }
     }
     summaries
