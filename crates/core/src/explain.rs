@@ -401,17 +401,14 @@ fn explain_mapping(
     }
 
     let (si, ti) = (m.source.index(), m.target.index());
-    let m1 = &ws.masks1[si];
-    let m2 = &ws.masks2[ti];
-    let source_strong_links = m1.ones().filter(|&x| ws.strong_rows[x].intersects(m2)).count();
-    let target_strong_links = m2.ones().filter(|&y| ws.strong_cols[y].intersects(m1)).count();
-    let pruned = !leaf && ws.pruned(m.source, m.target);
+    let links = ws.link_counts(si, ti);
+    let pruned = !leaf && ws.pruned(si, ti);
     let main_pass_wsim = ws.node_wsim.get(si, ti);
     let structure = StructuralContext {
-        source_leaves: ws.mask1_count[si],
-        target_leaves: ws.mask2_count[ti],
-        source_strong_links,
-        target_strong_links,
+        source_leaves: links.source_leaves,
+        target_leaves: links.target_leaves,
+        source_strong_links: links.source_links,
+        target_strong_links: links.target_links,
         main_pass_wsim,
         pruned,
         increased: !pruned && main_pass_wsim > cfg.th_high,

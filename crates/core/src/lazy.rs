@@ -142,7 +142,6 @@ pub fn tree_match_lazy(
 
     let order1 = t1.post_order();
     let order2 = t2.post_order();
-    let nl2 = t2.leaf_count();
     // rep root → per-subtree-leaf full rows of leaf_ssim, in the leaf
     // order of `SchemaTree::leaves` (left-to-right; identical for
     // isomorphic copies of a pure tree).
@@ -170,15 +169,10 @@ pub fn tree_match_lazy(
             ws.stats.lazy_copied_pairs += subtree_size * order2.len();
             continue;
         }
-        for &t in order2 {
-            ws.process_pair(s, t);
-        }
+        ws.process_source(s);
         if plan.rep_roots.contains(&s) {
-            let rows: Vec<Vec<f64>> = t1
-                .leaves(s)
-                .iter()
-                .map(|&x| (0..nl2).map(|y| ws.leaf_ssim.get(x as usize, y)).collect())
-                .collect();
+            let rows: Vec<Vec<f64>> =
+                t1.leaves(s).iter().map(|&x| ws.leaf_ssim.row(x as usize).to_vec()).collect();
             snapshots.insert(s, rows);
         }
     }

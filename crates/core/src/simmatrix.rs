@@ -60,6 +60,12 @@ impl SimMatrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// Row `i` as a mutable slice.
+    #[inline]
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        &mut self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
     /// Maximum entry in row `i` with its column, `None` for empty rows.
     ///
     /// The sweep is a branchless select chain — the update predicate is

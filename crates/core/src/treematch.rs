@@ -20,12 +20,14 @@
 //! whose weighted similarity exceeds `thaccept`) to the other subtree.
 //! The paper deliberately avoids a 1:1 bipartite matching here (§6).
 //!
-//! Strong-link membership is tracked with per-leaf bitsets so the test
-//! *"does leaf x link into subtree t?"* is a word-wise intersection.
+//! A run keeps its state flat (DESIGN.md §11.3). Per-node lookups are
+//! read into vectors once per run. Leaf masks, required-leaf masks and
+//! the two strong-link tables are row-major bit matrices, one
+//! allocation each, so the test *"does leaf x link into subtree t?"* is
+//! a word-wise intersection of two row slices.
 
-use cupid_model::{NodeId, SchemaTree};
+use cupid_model::{ElementId, NodeId, SchemaTree};
 
-use crate::bitset::Bits;
 use crate::config::CupidConfig;
 use crate::linguistic::LsimTable;
 use crate::simmatrix::SimMatrix;
@@ -61,71 +63,166 @@ pub struct TreeMatchResult {
     pub stats: TreeMatchStats,
 }
 
+/// A row-major bit matrix in one allocation: row `i` is the word slice
+/// `words[i * stride..(i + 1) * stride]`.
+struct BitMatrix {
+    stride: usize,
+    words: Vec<u64>,
+}
+
+impl BitMatrix {
+    fn new(rows: usize, cols: usize) -> Self {
+        let stride = cols.div_ceil(64);
+        BitMatrix { stride, words: vec![0; rows * stride] }
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[u64] {
+        &self.words[i * self.stride..(i + 1) * self.stride]
+    }
+
+    #[inline]
+    fn get(&self, i: usize, j: usize) -> bool {
+        (self.row(i)[j / 64] >> (j % 64)) & 1 == 1
+    }
+
+    #[inline]
+    fn set(&mut self, i: usize, j: usize) {
+        self.words[i * self.stride + j / 64] |= 1 << (j % 64);
+    }
+
+    #[inline]
+    fn flip(&mut self, i: usize, j: usize) {
+        self.words[i * self.stride + j / 64] ^= 1 << (j % 64);
+    }
+}
+
+/// The strong-link table and its transpose, kept in step.
+struct StrongLinks {
+    /// Row x: target leaves y with a strong link from source leaf x.
+    rows: BitMatrix,
+    /// Row y: source leaves x with a strong link to target leaf y.
+    cols: BitMatrix,
+}
+
+impl StrongLinks {
+    /// Set the flag of leaf pair `(x, y)`; only a changed flag writes.
+    #[inline]
+    fn set(&mut self, x: usize, y: usize, strong: bool) {
+        if self.rows.get(x, y) != strong {
+            self.rows.flip(x, y);
+            self.cols.flip(y, x);
+        }
+    }
+}
+
+/// True if two rows share a set bit.
+#[inline]
+fn intersects(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(&a, &b)| a & b != 0)
+}
+
+/// Indices of the set bits of a row, ascending.
+fn ones(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(wi, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            if w == 0 {
+                return None;
+            }
+            let b = w.trailing_zeros() as usize;
+            w &= w - 1;
+            Some(wi * 64 + b)
+        })
+    })
+}
+
+/// `w·ssim + (1−w)·lsim`: the one weighted-similarity formula of every
+/// step, so every step rounds alike.
+#[inline]
+fn weighted(w: f64, ssim: f64, lsim: f64) -> f64 {
+    w * ssim + (1.0 - w) * lsim
+}
+
+/// Per-node lookups of one tree, read once per run.
+struct NodeTables {
+    /// Leaf index of each node.
+    leaf: Vec<Option<usize>>,
+    /// [`cupid_model::TreeNode::is_leaf`] of each node.
+    is_leaf: Vec<bool>,
+    element: Vec<ElementId>,
+    /// Leaves under each node, for the leaf-count ratio test.
+    leaf_count: Vec<f64>,
+    /// Row per node: the leaves its `ssim` counts (depth-limited under
+    /// `leaf_depth_limit`).
+    masks: BitMatrix,
+    /// Row per node: its required leaves (§8.4 optionality).
+    required: BitMatrix,
+}
+
+impl NodeTables {
+    fn new(tree: &SchemaTree, depth_limit: Option<u32>) -> Self {
+        let ids = || (0..tree.len()).map(NodeId::from_index);
+        let mut masks = BitMatrix::new(tree.len(), tree.leaf_count());
+        let mut required = BitMatrix::new(tree.len(), tree.leaf_count());
+        for id in ids() {
+            let i = id.index();
+            match depth_limit {
+                None => tree.leaves(id).iter().for_each(|&l| masks.set(i, l as usize)),
+                // Leaves within k levels of the node (§8.4 "Pruning
+                // leaves"). Internal frontier nodes at depth k simply cut
+                // deeper leaves off.
+                Some(k) => tree
+                    .frontier_at_depth(id, k)
+                    .into_iter()
+                    .filter_map(|f| tree.leaf_index(f))
+                    .for_each(|l| masks.set(i, l as usize)),
+            }
+            tree.required_leaves(id).iter().for_each(|&l| required.set(i, l as usize));
+        }
+        NodeTables {
+            leaf: ids().map(|id| tree.leaf_index(id).map(|l| l as usize)).collect(),
+            is_leaf: ids().map(|id| tree.is_leaf(id)).collect(),
+            element: ids().map(|id| tree.node(id).element).collect(),
+            leaf_count: ids().map(|id| tree.leaves(id).len() as f64).collect(),
+            masks,
+            required,
+        }
+    }
+}
+
+/// Leaf and strong-link counts of a node pair over its two leaf masks.
+#[derive(Default)]
+pub(crate) struct LinkCounts {
+    pub source_leaves: usize,
+    pub target_leaves: usize,
+    /// Source leaves with a strong link into the target mask.
+    pub source_links: usize,
+    /// Target leaves with a strong link into the source mask.
+    pub target_links: usize,
+    /// Optional leaves without a strong link, dropped from the
+    /// denominator (§8.4 optionality).
+    pub dropped: usize,
+}
+
 /// Shared state of a TreeMatch run. `pub(crate)` so the lazy-expansion
-/// driver ([`crate::lazy`]) can reuse the exact same primitives.
+/// driver ([`crate::lazy`]) and [`crate::explain`] reuse the exact same
+/// primitives.
 pub(crate) struct Workspace<'a> {
-    pub t1: &'a SchemaTree,
-    pub t2: &'a SchemaTree,
-    pub lsim: &'a LsimTable,
-    pub cfg: &'a CupidConfig,
+    t1: &'a SchemaTree,
+    t2: &'a SchemaTree,
+    lsim: &'a LsimTable,
+    cfg: &'a CupidConfig,
+    nodes1: NodeTables,
+    nodes2: NodeTables,
     /// `lsim` cached per leaf pair.
-    pub leaf_lsim: SimMatrix,
+    leaf_lsim: SimMatrix,
     /// Mutable structural similarity per leaf pair.
     pub leaf_ssim: SimMatrix,
-    /// strong_rows[x] = bitset over target leaves y with strong link.
-    pub strong_rows: Vec<Bits>,
-    /// strong_cols[y] = bitset over source leaves x with strong link.
-    pub strong_cols: Vec<Bits>,
-    /// Per source node: leaf bitset used for ssim counting (possibly
-    /// depth-limited).
-    pub masks1: Vec<Bits>,
-    /// Per target node: ditto.
-    pub masks2: Vec<Bits>,
-    /// Popcount of `masks1[i]`, hoisted out of `structural_sim` (the
-    /// masks are immutable after construction, and the counts are
-    /// re-read for every node pair of the O(n²) main loop).
-    pub mask1_count: Vec<usize>,
-    /// Popcount of `masks2[j]`, ditto.
-    pub mask2_count: Vec<usize>,
-    /// Per source node: required-leaf bitset (§8.4 optionality).
-    pub req1: Vec<Bits>,
-    /// Per target node: ditto.
-    pub req2: Vec<Bits>,
-    /// Main-pass node similarities.
-    pub node_ssim: SimMatrix,
+    strong: StrongLinks,
+    /// Main-pass weighted similarities.
     pub node_wsim: SimMatrix,
     pub stats: TreeMatchStats,
-}
-
-fn leaf_masks(tree: &SchemaTree, depth_limit: Option<u32>) -> Vec<Bits> {
-    let nl = tree.leaf_count();
-    (0..tree.len())
-        .map(|i| {
-            let id = NodeId::from_index(i);
-            match depth_limit {
-                None => Bits::from_indices(nl, tree.leaves(id)),
-                Some(k) => {
-                    // Leaves within k levels of the node (§8.4 "Pruning
-                    // leaves"). Internal frontier nodes at depth k simply
-                    // cut deeper leaves off.
-                    let mut b = Bits::new(nl);
-                    for f in tree.frontier_at_depth(id, k) {
-                        if let Some(li) = tree.leaf_index(f) {
-                            b.set(li as usize);
-                        }
-                    }
-                    b
-                }
-            }
-        })
-        .collect()
-}
-
-fn required_masks(tree: &SchemaTree) -> Vec<Bits> {
-    let nl = tree.leaf_count();
-    (0..tree.len())
-        .map(|i| Bits::from_indices(nl, tree.required_leaves(NodeId::from_index(i))))
-        .collect()
 }
 
 impl<'a> Workspace<'a> {
@@ -136,93 +233,64 @@ impl<'a> Workspace<'a> {
         cfg: &'a CupidConfig,
     ) -> Self {
         let (nl1, nl2) = (t1.leaf_count(), t2.leaf_count());
-        let mut leaf_lsim = SimMatrix::zeros(nl1, nl2);
-        let mut leaf_ssim = SimMatrix::zeros(nl1, nl2);
-        for x in 0..nl1 {
-            let nx = t1.node(t1.leaf_node(x as u32));
-            for y in 0..nl2 {
-                let ny = t2.node(t2.leaf_node(y as u32));
-                leaf_lsim.set(x, y, lsim.get(nx.element, ny.element));
-                leaf_ssim.set(x, y, cfg.type_compat.compat(nx.data_type, ny.data_type));
-            }
-        }
-        let masks1 = leaf_masks(t1, cfg.leaf_depth_limit);
-        let masks2 = leaf_masks(t2, cfg.leaf_depth_limit);
-        let mask1_count = masks1.iter().map(Bits::count).collect();
-        let mask2_count = masks2.iter().map(Bits::count).collect();
         let mut ws = Workspace {
             t1,
             t2,
             lsim,
             cfg,
-            leaf_lsim,
-            leaf_ssim,
-            strong_rows: vec![Bits::new(nl2); nl1],
-            strong_cols: vec![Bits::new(nl1); nl2],
-            masks1,
-            masks2,
-            mask1_count,
-            mask2_count,
-            req1: required_masks(t1),
-            req2: required_masks(t2),
-            node_ssim: SimMatrix::zeros(t1.len(), t2.len()),
+            nodes1: NodeTables::new(t1, cfg.leaf_depth_limit),
+            nodes2: NodeTables::new(t2, cfg.leaf_depth_limit),
+            leaf_lsim: SimMatrix::zeros(nl1, nl2),
+            leaf_ssim: SimMatrix::zeros(nl1, nl2),
+            strong: StrongLinks { rows: BitMatrix::new(nl1, nl2), cols: BitMatrix::new(nl2, nl1) },
             node_wsim: SimMatrix::zeros(t1.len(), t2.len()),
             stats: TreeMatchStats::default(),
         };
+        let leaves2: Vec<_> = (0..nl2).map(|y| t2.node(t2.leaf_node(y as u32))).collect();
+        let (w, th) = (cfg.w_struct_leaf, cfg.th_accept);
         for x in 0..nl1 {
-            for y in 0..nl2 {
-                ws.refresh_strong(x, y);
+            let nx = t1.node(t1.leaf_node(x as u32));
+            let (lsim_row, ssim_row) = (ws.leaf_lsim.row_mut(x), ws.leaf_ssim.row_mut(x));
+            for (y, ny) in leaves2.iter().enumerate() {
+                lsim_row[y] = lsim.get(nx.element, ny.element);
+                ssim_row[y] = cfg.type_compat.compat(nx.data_type, ny.data_type);
+                ws.strong.set(x, y, weighted(w, ssim_row[y], lsim_row[y]) >= th);
             }
         }
         ws
     }
 
-    /// Weighted similarity of a leaf pair: `w_struct_leaf·ssim +
-    /// (1−w_struct_leaf)·lsim`.
-    #[inline]
-    pub fn leaf_wsim(&self, x: usize, y: usize) -> f64 {
-        let w = self.cfg.w_struct_leaf;
-        w * self.leaf_ssim.get(x, y) + (1.0 - w) * self.leaf_lsim.get(x, y)
-    }
-
-    /// Recompute the strong-link flag for a leaf pair. A *strong link*
+    /// Recompute the strong-link flag of a leaf pair. A *strong link*
     /// means `wsim(x,y) ≥ thaccept` — a potentially acceptable mapping.
-    /// Bitset writes are skipped when the flag does not change (the
-    /// common case during reinforcement).
     #[inline]
     pub fn refresh_strong(&mut self, x: usize, y: usize) {
-        let strong = self.leaf_wsim(x, y) >= self.cfg.th_accept;
-        if self.strong_rows[x].get(y) != strong {
-            if strong {
-                self.strong_rows[x].set(y);
-                self.strong_cols[y].set(x);
-            } else {
-                self.strong_rows[x].clear(y);
-                self.strong_cols[y].clear(x);
-            }
-        }
+        let wsim =
+            weighted(self.cfg.w_struct_leaf, self.leaf_ssim.get(x, y), self.leaf_lsim.get(x, y));
+        self.strong.set(x, y, wsim >= self.cfg.th_accept);
     }
 
     /// `increase-/decrease-struct-similarity(leaves(s), leaves(t), f)`:
     /// scale the structural similarity of every leaf pair under the two
-    /// nodes (clamped to `[0,1]`), refreshing strong links.
+    /// nodes (clamped to `[0,1]`), walking row slices, and recompute the
+    /// strong flag of every cell touched.
     ///
-    /// `wsim` is monotone in `leaf_ssim` (`w_struct_leaf ≥ 0`), so an
-    /// increase (`factor ≥ 1`) can only turn a weak link strong and a
-    /// decrease can only turn a strong link weak — pairs already on the
-    /// unreachable side skip the `wsim` recomputation entirely.
-    pub fn scale_leaves(&mut self, s: NodeId, t: NodeId, factor: f64) {
+    /// `wsim` is monotone in `leaf_ssim` (`w_struct_leaf ≥ 0`, and
+    /// rounding is monotone), so an increase (`factor ≥ 1`) can only turn
+    /// a weak link strong and a decrease can only turn a strong link
+    /// weak: recomputing a flag that cannot change leaves it as it was.
+    fn scale_leaves(&mut self, s: usize, t: usize, factor: f64) {
         // Updates always use the *full* leaf sets of the subtrees, even if
         // ssim counting is depth-limited.
-        let ls = self.t1.leaves(s);
-        let lt = self.t2.leaves(t);
-        let increasing = factor >= 1.0;
-        for &x in ls {
+        let (w, th) = (self.cfg.w_struct_leaf, self.cfg.th_accept);
+        let lt = self.t2.leaves(NodeId::from_index(t));
+        for &x in self.t1.leaves(NodeId::from_index(s)) {
+            let x = x as usize;
+            let (ssim_row, lsim_row) = (self.leaf_ssim.row_mut(x), self.leaf_lsim.row(x));
             for &y in lt {
-                self.leaf_ssim.scale_clamped(x as usize, y as usize, factor);
-                if self.strong_rows[x as usize].get(y as usize) != increasing {
-                    self.refresh_strong(x as usize, y as usize);
-                }
+                let y = y as usize;
+                let v = (ssim_row[y] * factor).clamp(0.0, 1.0);
+                ssim_row[y] = v;
+                self.strong.set(x, y, weighted(w, v, lsim_row[y]) >= th);
             }
         }
     }
@@ -230,70 +298,103 @@ impl<'a> Workspace<'a> {
     /// Leaf-count ratio pruning (§6): skip pairs whose subtree leaf counts
     /// differ by more than the configured factor.
     #[inline]
-    pub fn pruned(&self, s: NodeId, t: NodeId) -> bool {
+    pub fn pruned(&self, s: usize, t: usize) -> bool {
         let Some(r) = self.cfg.leaf_ratio_prune else { return false };
-        let a = self.t1.leaves(s).len() as f64;
-        let b = self.t2.leaves(t).len() as f64;
+        let (a, b) = (self.nodes1.leaf_count[s], self.nodes2.leaf_count[t]);
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         hi > r * lo
     }
 
-    /// Structural similarity of a node pair (the strong-link fraction).
-    /// For a leaf pair this is the current leaf `ssim` entry.
-    pub fn structural_sim(&self, s: NodeId, t: NodeId) -> f64 {
-        if let (Some(x), Some(y)) = (self.t1.leaf_index(s), self.t2.leaf_index(t)) {
-            return self.leaf_ssim.get(x as usize, y as usize);
-        }
-        let m1 = &self.masks1[s.index()];
-        let m2 = &self.masks2[t.index()];
-        let mut num = 0usize;
-        let mut den = self.mask1_count[s.index()] + self.mask2_count[t.index()];
-        for x in m1.ones() {
-            if self.strong_rows[x].intersects(m2) {
-                num += 1;
-            } else if self.cfg.use_optionality && !self.req1[s.index()].get(x) {
-                den -= 1; // optional leaf with no strong link: dropped
+    /// Leaf and strong-link counts of a node pair: the operands of its
+    /// structural similarity, and what an explanation reports.
+    pub fn link_counts(&self, s: usize, t: usize) -> LinkCounts {
+        let (m1, m2) = (self.nodes1.masks.row(s), self.nodes2.masks.row(t));
+        let optionality = self.cfg.use_optionality;
+        let mut c = LinkCounts::default();
+        for x in ones(m1) {
+            c.source_leaves += 1;
+            if intersects(self.strong.rows.row(x), m2) {
+                c.source_links += 1;
+            } else if optionality && !self.nodes1.required.get(s, x) {
+                c.dropped += 1;
             }
         }
-        for y in m2.ones() {
-            if self.strong_cols[y].intersects(m1) {
-                num += 1;
-            } else if self.cfg.use_optionality && !self.req2[t.index()].get(y) {
-                den -= 1;
+        for y in ones(m2) {
+            c.target_leaves += 1;
+            if intersects(self.strong.cols.row(y), m1) {
+                c.target_links += 1;
+            } else if optionality && !self.nodes2.required.get(t, y) {
+                c.dropped += 1;
             }
         }
-        if den == 0 {
-            0.0
-        } else {
-            num as f64 / den as f64
-        }
+        c
     }
 
-    /// One iteration of the inner loop body of Figure 3 for the pair
-    /// `(s, t)`.
-    pub fn process_pair(&mut self, s: NodeId, t: NodeId) {
-        let both_leaves = self.t1.is_leaf(s) && self.t2.is_leaf(t);
+    /// `(ssim, wsim)` of a leaf × leaf pair, read from the leaf matrices.
+    #[inline]
+    fn leaf_score(&self, x: usize, y: usize) -> (f64, f64) {
+        let ssim = self.leaf_ssim.get(x, y);
+        (ssim, weighted(self.cfg.w_struct_leaf, ssim, self.leaf_lsim.get(x, y)))
+    }
+
+    /// `(ssim, wsim)` of any other node pair, `None` if leaf-count ratio
+    /// pruning skips it: `ssim` is the fraction of leaves with a strong
+    /// link into the other subtree.
+    fn node_score(&self, s: usize, t: usize) -> Option<(f64, f64)> {
+        let both_leaves = self.nodes1.is_leaf[s] && self.nodes2.is_leaf[t];
         if !both_leaves && self.pruned(s, t) {
-            self.stats.pruned_pairs += 1;
-            return;
+            return None;
         }
-        let ssim = self.structural_sim(s, t);
-        let w = self.cfg.w_struct_for(both_leaves);
-        let lsim = self.lsim.get(self.t1.node(s).element, self.t2.node(t).element);
-        let wsim = w * ssim + (1.0 - w) * lsim;
-        self.node_ssim.set(s.index(), t.index(), ssim);
-        self.node_wsim.set(s.index(), t.index(), wsim);
+        let c = self.link_counts(s, t);
+        let den = c.source_leaves + c.target_leaves - c.dropped;
+        let num = c.source_links + c.target_links;
+        let ssim = if den == 0 { 0.0 } else { num as f64 / den as f64 };
+        let lsim = self.lsim.get(self.nodes1.element[s], self.nodes2.element[t]);
+        Some((ssim, weighted(self.cfg.w_struct_for(both_leaves), ssim, lsim)))
+    }
+
+    /// Record a compared pair's main-pass `wsim` and return the factor
+    /// its leaves are scaled by, if any.
+    #[inline]
+    fn reinforcement(&mut self, s: usize, t: usize, wsim: f64) -> Option<f64> {
+        self.node_wsim.set(s, t, wsim);
         self.stats.compared_pairs += 1;
         // Figure 3 uses strict inequalities; the strictness matters: a
         // structurally-perfect but linguistically-unsupported pair lands
         // exactly on wstruct·1.0 = th_high and must *not* be reinforced,
         // otherwise wrong contexts (POBillTo vs DeliverTo) get boosted.
         if wsim > self.cfg.th_high {
-            self.scale_leaves(s, t, self.cfg.c_inc);
             self.stats.increases += 1;
+            Some(self.cfg.c_inc)
         } else if wsim < self.cfg.th_low {
-            self.scale_leaves(s, t, self.cfg.c_dec);
             self.stats.decreases += 1;
+            Some(self.cfg.c_dec)
+        } else {
+            None
+        }
+    }
+
+    /// The inner loop of Figure 3 for source node `s`: every target node
+    /// in post-order. A leaf × leaf pair takes the direct step, which
+    /// changes only its own cell.
+    pub fn process_source(&mut self, s: NodeId) {
+        let s = s.index();
+        let source_leaf = self.nodes1.leaf[s];
+        for &t in self.t2.post_order() {
+            let t = t.index();
+            if let (Some(x), Some(y)) = (source_leaf, self.nodes2.leaf[t]) {
+                let (_, wsim) = self.leaf_score(x, y);
+                if let Some(factor) = self.reinforcement(s, t, wsim) {
+                    self.leaf_ssim.scale_clamped(x, y, factor);
+                    self.refresh_strong(x, y);
+                }
+            } else if let Some((_, wsim)) = self.node_score(s, t) {
+                if let Some(factor) = self.reinforcement(s, t, wsim) {
+                    self.scale_leaves(s, t, factor);
+                }
+            } else {
+                self.stats.pruned_pairs += 1;
+            }
         }
     }
 
@@ -301,12 +402,8 @@ impl<'a> Workspace<'a> {
     /// borrowed straight from the trees (which outlive `self`), not
     /// cloned per run.
     pub fn run_main_pass(&mut self) {
-        let order1 = self.t1.post_order();
-        let order2 = self.t2.post_order();
-        for &s in order1 {
-            for &t in order2 {
-                self.process_pair(s, t);
-            }
+        for &s in self.t1.post_order() {
+            self.process_source(s);
         }
     }
 
@@ -315,17 +412,16 @@ impl<'a> Workspace<'a> {
     pub fn final_matrices(&self) -> (SimMatrix, SimMatrix) {
         let mut ssim = SimMatrix::zeros(self.t1.len(), self.t2.len());
         let mut wsim = SimMatrix::zeros(self.t1.len(), self.t2.len());
-        for (s, ns) in self.t1.iter() {
-            for (t, nt) in self.t2.iter() {
-                let both_leaves = ns.is_leaf() && nt.is_leaf();
-                if !both_leaves && self.pruned(s, t) {
-                    continue;
+        for s in 0..self.t1.len() {
+            for t in 0..self.t2.len() {
+                let score = match (self.nodes1.leaf[s], self.nodes2.leaf[t]) {
+                    (Some(x), Some(y)) => Some(self.leaf_score(x, y)),
+                    _ => self.node_score(s, t),
+                };
+                if let Some((sv, wv)) = score {
+                    ssim.set(s, t, sv);
+                    wsim.set(s, t, wv);
                 }
-                let sv = self.structural_sim(s, t);
-                let w = self.cfg.w_struct_for(both_leaves);
-                let lv = self.lsim.get(ns.element, nt.element);
-                ssim.set(s.index(), t.index(), sv);
-                wsim.set(s.index(), t.index(), w * sv + (1.0 - w) * lv);
             }
         }
         (ssim, wsim)
@@ -514,6 +610,53 @@ mod tests {
             assert!((0.0..=1.0).contains(&v), "leaf ssim out of range: {v}");
         }
         assert!(res.stats.increases > 0);
+    }
+
+    #[test]
+    fn bit_matrix_set_get_clear() {
+        // Three words per row: bits at word boundaries stay in their row.
+        let mut m = BitMatrix::new(3, 130);
+        [(0, 0), (1, 63), (1, 64), (2, 129), (1, 63)].into_iter().for_each(|(i, j)| m.set(i, j));
+        assert!(m.get(0, 0) && m.get(1, 63) && m.get(1, 64) && m.get(2, 129));
+        assert!(!m.get(0, 64) && !m.get(1, 0) && !m.get(2, 128));
+        m.flip(1, 64);
+        assert!(!m.get(1, 64) && m.get(1, 63));
+    }
+
+    #[test]
+    fn bit_matrix_rows_intersect_across_words() {
+        let mut m = BitMatrix::new(2, 200);
+        m.set(1, 150);
+        assert!(!intersects(m.row(0), m.row(1)));
+        m.set(0, 150);
+        assert!(intersects(m.row(0), m.row(1)));
+    }
+
+    #[test]
+    fn bit_matrix_ones_iterate_ascending() {
+        let mut m = BitMatrix::new(2, 130);
+        [129, 64, 63, 129].into_iter().for_each(|j| m.set(1, j));
+        assert_eq!(ones(m.row(1)).collect::<Vec<_>>(), [63, 64, 129]);
+        m.flip(1, 64);
+        assert_eq!(ones(m.row(1)).collect::<Vec<_>>(), [63, 129]);
+    }
+
+    #[test]
+    fn bit_matrix_zero_width_rows_are_empty() {
+        let m = BitMatrix::new(4, 0);
+        assert!(m.row(3).is_empty() && ones(m.row(3)).next().is_none());
+        let m = BitMatrix::new(2, 65);
+        assert!(ones(m.row(1)).next().is_none());
+    }
+
+    #[test]
+    fn strong_links_keep_the_transpose_in_step() {
+        let mut s = StrongLinks { rows: BitMatrix::new(2, 70), cols: BitMatrix::new(70, 2) };
+        s.set(1, 69, true);
+        s.set(1, 69, true);
+        assert!(s.rows.get(1, 69) && s.cols.get(69, 1));
+        s.set(1, 69, false);
+        assert!(!s.rows.get(1, 69) && !s.cols.get(69, 1));
     }
 
     #[test]
