@@ -523,13 +523,15 @@ impl<'a> MatchSession<'a> {
         summary
     }
 
-    /// Match one prepared pair through a **shared** (`&self`) handle —
-    /// the read half of the session's read/write split (DESIGN.md §9).
+    /// Match a worklist of prepared pairs through a **shared** (`&self`)
+    /// handle — the read half of the session's read/write split
+    /// (DESIGN.md §9).
     ///
     /// Pair execution is a pure function of frozen inputs, so it needs
-    /// no exclusive access: this method runs the pair over a clone of
-    /// the warm similarity memo and returns the summary together with
-    /// that warmed clone. Results are bit-identical to
+    /// no exclusive access: this method runs the whole worklist through
+    /// **one** clone of the warm similarity memo on the calling thread
+    /// and returns the summaries in worklist order together with that
+    /// warmed clone. Results are bit-identical to
     /// [`MatchSession::match_pair`]; the only difference is bookkeeping
     /// — the session's own memo and `pairs_matched` counter are
     /// untouched until the caller hands the warmed store back through
@@ -537,21 +539,9 @@ impl<'a> MatchSession<'a> {
     /// recomputation).
     ///
     /// This is what lets a daemon answer match requests from many
-    /// threads under a read lock, serializing only the cheap merge.
-    pub fn match_pair_shared(
-        &self,
-        source: SchemaId,
-        target: SchemaId,
-    ) -> (MatchSummary, SimStore) {
-        let (mut summaries, store) = self.match_pairs_shared(&[(source, target)]);
-        (summaries.pop().expect("one pair in, one summary out"), store)
-    }
-
-    /// The worklist form of [`MatchSession::match_pair_shared`]: run a
-    /// whole worklist through **one** clone of the warm memo on the
-    /// calling thread, returning the summaries in worklist order plus
-    /// that single warmed clone. A caller serving an N-pair discovery
-    /// request pays one memo clone and one merge instead of N of each.
+    /// threads under a read lock, serializing only the cheap merge. A
+    /// caller serving an N-pair discovery request pays one memo clone
+    /// and one merge instead of N of each.
     pub fn match_pairs_shared(
         &self,
         worklist: &[(SchemaId, SchemaId)],
@@ -579,7 +569,7 @@ impl<'a> MatchSession<'a> {
         (summaries, cache.into_store())
     }
 
-    /// Absorb the results of [`MatchSession::match_pair_shared`] calls:
+    /// Absorb the results of [`MatchSession::match_pairs_shared`] calls:
     /// merge a warmed store clone back into the session memo and credit
     /// `pairs` executions to the session counters. The write half of the
     /// read/write split — call it under exclusive access.
@@ -615,7 +605,7 @@ impl<'a> MatchSession<'a> {
     }
 
     /// The shared (`&self`) form of [`MatchSession::explain_pair`],
-    /// mirroring [`MatchSession::match_pair_shared`]: the pair is
+    /// mirroring [`MatchSession::match_pairs_shared`]: the pair is
     /// explained over a clone of the warm similarity memo, which is
     /// returned for the caller to [`MatchSession::absorb`] (or drop).
     pub fn explain_pair_shared(
@@ -978,10 +968,11 @@ mod tests {
         let (a, b) = (ids[0], ids[1]);
         std::thread::scope(|scope| {
             let session = &session;
-            let workers: Vec<_> =
-                (0..3).map(|_| scope.spawn(move || session.match_pair_shared(a, b).0)).collect();
+            let workers: Vec<_> = (0..3)
+                .map(|_| scope.spawn(move || session.match_pairs_shared(&[(a, b)]).0))
+                .collect();
             for w in workers {
-                assert_eq!(w.join().unwrap(), want);
+                assert_eq!(w.join().unwrap(), std::slice::from_ref(&want));
             }
         });
         // ...without touching the session's own memo or counters...
@@ -990,10 +981,10 @@ mod tests {
 
         // ...and absorbing a warmed clone merges the memo and credits
         // the execution.
-        let (summary, store) = session.match_pair_shared(ids[1], ids[2]);
+        let (summaries, store) = session.match_pairs_shared(&[(ids[1], ids[2])]);
         session.absorb(store, 1);
         assert_eq!(session.stats().pairs_matched, 2);
-        assert_eq!(session.match_pair(ids[1], ids[2]), summary);
+        assert_eq!([session.match_pair(ids[1], ids[2])], *summaries);
     }
 
     #[test]

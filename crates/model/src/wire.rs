@@ -376,7 +376,10 @@ pub const JOURNAL_REMOVE: u8 = 0x43;
 // live here with the rest of the workspace kind-space bookkeeping:
 // 0x09 extends the request block (0x01..=0x08), 0x8A extends the
 // response block (0x81..=0x89), and both stay disjoint from the
-// journal's 0x4_ block.
+// journal's 0x4_ block. In the request block, 0x01..=0x03 (the id-less
+// add/replace/remove) are retired and reserved: every mutation is a
+// `MUTATE_REQUEST`. 0x04..=0x06 carry one read each, served as a
+// one-entry worklist, with the batch entry's body minus its tag.
 
 /// Batched request frame: a worklist of MatchPair/TopK/Stats entries.
 pub const BATCH_REQUEST: u8 = 0x09;
@@ -392,7 +395,8 @@ pub const BATCH_RESPONSE: u8 = 0x8A;
 // controller answers with when the in-flight cap is full.
 
 /// Mutation request frame carrying a client-assigned request id for
-/// daemon-side retry deduplication (add/replace/remove payloads).
+/// daemon-side retry deduplication (add/replace/remove payloads) — the
+/// only frame a mutation travels in.
 pub const MUTATE_REQUEST: u8 = 0x0A;
 /// Admission-control shed: the daemon refused the request because its
 /// in-flight cap stayed full past the queue deadline. Retryable.

@@ -227,35 +227,13 @@ pub struct DurabilityStats {
     pub replay_discarded: Option<String>,
 }
 
-/// The result of [`Repository::match_pair_shared`]: either served from
-/// the persisted cache, or executed over a memo clone and awaiting
-/// publication via [`Repository::absorb`].
-#[derive(Debug)]
-pub enum SharedMatch {
-    /// The pair was already cached; nothing to publish.
-    Cached(MatchSummary),
-    /// The pair executed through the shared read path (a one-entry
-    /// batch).
-    Executed(SharedBatch),
-}
-
-impl SharedMatch {
-    /// The match result, wherever it came from.
-    pub fn summary(&self) -> &MatchSummary {
-        match self {
-            SharedMatch::Cached(s) => s,
-            SharedMatch::Executed(batch) => batch.summaries().next().expect("one-entry batch"),
-        }
-    }
-}
-
 /// A worklist executed through the shared (`&self`) read path, ready to
 /// publish with [`Repository::absorb`]: the summaries, **one** warmed
 /// similarity-memo clone shared by the whole worklist, and each pair's
 /// content-hash cache key captured at execution time (immune to
 /// re-indexing by interleaved mutations). Batching matters: an N-pair
 /// discovery request costs one memo clone and one merge, not N.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SharedBatch {
     entries: Vec<((u64, u64), MatchSummary)>,
     store: SimStore,
@@ -572,7 +550,10 @@ impl<'a> Repository<'a> {
         })
     }
 
-    fn index_of(&self, name: &str) -> Result<usize, RepoError> {
+    /// The repository index of the schema stored under `name` — the
+    /// index [`Repository::cached_pair_at`] and
+    /// [`Repository::execute_pairs_shared`] take.
+    pub fn index_of(&self, name: &str) -> Result<usize, RepoError> {
         self.names
             .iter()
             .position(|n| n == name)
@@ -805,24 +786,6 @@ impl<'a> Repository<'a> {
         })
     }
 
-    /// Match one named pair through a shared (`&self`) handle. A cached
-    /// pair is served directly ([`SharedMatch::Cached`]); an uncached
-    /// pair executes over a clone of the warm session memo
-    /// ([`MatchSession::match_pair_shared`]) and comes back as a
-    /// [`SharedMatch::Executed`] one-entry batch carrying the warmed
-    /// memo clone and the pair's content-hash cache key, for the
-    /// caller to publish via [`Repository::absorb`] under exclusive
-    /// access. Summaries are bit-identical to
-    /// [`Repository::match_pair`] either way.
-    pub fn match_pair_shared(&self, source: &str, target: &str) -> Result<SharedMatch, RepoError> {
-        let i = self.index_of(source)?;
-        let j = self.index_of(target)?;
-        match self.cached_pair_at(i, j) {
-            Some(s) => Ok(SharedMatch::Cached(s)),
-            None => Ok(SharedMatch::Executed(self.execute_pairs_shared(&[(i, j)]))),
-        }
-    }
-
     /// Explain one named pair: per-mapping score provenance (lsim/ssim/
     /// wsim breakdown, top token pairs, structural context, threshold
     /// decisions; DESIGN.md §14). Always re-executes the pair — an
@@ -836,9 +799,9 @@ impl<'a> Repository<'a> {
     }
 
     /// The shared (`&self`) form of [`Repository::explain`], mirroring
-    /// [`Repository::match_pair_shared`]: the pair is explained over a
-    /// clone of the warm session memo, which is returned for the caller
-    /// to publish via [`Repository::absorb_store`] (or drop).
+    /// [`Repository::execute_pairs_shared`]: the pair is explained over
+    /// a clone of the warm session memo, which is returned for the
+    /// caller to publish via [`Repository::absorb_store`] (or drop).
     pub fn explain_shared(
         &self,
         source: &str,
@@ -1292,11 +1255,10 @@ mod tests {
         let th = Thesaurus::with_default_stopwords();
         let mut repo = Repository::open_or_create(&tmp.0, &config, &th).unwrap();
         repo.add_corpus(&corpus()).unwrap();
+        let (s0, s1) = (repo.index_of("S0").unwrap(), repo.index_of("S1").unwrap());
         // Uncached: the shared path executes over a memo clone...
-        let batch = match repo.match_pair_shared("S0", "S1").unwrap() {
-            SharedMatch::Executed(batch) => batch,
-            other => panic!("uncached pair must execute, got {other:?}"),
-        };
+        assert!(repo.cached_pair_at(s0, s1).is_none(), "uncached pair must execute");
+        let batch = repo.execute_pairs_shared(&[(s0, s1)]);
         assert_eq!(batch.len(), 1);
         let shared = batch.summaries().next().unwrap().clone();
         assert_eq!(repo.pairs_executed(), 0, "shared execution is not yet absorbed");
@@ -1308,10 +1270,7 @@ mod tests {
         // ...and the exclusive path serves the identical summary.
         assert_eq!(repo.match_pair("S0", "S1").unwrap(), shared);
         // A cached pair serves directly through the shared path too.
-        match repo.match_pair_shared("S0", "S1").unwrap() {
-            SharedMatch::Cached(s) => assert_eq!(s, shared),
-            other => panic!("cached pair must serve from cache, got {other:?}"),
-        }
+        assert_eq!(repo.cached_pair_at(s0, s1), Some(shared));
         // A whole worklist executes over one memo clone, and an
         // execution published after its schema was replaced parks
         // under the old (now dead) key instead of corrupting the cache.

@@ -16,7 +16,9 @@
 //!   ([`crate::protocol::Request::Batch`]); the daemon executes it
 //!   under one read-lock acquisition and one memo clone, which is
 //!   where the ≥3× unary throughput win comes from. Each entry carries
-//!   its own status, so one bad entry fails alone.
+//!   its own status, so one bad entry fails alone. A unary read
+//!   ([`crate::protocol::Request::Read`]) is the same item in a frame
+//!   of its own, served as a one-entry worklist.
 //! * **Pooling** — [`ServePool`] hands out connections with
 //!   checkout/checkin semantics: capped size, lazy dial, and eviction
 //!   of connections whose transport broke mid-exchange (tracked by the
@@ -25,10 +27,10 @@
 //! * **Retries** — a [`RetryPolicy`] on the builder makes the client
 //!   transparently reconnect and resend when an exchange fails with a
 //!   *retryable* error ([`ServeError::is_retryable`]): reads are safe
-//!   to repeat trivially, and mutations are sent as
-//!   [`Request::Mutate`] frames carrying client-assigned request ids
-//!   the daemon deduplicates, so a retried mutation whose ack was lost
-//!   cannot double-apply (DESIGN.md §12.3).
+//!   to repeat trivially, and every mutation is a [`Request::Mutate`]
+//!   frame carrying a client-assigned request id the daemon
+//!   deduplicates, so a retried mutation whose ack was lost cannot
+//!   double-apply (DESIGN.md §12.3).
 
 use std::hash::{BuildHasher, Hasher};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -268,6 +270,15 @@ impl ServeClient {
         ServeError::Unexpected(format!("unexpected response variant: {response:?}"))
     }
 
+    /// One read in a frame of its own: the daemon answers with the
+    /// outcome a batch entry would carry, or an error.
+    fn read(&mut self, item: BatchItem) -> Result<BatchOutcome, ServeError> {
+        match self.call(&Request::Read(item))? {
+            Response::Read(outcome) => Ok(outcome),
+            other => Err(Self::unexpected(other)),
+        }
+    }
+
     /// The next client-assigned mutation request id (random base,
     /// sequential offsets — see [`random_id_base`]).
     fn next_request_id(&mut self) -> u64 {
@@ -315,11 +326,8 @@ impl ServeClient {
     /// Match one stored pair by name. The summary is bit-identical to
     /// an in-process match of the same schemas.
     pub fn match_pair(&mut self, source: &str, target: &str) -> Result<MatchSummary, ServeError> {
-        let request = Request::MatchPair { source: source.to_string(), target: target.to_string() };
-        match self.call(&request)? {
-            Response::Matched { summary, .. } => Ok(summary),
-            other => Err(Self::unexpected(other)),
-        }
+        let item = BatchItem::MatchPair { source: source.to_string(), target: target.to_string() };
+        summary_of(self.read(item)?)
     }
 
     /// Ship a worklist of requests in one batch frame; the daemon
@@ -360,11 +368,8 @@ impl ServeClient {
         self.batch(items)?
             .into_iter()
             .map(|entry| match entry {
-                Ok(BatchOutcome::Matched { summary, .. }) => Ok(Ok(summary)),
+                Ok(outcome) => summary_of(outcome).map(Ok),
                 Err(message) => Ok(Err(message)),
-                Ok(other) => {
-                    Err(ServeError::Unexpected(format!("unexpected batch outcome: {other:?}")))
-                }
             })
             .collect()
     }
@@ -378,30 +383,22 @@ impl ServeClient {
         self.batch(items)?
             .into_iter()
             .map(|entry| match entry {
-                Ok(BatchOutcome::TopKList { names, summaries }) => {
-                    Ok(Ok(TopKListing { names, summaries }))
-                }
+                Ok(outcome) => listing_of(outcome).map(Ok),
                 Err(message) => Ok(Err(message)),
-                Ok(other) => {
-                    Err(ServeError::Unexpected(format!("unexpected batch outcome: {other:?}")))
-                }
             })
             .collect()
     }
 
     /// Index-pruned top-`k` discovery over the daemon's corpus.
     pub fn top_k(&mut self, k: usize) -> Result<TopKListing, ServeError> {
-        match self.call(&Request::TopK { k: k as u32 })? {
-            Response::TopKList { names, summaries } => Ok(TopKListing { names, summaries }),
-            other => Err(Self::unexpected(other)),
-        }
+        listing_of(self.read(BatchItem::TopK { k: k as u32 })?)
     }
 
     /// Daemon counters.
     pub fn stats(&mut self) -> Result<StatsReport, ServeError> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(report) => Ok(report),
-            other => Err(Self::unexpected(other)),
+        match self.read(BatchItem::Stats)? {
+            BatchOutcome::Stats(report) => Ok(report),
+            other => Err(unexpected_outcome(other)),
         }
     }
 
@@ -458,23 +455,32 @@ fn frame_timed_out(e: &cupid_model::FrameError) -> bool {
     )
 }
 
-/// Is this request safe to send twice? Reads trivially ([`BatchItem`]
-/// only has read variants, so whole batches qualify); `Save` because
-/// saving twice persists the same state; [`Request::Mutate`] because
-/// its request id replays daemon-side instead of re-executing. The
-/// legacy id-less mutation kinds and `Shutdown` are never resent.
+/// The summary a match read answered with.
+fn summary_of(outcome: BatchOutcome) -> Result<MatchSummary, ServeError> {
+    match outcome {
+        BatchOutcome::Matched { summary, .. } => Ok(summary),
+        other => Err(unexpected_outcome(other)),
+    }
+}
+
+/// The listing a top-`k` read answered with.
+fn listing_of(outcome: BatchOutcome) -> Result<TopKListing, ServeError> {
+    match outcome {
+        BatchOutcome::TopKList { names, summaries } => Ok(TopKListing { names, summaries }),
+        other => Err(unexpected_outcome(other)),
+    }
+}
+
+fn unexpected_outcome(outcome: BatchOutcome) -> ServeError {
+    ServeError::Unexpected(format!("unexpected read outcome: {outcome:?}"))
+}
+
+/// Is this request safe to send twice? Every request but `Shutdown`
+/// is: reads trivially, `Save` because saving twice persists the same
+/// state, and [`Request::Mutate`] because its request id replays
+/// daemon-side instead of re-executing.
 fn retryable_request(request: &Request) -> bool {
-    matches!(
-        request,
-        Request::MatchPair { .. }
-            | Request::TopK { .. }
-            | Request::Stats
-            | Request::SlowLog
-            | Request::Explain { .. }
-            | Request::Batch { .. }
-            | Request::Save
-            | Request::Mutate { .. }
-    )
+    !matches!(request, Request::Shutdown)
 }
 
 /// Pool bookkeeping: parked connections plus the count of live ones

@@ -15,18 +15,21 @@
 //! Every open connection is registered (a [`TcpStream`] clone), which
 //! is how shutdown unblocks workers parked in `read` on idle peers.
 //!
+//! **One read path.** Every read — a [`Request::Read`] on its own or
+//! the entries of a [`Request::Batch`] — goes through one resolver
+//! (`serve_reads`): a lone read is a one-entry worklist.
+//!
 //! **Read/write split.** The repository sits behind one [`RwLock`].
-//! Requests that only read — `Stats`, and any `MatchPair`/`TopK` whose
-//! pairs are already cached — run concurrently under the read lock.
-//! An uncached pair also executes under the *read* lock: pair
-//! execution is a pure function of frozen prepared state, so the
+//! Reads whose pairs are already cached run concurrently under the
+//! read lock. An uncached pair also executes under the *read* lock:
+//! pair execution is a pure function of frozen prepared state, so the
 //! worker runs the whole uncached worklist over **one** clone of the
 //! warm similarity memo ([`Repository::execute_pairs_shared`]) and
 //! only the cheap absorb — publishing the summaries into the cache and
-//! merging the warmed memo clone — takes the write lock. Mutations (`AddSchema`, `ReplaceSchema`,
-//! `RemoveSchema`, `Save`) serialize through the write lock, giving
-//! the single-writer discipline the repository's on-disk lock already
-//! enforces across processes.
+//! merging the warmed memo clone — takes the write lock. Mutations
+//! (every one a [`Request::Mutate`]) and `Save` serialize through the
+//! write lock, giving the single-writer discipline the repository's
+//! on-disk lock already enforces across processes.
 //!
 //! Responses are bit-identical to direct in-process calls on the same
 //! corpus — the integration suite drives N concurrent clients against
@@ -44,7 +47,7 @@ use std::time::{Duration, Instant};
 use cupid_core::{CupidConfig, MatchSummary};
 use cupid_lexical::Thesaurus;
 use cupid_model::{write_frame, FrameError};
-use cupid_repo::{RepoError, Repository, SharedBatch, SharedMatch};
+use cupid_repo::{RepoError, Repository, SharedBatch};
 
 use crate::histogram::LatencyHistogram;
 use crate::log::{Level, Logger};
@@ -57,20 +60,18 @@ use crate::ServeError;
 /// order (`Shared::latencies` and the stage matrix are indexed by
 /// [`latency_kind`]). The three schema mutations share one "mutate"
 /// histogram — they share the same write-lock + journal path, so their
-/// latency profile is one conversation.
+/// latency profile is one conversation. A lone read records under its
+/// own kind, not under "batch", though both take the same path.
 const LATENCY_KINDS: [&str; 9] =
     ["mutate", "match_pair", "top_k", "stats", "save", "batch", "shutdown", "slow_log", "explain"];
 
 /// Which histogram a request records into.
 fn latency_kind(request: &Request) -> usize {
     match request {
-        Request::AddSchema { .. }
-        | Request::ReplaceSchema { .. }
-        | Request::RemoveSchema { .. }
-        | Request::Mutate { .. } => 0,
-        Request::MatchPair { .. } => 1,
-        Request::TopK { .. } => 2,
-        Request::Stats => 3,
+        Request::Mutate { .. } => 0,
+        Request::Read(BatchItem::MatchPair { .. }) => 1,
+        Request::Read(BatchItem::TopK { .. }) => 2,
+        Request::Read(BatchItem::Stats) => 3,
         Request::Save => 4,
         Request::Batch { .. } => 5,
         Request::Shutdown => 6,
@@ -682,7 +683,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared<'_>) {
         // deadline. Stats and Shutdown bypass admission — an operator
         // must always be able to observe and drain an overloaded
         // daemon.
-        let exempt = matches!(request, Request::Stats | Request::Shutdown);
+        let exempt = matches!(request, Request::Read(BatchItem::Stats) | Request::Shutdown);
         let handler_started = trace.is_enabled().then(Instant::now);
         let response = match &shared.admission {
             Some(admission) if !exempt => {
@@ -830,109 +831,26 @@ fn serve_metrics(mut stream: TcpStream, shared: &Shared<'_>) {
 /// `exec_cached` via the residual tiling in [`serve_connection`].
 fn handle_request(request: &Request, shared: &Shared<'_>, trace: &mut RequestTrace) -> Response {
     match request {
-        Request::AddSchema { sdl } => mutate(shared, None, trace, |repo| {
-            let name = repo.import_sdl(sdl)?;
-            Ok(Response::Added { name })
+        Request::Mutate { request_id, op } => mutate(shared, *request_id, trace, |repo| match op {
+            MutationOp::Add { sdl } => Ok(Response::Added { name: repo.import_sdl(sdl)? }),
+            MutationOp::Replace { sdl } => {
+                let schema = cupid_io::parse_sdl(sdl).map_err(RepoError::Import)?;
+                repo.replace(&schema)?;
+                Ok(Response::Replaced { name: schema.name().to_string() })
+            }
+            MutationOp::Remove { name } => {
+                repo.remove(name)?;
+                Ok(Response::Removed { name: name.clone() })
+            }
         }),
-        Request::ReplaceSchema { sdl } => mutate(shared, None, trace, |repo| {
-            let schema = cupid_io::parse_sdl(sdl).map_err(cupid_repo::RepoError::Import)?;
-            let name = schema.name().to_string();
-            repo.replace(&schema)?;
-            Ok(Response::Replaced { name })
-        }),
-        Request::RemoveSchema { name } => mutate(shared, None, trace, |repo| {
-            repo.remove(name)?;
-            Ok(Response::Removed { name: name.clone() })
-        }),
-        Request::Mutate { request_id, op } => {
-            let id = Some(*request_id);
-            match op {
-                MutationOp::Add { sdl } => mutate(shared, id, trace, |repo| {
-                    let name = repo.import_sdl(sdl)?;
-                    Ok(Response::Added { name })
-                }),
-                MutationOp::Replace { sdl } => mutate(shared, id, trace, |repo| {
-                    let schema = cupid_io::parse_sdl(sdl).map_err(cupid_repo::RepoError::Import)?;
-                    let name = schema.name().to_string();
-                    repo.replace(&schema)?;
-                    Ok(Response::Replaced { name })
-                }),
-                MutationOp::Remove { name } => mutate(shared, id, trace, |repo| {
-                    repo.remove(name)?;
-                    Ok(Response::Removed { name: name.clone() })
-                }),
+        Request::Read(item) => {
+            let entry = serve_reads(std::slice::from_ref(item), shared, trace).pop();
+            match entry.expect("one entry per worklist item") {
+                Ok(outcome) => Response::Read(outcome),
+                Err(message) => Response::Error { message },
             }
         }
-        Request::MatchPair { source, target } => {
-            let wait = trace.start(Stage::LockWaitRead);
-            let guard = shared.repo.read().unwrap_or_else(|e| e.into_inner());
-            wait.stop(trace);
-            let exec = trace.start(Stage::ExecUncached);
-            let shared_match = match guard.match_pair_shared(source, target) {
-                Ok(m) => m,
-                Err(e) => return Response::Error { message: e.to_string() },
-            };
-            drop(guard);
-            let summary = match shared_match {
-                SharedMatch::Cached(s) => {
-                    // Cache hit: the lookup time is handler residual,
-                    // not uncached execution — drop the timer.
-                    drop(exec);
-                    s
-                }
-                SharedMatch::Executed(batch) => {
-                    exec.stop(trace);
-                    let summary = batch.summaries().next().expect("one-entry batch").clone();
-                    absorb(shared, batch, trace);
-                    summary
-                }
-            };
-            Response::Matched { source: source.clone(), target: target.clone(), summary }
-        }
-        Request::TopK { k } => {
-            let wait = trace.start(Stage::LockWaitRead);
-            let guard = shared.repo.read().unwrap_or_else(|e| e.into_inner());
-            wait.stop(trace);
-            let names = guard.names().to_vec();
-            let pairs = guard.discovery_index().top_k_pairs(*k as usize);
-            // Serve cached pairs directly; execute the rest as one
-            // batch over a single memo clone, then splice the results
-            // back into worklist order.
-            let mut summaries: Vec<Option<MatchSummary>> = Vec::with_capacity(pairs.len());
-            let mut missing = Vec::new();
-            let mut slots = Vec::new();
-            for &(i, j) in &pairs {
-                match guard.cached_pair_at(i, j) {
-                    Some(s) => summaries.push(Some(s)),
-                    None => {
-                        slots.push(summaries.len());
-                        summaries.push(None);
-                        missing.push((i, j));
-                    }
-                }
-            }
-            let exec = trace.start(Stage::ExecUncached);
-            let batch = (!missing.is_empty()).then(|| guard.execute_pairs_shared(&missing));
-            drop(guard);
-            if batch.is_some() {
-                exec.stop(trace);
-            }
-            if let Some(batch) = batch {
-                for (&slot, summary) in slots.iter().zip(batch.summaries()) {
-                    summaries[slot] = Some(summary.clone());
-                }
-                absorb(shared, batch, trace);
-            }
-            let summaries = summaries.into_iter().map(|s| s.expect("every slot filled")).collect();
-            Response::TopKList { names, summaries }
-        }
-        Request::Stats => {
-            let wait = trace.start(Stage::LockWaitRead);
-            let guard = shared.repo.read().unwrap_or_else(|e| e.into_inner());
-            wait.stop(trace);
-            Response::Stats(stats_report(&guard, shared))
-        }
-        Request::Batch { items } => batch_dispatch(items, shared, trace),
+        Request::Batch { items } => Response::Batch { entries: serve_reads(items, shared, trace) },
         Request::Save => {
             let wait = trace.start(Stage::LockWaitWrite);
             let mut guard = shared.repo.write().unwrap_or_else(|e| e.into_inner());
@@ -949,7 +867,7 @@ fn handle_request(request: &Request, shared: &Shared<'_>, trace: &mut RequestTra
         }
         Request::SlowLog => Response::SlowLog { entries: shared.slow_log.snapshot() },
         Request::Explain { source, target } => {
-            // Same read/write split as an uncached MatchPair: the
+            // Same read/write split as an uncached read: the
             // re-execution runs under the read lock over a clone of the
             // warm token-similarity memo, and only merging the warmed
             // clone back takes the write lock. Explanations never touch
@@ -979,8 +897,7 @@ fn handle_request(request: &Request, shared: &Shared<'_>, trace: &mut RequestTra
 }
 
 /// Build the `Stats` payload from a repository read guard plus the
-/// daemon counters (shared by the unary `Stats` arm and batch `Stats`
-/// entries).
+/// daemon counters (for `Stats` reads and `/metrics` scrapes).
 fn stats_report(guard: &Repository<'_>, shared: &Shared<'_>) -> StatsReport {
     let stats = guard.stats();
     let durability = guard.durability();
@@ -1016,8 +933,8 @@ fn stats_report(guard: &Repository<'_>, shared: &Shared<'_>) -> StatsReport {
     }
 }
 
-/// A batch entry after the resolve pass: either already answerable, or
-/// waiting on a slot in the batch's shared pair worklist.
+/// A read after the resolve pass: either already answerable, or
+/// waiting on a slot in the shared pair worklist.
 enum Pending {
     /// Resolved without pair execution (cached pair, stats, or a
     /// per-entry error).
@@ -1029,7 +946,7 @@ enum Pending {
     TopK { names: Vec<String>, summaries: Vec<Option<MatchSummary>>, slots: Vec<(usize, usize)> },
 }
 
-/// Add a pair to the batch worklist once, returning its index — entries
+/// Add a pair to the worklist once, returning its index — entries
 /// repeating a pair (or a `TopK` overlapping a `MatchPair`) share one
 /// execution.
 fn enqueue(
@@ -1043,39 +960,32 @@ fn enqueue(
     })
 }
 
-/// Execute a whole batch under **one** read-lock acquisition: resolve
-/// every entry against the same corpus snapshot, run the deduplicated
-/// uncached pairs over one warm memo clone
-/// ([`Repository::execute_pairs_shared`]), publish with one `absorb`,
-/// then splice the summaries back into per-entry outcomes. A bad entry
-/// (unknown schema name) fails alone — its slot carries the same error
-/// string the unary path would return, and every other entry completes.
-fn batch_dispatch(items: &[BatchItem], shared: &Shared<'_>, trace: &mut RequestTrace) -> Response {
+/// Serve a worklist of reads — a batch, or one lone read — under
+/// **one** read-lock acquisition: resolve every entry against the same
+/// corpus snapshot, run the deduplicated uncached pairs over one warm
+/// memo clone ([`Repository::execute_pairs_shared`]), publish with one
+/// `absorb`, then splice the summaries back into per-entry outcomes. A
+/// bad entry (unknown schema name) fails alone with the repository's
+/// error, and every other entry completes.
+fn serve_reads(
+    items: &[BatchItem],
+    shared: &Shared<'_>,
+    trace: &mut RequestTrace,
+) -> Vec<Result<BatchOutcome, String>> {
     let wait = trace.start(Stage::LockWaitRead);
     let guard = shared.repo.read().unwrap_or_else(|e| e.into_inner());
     wait.stop(trace);
-    let position: BTreeMap<&str, usize> =
-        guard.names().iter().enumerate().map(|(i, n)| (n.as_str(), i)).collect();
     let mut worklist: Vec<(usize, usize)> = Vec::new();
     let mut dedup: BTreeMap<(usize, usize), usize> = BTreeMap::new();
     let mut pending: Vec<Pending> = Vec::with_capacity(items.len());
     for item in items {
         let entry = match item {
             BatchItem::MatchPair { source, target } => {
-                // Same resolution order as the unary path, so the error
-                // for an unknown source (even with the target also
-                // unknown) is byte-identical to `match_pair_shared`'s.
-                match (
-                    position.get(source.as_str()).copied(),
-                    position.get(target.as_str()).copied(),
-                ) {
-                    (None, _) => {
-                        Pending::Ready(Err(RepoError::UnknownName(source.clone()).to_string()))
-                    }
-                    (_, None) => {
-                        Pending::Ready(Err(RepoError::UnknownName(target.clone()).to_string()))
-                    }
-                    (Some(i), Some(j)) => match guard.cached_pair_at(i, j) {
+                // The source resolves first, so an entry naming two
+                // unknown schemas reports the source.
+                match guard.index_of(source).and_then(|i| Ok((i, guard.index_of(target)?))) {
+                    Err(e) => Pending::Ready(Err(e.to_string())),
+                    Ok((i, j)) => match guard.cached_pair_at(i, j) {
                         Some(summary) => Pending::Ready(Ok(BatchOutcome::Matched {
                             source: source.clone(),
                             target: target.clone(),
@@ -1128,7 +1038,7 @@ fn batch_dispatch(items: &[BatchItem], shared: &Shared<'_>, trace: &mut RequestT
         }
         None => Vec::new(),
     };
-    let entries = pending
+    pending
         .into_iter()
         .map(|p| match p {
             Pending::Ready(entry) => entry,
@@ -1148,8 +1058,7 @@ fn batch_dispatch(items: &[BatchItem], shared: &Shared<'_>, trace: &mut RequestT
                 })
             }
         })
-        .collect();
-    Response::Batch { entries }
+        .collect()
 }
 
 /// Run a schema mutation under the write lock, then apply the autosave
@@ -1159,49 +1068,41 @@ fn batch_dispatch(items: &[BatchItem], shared: &Shared<'_>, trace: &mut RequestT
 /// the record is durable, which is the guarantee the crash-recovery
 /// suite SIGKILLs daemons to verify.
 ///
-/// With a `request_id` (the retry-safe [`Request::Mutate`] path), the
-/// replay table is consulted *inside* the write lock: a retry of an
-/// already-applied mutation gets the original response back verbatim —
-/// success or error alike — instead of re-executing, so an ack lost to
-/// a connection reset cannot double-apply (DESIGN.md §12.3).
+/// The replay table is consulted by `request_id` *inside* the write
+/// lock: a retry of an already-applied mutation gets the original
+/// response back verbatim — success or error alike — instead of
+/// re-executing, so an ack lost to a connection reset cannot
+/// double-apply (DESIGN.md §12.3).
 fn mutate(
     shared: &Shared<'_>,
-    request_id: Option<u64>,
+    request_id: u64,
     trace: &mut RequestTrace,
-    op: impl FnOnce(&mut Repository<'_>) -> Result<Response, cupid_repo::RepoError>,
+    op: impl FnOnce(&mut Repository<'_>) -> Result<Response, RepoError>,
 ) -> Response {
     let wait = trace.start(Stage::LockWaitWrite);
     let mut guard = shared.repo.write().unwrap_or_else(|e| e.into_inner());
     wait.stop(trace);
-    if let Some(id) = request_id {
-        let dedup = shared.dedup.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(original) = dedup.seen.get(&id) {
-            shared.deduped.fetch_add(1, Ordering::Relaxed);
-            return original.clone();
-        }
+    if let Some(original) =
+        shared.dedup.lock().unwrap_or_else(|e| e.into_inner()).seen.get(&request_id)
+    {
+        shared.deduped.fetch_add(1, Ordering::Relaxed);
+        return original.clone();
     }
     let exec = trace.start(Stage::ExecUncached);
     let applied = op(&mut guard);
     exec.stop(trace);
-    let response = match applied {
-        Ok(r) => r,
-        Err(e) => {
-            let response = Response::Error { message: e.to_string() };
-            if let Some(id) = request_id {
-                shared.dedup.lock().unwrap_or_else(|e| e.into_inner()).record(id, &response);
-            }
-            return response;
-        }
-    };
-    if let Some(id) = request_id {
-        shared.dedup.lock().unwrap_or_else(|e| e.into_inner()).record(id, &response);
+    let committed = applied.is_ok();
+    let response = applied.unwrap_or_else(|e| Response::Error { message: e.to_string() });
+    shared.dedup.lock().unwrap_or_else(|e| e.into_inner()).record(request_id, &response);
+    if !committed {
+        return response;
     }
     let count = shared.mutations.fetch_add(1, Ordering::Relaxed) + 1;
     if let Some(every) = shared.options.autosave_every {
         if every > 0 && count % every == 0 {
             // The mutation itself already committed, so the client must
             // see success either way — reporting an error here would
-            // make a retried AddSchema fail with "already in
+            // make a retried add fail with "already in
             // repository" for an add that worked. A failed sync only
             // loses durability, which the next sync or save retries;
             // log it daemon-side *and* surface it through the `Stats`

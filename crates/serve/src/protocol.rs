@@ -5,15 +5,23 @@
 //! message discriminator, the payload is the message body in the
 //! workspace's hand-rolled wire format ([`WireWriter`]/[`WireReader`]
 //! — little-endian integers, `f64` by bits, length-prefixed UTF-8).
-//! Requests use kinds `0x01..=0x0A`; responses set the high bit
-//! (`0x81..=0x8B`), so a stray response on a request stream (or vice
-//! versa) is rejected as an unknown kind rather than mis-decoded. The
-//! batch kinds (`0x09`/`0x8A`, DESIGN.md §11) carry a worklist of
-//! read-side requests — [`BatchItem`] entries in, per-entry
-//! [`BatchOutcome`]-or-error statuses out — so one frame round-trip
-//! amortizes across many requests. The robustness kinds (`0x0A`/`0x8B`,
-//! DESIGN.md §12) carry id-stamped mutations for retry deduplication
-//! and the admission controller's typed overload shed.
+//! Requests use kinds `0x04..=0x0C`; responses set the high bit
+//! (`0x81..=0x8D`), so a stray response on a request stream (or vice
+//! versa) is rejected as an unknown kind rather than mis-decoded.
+//! Kinds `0x01..=0x03` carried id-less mutations; they are retired and
+//! stay reserved, never reused.
+//!
+//! Every read is a [`BatchItem`] and every read result a
+//! [`BatchOutcome`]. The batch kinds (`0x09`/`0x8A`, DESIGN.md §11)
+//! carry a worklist of them — tagged entries in, per-entry
+//! outcome-or-error statuses out — so one frame round-trip amortizes
+//! across many requests. A lone read ([`Request::Read`]) travels under
+//! its own kind (`0x04` match pair, `0x05` top-k, `0x06` stats, answered
+//! in `0x84..=0x86`) with the entry's body minus its tag byte, so one
+//! body encoder and decoder serve both frame shapes. Every mutation is
+//! a [`Request::Mutate`] (`0x0A`), stamped with a request id for retry
+//! deduplication (DESIGN.md §12); `0x8B` is the admission controller's
+//! typed overload shed.
 //!
 //! Schema payloads travel as SDL text (`cupid-io`'s schema description
 //! language), the reproduction's native review/exchange format — the
@@ -42,37 +50,10 @@ use crate::trace::TraceRecord;
 /// A request a client sends to the daemon.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Add a new schema, shipped as SDL text. Fails if the schema's
-    /// name is already present.
-    AddSchema {
-        /// The schema as an SDL document.
-        sdl: String,
-    },
-    /// Replace the stored schema with the same name (incremental
-    /// re-match: only the edited schema's pairs lose their cache).
-    ReplaceSchema {
-        /// The replacement schema as an SDL document.
-        sdl: String,
-    },
-    /// Remove the schema stored under this name.
-    RemoveSchema {
-        /// The repository key.
-        name: String,
-    },
-    /// Match one pair of stored schemas by name.
-    MatchPair {
-        /// Source schema name.
-        source: String,
-        /// Target schema name.
-        target: String,
-    },
-    /// Index-pruned top-`k` discovery over the whole corpus.
-    TopK {
-        /// Candidates kept per schema.
-        k: u32,
-    },
-    /// Repository and session counters.
-    Stats,
+    /// One read in a frame of its own kind. The daemon serves it as a
+    /// one-entry worklist and answers with [`Response::Read`], or with
+    /// [`Response::Error`] carrying the entry's error.
+    Read(BatchItem),
     /// Persist the repository snapshot now.
     Save,
     /// Stop accepting connections and exit after a final save.
@@ -115,77 +96,77 @@ pub enum Request {
     },
 }
 
-/// The operation inside a [`Request::Mutate`] frame — the same three
-/// schema mutations as the id-less legacy kinds, grouped under one
-/// frame kind so the request id travels uniformly.
+/// The operation inside a [`Request::Mutate`] frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MutationOp {
-    /// Add a new schema, shipped as SDL text ([`Request::AddSchema`]).
+    /// Add a new schema, shipped as SDL text. Fails if the schema's
+    /// name is already present.
     Add {
         /// The schema as an SDL document.
         sdl: String,
     },
-    /// Replace the stored schema with the same name
-    /// ([`Request::ReplaceSchema`]).
+    /// Replace the stored schema with the same name (incremental
+    /// re-match: only the edited schema's pairs lose their cache).
     Replace {
         /// The replacement schema as an SDL document.
         sdl: String,
     },
-    /// Remove the schema stored under this name
-    /// ([`Request::RemoveSchema`]).
+    /// Remove the schema stored under this name.
     Remove {
         /// The repository key.
         name: String,
     },
 }
 
-/// One entry of a [`Request::Batch`] worklist. Only read-side requests
-/// batch — mutations stay unary so each keeps its own durability
-/// acknowledgment (DESIGN.md §10.4).
+/// One read: an entry of a [`Request::Batch`] worklist, or a
+/// [`Request::Read`] on its own. Only reads batch — mutations stay
+/// unary so each keeps its own durability acknowledgment (DESIGN.md
+/// §10.4).
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchItem {
-    /// Match one stored pair by name ([`Request::MatchPair`]).
+    /// Match one stored pair by name.
     MatchPair {
         /// Source schema name.
         source: String,
         /// Target schema name.
         target: String,
     },
-    /// Index-pruned top-`k` discovery ([`Request::TopK`]).
+    /// Index-pruned top-`k` discovery over the whole corpus.
     TopK {
         /// Candidates kept per schema.
         k: u32,
     },
-    /// Repository and session counters ([`Request::Stats`]).
+    /// Repository and session counters.
     Stats,
 }
 
-/// The successful result of one [`BatchItem`]; mirrors the unary
-/// response variant of the same request kind, so batched and unary
-/// results compare bit-for-bit.
+/// The successful result of one [`BatchItem`], in a batch entry or in
+/// a [`Response::Read`] alike.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchOutcome {
-    /// [`BatchItem::MatchPair`] result ([`Response::Matched`]).
+    /// [`BatchItem::MatchPair`] result.
     Matched {
         /// Source schema name, echoed back.
         source: String,
         /// Target schema name, echoed back.
         target: String,
-        /// The match result, bit-identical to the unary path.
+        /// The match result, bit-identical to an in-process run.
         summary: MatchSummary,
     },
-    /// [`BatchItem::TopK`] result ([`Response::TopKList`]).
+    /// [`BatchItem::TopK`] result: the executed candidate pairs in
+    /// `(i, j)` index order, plus the repository's name table so the
+    /// client can render `SchemaId` indices.
     TopKList {
-        /// Schema names, in repository order.
+        /// Schema names, in repository order (summary ids index this).
         names: Vec<String>,
         /// Executed candidate pairs' summaries.
         summaries: Vec<MatchSummary>,
     },
-    /// [`BatchItem::Stats`] result ([`Response::Stats`]).
+    /// [`BatchItem::Stats`] result.
     Stats(StatsReport),
 }
 
-/// Aggregate daemon counters, as served by [`Request::Stats`].
+/// Aggregate daemon counters, as served by [`BatchItem::Stats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsReport {
     /// Schemas in the repository.
@@ -269,26 +250,9 @@ pub enum Response {
         /// The repository key that was removed.
         name: String,
     },
-    /// The result of a [`Request::MatchPair`].
-    Matched {
-        /// Source schema name, echoed back.
-        source: String,
-        /// Target schema name, echoed back.
-        target: String,
-        /// The match result, bit-identical to an in-process run.
-        summary: MatchSummary,
-    },
-    /// The result of a [`Request::TopK`]: the executed candidate pairs
-    /// in `(i, j)` index order, plus the repository's name table so the
-    /// client can render `SchemaId` indices.
-    TopKList {
-        /// Schema names, in repository order (summary ids index this).
-        names: Vec<String>,
-        /// Executed candidate pairs' summaries.
-        summaries: Vec<MatchSummary>,
-    },
-    /// Counters ([`Request::Stats`]).
-    Stats(StatsReport),
+    /// The result of a [`Request::Read`], in the frame kind paired with
+    /// the request's.
+    Read(BatchOutcome),
     /// The snapshot was persisted ([`Request::Save`]).
     Saved {
         /// Size of the written snapshot file, in bytes.
@@ -335,10 +299,9 @@ pub enum Response {
 
 // Frame kind codes. Append-only, like every enum code in the wire
 // format: new messages get new numbers, existing numbers never change
-// meaning.
-const REQ_ADD: u8 = 0x01;
-const REQ_REPLACE: u8 = 0x02;
-const REQ_REMOVE: u8 = 0x03;
+// meaning. 0x01..=0x03 carried the id-less add/replace/remove requests
+// before every mutation became a `Mutate`; they are retired, decode as
+// unknown kinds, and are never reused.
 const REQ_MATCH_PAIR: u8 = 0x04;
 const REQ_TOP_K: u8 = 0x05;
 const REQ_STATS: u8 = 0x06;
@@ -357,7 +320,8 @@ const RESP_ERROR: u8 = 0x89;
 // workspace kind-space bookkeeping (0x09 request / 0x8A response).
 
 // Inner tag bytes of batch worklist entries and their statuses
-// (same append-only discipline as frame kinds).
+// (same append-only discipline as frame kinds). A lone read's frame
+// kind stands in for the tag.
 const ITEM_MATCH_PAIR: u8 = 0x01;
 const ITEM_TOP_K: u8 = 0x02;
 const ITEM_STATS: u8 = 0x03;
@@ -374,34 +338,17 @@ impl Request {
     pub fn encode(&self) -> (u8, Vec<u8>) {
         let mut w = WireWriter::new();
         let kind = match self {
-            Request::AddSchema { sdl } => {
-                w.put_str(sdl);
-                REQ_ADD
+            Request::Read(item) => {
+                item.write_body(&mut w);
+                item.codes().1
             }
-            Request::ReplaceSchema { sdl } => {
-                w.put_str(sdl);
-                REQ_REPLACE
-            }
-            Request::RemoveSchema { name } => {
-                w.put_str(name);
-                REQ_REMOVE
-            }
-            Request::MatchPair { source, target } => {
-                w.put_str(source);
-                w.put_str(target);
-                REQ_MATCH_PAIR
-            }
-            Request::TopK { k } => {
-                w.put_u32(*k);
-                REQ_TOP_K
-            }
-            Request::Stats => REQ_STATS,
             Request::Save => REQ_SAVE,
             Request::Shutdown => REQ_SHUTDOWN,
             Request::Batch { items } => {
                 w.put_len(items.len());
                 for item in items {
-                    item.write_wire(&mut w);
+                    w.put_u8(item.codes().0);
+                    item.write_body(&mut w);
                 }
                 BATCH_REQUEST
             }
@@ -438,19 +385,17 @@ impl Request {
     pub fn decode(kind: u8, payload: &[u8]) -> Result<Request, WireError> {
         let mut r = WireReader::new(payload);
         let req = match kind {
-            REQ_ADD => Request::AddSchema { sdl: r.get_str()? },
-            REQ_REPLACE => Request::ReplaceSchema { sdl: r.get_str()? },
-            REQ_REMOVE => Request::RemoveSchema { name: r.get_str()? },
-            REQ_MATCH_PAIR => Request::MatchPair { source: r.get_str()?, target: r.get_str()? },
-            REQ_TOP_K => Request::TopK { k: r.get_u32()? },
-            REQ_STATS => Request::Stats,
+            REQ_MATCH_PAIR => Request::Read(BatchItem::read_body(ITEM_MATCH_PAIR, &mut r)?),
+            REQ_TOP_K => Request::Read(BatchItem::read_body(ITEM_TOP_K, &mut r)?),
+            REQ_STATS => Request::Read(BatchItem::read_body(ITEM_STATS, &mut r)?),
             REQ_SAVE => Request::Save,
             REQ_SHUTDOWN => Request::Shutdown,
             BATCH_REQUEST => {
                 let n = r.get_len()?;
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
-                    items.push(BatchItem::read_wire(&mut r)?);
+                    let tag = r.get_u8()?;
+                    items.push(BatchItem::read_body(tag, &mut r)?);
                 }
                 Request::Batch { items }
             }
@@ -490,23 +435,30 @@ impl Request {
 }
 
 impl BatchItem {
-    fn write_wire(&self, w: &mut WireWriter) {
+    /// This read's tag inside a batch and its frame kind on its own.
+    fn codes(&self) -> (u8, u8) {
         match self {
-            BatchItem::MatchPair { source, target } => {
-                w.put_u8(ITEM_MATCH_PAIR);
-                w.put_str(source);
-                w.put_str(target);
-            }
-            BatchItem::TopK { k } => {
-                w.put_u8(ITEM_TOP_K);
-                w.put_u32(*k);
-            }
-            BatchItem::Stats => w.put_u8(ITEM_STATS),
+            BatchItem::MatchPair { .. } => (ITEM_MATCH_PAIR, REQ_MATCH_PAIR),
+            BatchItem::TopK { .. } => (ITEM_TOP_K, REQ_TOP_K),
+            BatchItem::Stats => (ITEM_STATS, REQ_STATS),
         }
     }
 
-    fn read_wire(r: &mut WireReader<'_>) -> Result<BatchItem, WireError> {
-        Ok(match r.get_u8()? {
+    /// The body both frame shapes carry, without the batch tag.
+    fn write_body(&self, w: &mut WireWriter) {
+        match self {
+            BatchItem::MatchPair { source, target } => {
+                w.put_str(source);
+                w.put_str(target);
+            }
+            BatchItem::TopK { k } => w.put_u32(*k),
+            BatchItem::Stats => {}
+        }
+    }
+
+    /// Decode the body of the read tagged `tag`.
+    fn read_body(tag: u8, r: &mut WireReader<'_>) -> Result<BatchItem, WireError> {
+        Ok(match tag {
             ITEM_MATCH_PAIR => BatchItem::MatchPair { source: r.get_str()?, target: r.get_str()? },
             ITEM_TOP_K => BatchItem::TopK { k: r.get_u32()? },
             ITEM_STATS => BatchItem::Stats,
@@ -515,54 +467,74 @@ impl BatchItem {
     }
 }
 
-/// Shared TopK listing body (the unary response and the batch outcome
-/// carry the same shape).
-fn write_top_k(w: &mut WireWriter, names: &[String], summaries: &[MatchSummary]) {
-    w.put_len(names.len());
-    for n in names {
-        w.put_str(n);
-    }
-    w.put_len(summaries.len());
-    for s in summaries {
-        s.write_wire(w);
-    }
-}
-
-#[allow(clippy::type_complexity)]
-fn read_top_k(r: &mut WireReader<'_>) -> Result<(Vec<String>, Vec<MatchSummary>), WireError> {
-    let n = r.get_len()?;
-    let mut names = Vec::with_capacity(n);
-    for _ in 0..n {
-        names.push(r.get_str()?);
-    }
-    let n = r.get_len()?;
-    let mut summaries = Vec::with_capacity(n);
-    for _ in 0..n {
-        summaries.push(MatchSummary::read_wire(r)?);
-    }
-    Ok((names, summaries))
-}
-
 impl BatchOutcome {
+    /// This outcome's status tag inside a batch and its frame kind on
+    /// its own.
+    fn codes(&self) -> (u8, u8) {
+        match self {
+            BatchOutcome::Matched { .. } => (ENTRY_MATCHED, RESP_MATCHED),
+            BatchOutcome::TopKList { .. } => (ENTRY_TOP_K, RESP_TOP_K),
+            BatchOutcome::Stats(_) => (ENTRY_STATS, RESP_STATS),
+        }
+    }
+
+    /// The body both frame shapes carry, without the status tag.
+    fn write_body(&self, w: &mut WireWriter) {
+        match self {
+            BatchOutcome::Matched { source, target, summary } => {
+                w.put_str(source);
+                w.put_str(target);
+                summary.write_wire(w);
+            }
+            BatchOutcome::TopKList { names, summaries } => {
+                w.put_len(names.len());
+                for n in names {
+                    w.put_str(n);
+                }
+                w.put_len(summaries.len());
+                for s in summaries {
+                    s.write_wire(w);
+                }
+            }
+            BatchOutcome::Stats(report) => report.write_wire(w),
+        }
+    }
+
+    /// Decode the body of the outcome tagged `tag`.
+    fn read_body(tag: u8, r: &mut WireReader<'_>) -> Result<BatchOutcome, WireError> {
+        Ok(match tag {
+            ENTRY_MATCHED => BatchOutcome::Matched {
+                source: r.get_str()?,
+                target: r.get_str()?,
+                summary: MatchSummary::read_wire(r)?,
+            },
+            ENTRY_TOP_K => {
+                let n = r.get_len()?;
+                let mut names = Vec::with_capacity(n);
+                for _ in 0..n {
+                    names.push(r.get_str()?);
+                }
+                let n = r.get_len()?;
+                let mut summaries = Vec::with_capacity(n);
+                for _ in 0..n {
+                    summaries.push(MatchSummary::read_wire(r)?);
+                }
+                BatchOutcome::TopKList { names, summaries }
+            }
+            ENTRY_STATS => BatchOutcome::Stats(StatsReport::read_wire(r)?),
+            other => return Err(r.err(format!("unknown batch entry tag {other:#04x}"))),
+        })
+    }
+
     fn write_entry(entry: &Result<BatchOutcome, String>, w: &mut WireWriter) {
         match entry {
             Err(message) => {
                 w.put_u8(ENTRY_ERR);
                 w.put_str(message);
             }
-            Ok(BatchOutcome::Matched { source, target, summary }) => {
-                w.put_u8(ENTRY_MATCHED);
-                w.put_str(source);
-                w.put_str(target);
-                summary.write_wire(w);
-            }
-            Ok(BatchOutcome::TopKList { names, summaries }) => {
-                w.put_u8(ENTRY_TOP_K);
-                write_top_k(w, names, summaries);
-            }
-            Ok(BatchOutcome::Stats(report)) => {
-                w.put_u8(ENTRY_STATS);
-                report.write_wire(w);
+            Ok(outcome) => {
+                w.put_u8(outcome.codes().0);
+                outcome.write_body(w);
             }
         }
     }
@@ -570,17 +542,7 @@ impl BatchOutcome {
     fn read_entry(r: &mut WireReader<'_>) -> Result<Result<BatchOutcome, String>, WireError> {
         Ok(match r.get_u8()? {
             ENTRY_ERR => Err(r.get_str()?),
-            ENTRY_MATCHED => Ok(BatchOutcome::Matched {
-                source: r.get_str()?,
-                target: r.get_str()?,
-                summary: MatchSummary::read_wire(r)?,
-            }),
-            ENTRY_TOP_K => {
-                let (names, summaries) = read_top_k(r)?;
-                Ok(BatchOutcome::TopKList { names, summaries })
-            }
-            ENTRY_STATS => Ok(BatchOutcome::Stats(StatsReport::read_wire(r)?)),
-            other => return Err(r.err(format!("unknown batch entry tag {other:#04x}"))),
+            tag => Ok(BatchOutcome::read_body(tag, r)?),
         })
     }
 }
@@ -731,19 +693,9 @@ impl Response {
                 w.put_str(name);
                 RESP_REMOVED
             }
-            Response::Matched { source, target, summary } => {
-                w.put_str(source);
-                w.put_str(target);
-                summary.write_wire(&mut w);
-                RESP_MATCHED
-            }
-            Response::TopKList { names, summaries } => {
-                write_top_k(&mut w, names, summaries);
-                RESP_TOP_K
-            }
-            Response::Stats(report) => {
-                report.write_wire(&mut w);
-                RESP_STATS
+            Response::Read(outcome) => {
+                outcome.write_body(&mut w);
+                outcome.codes().1
             }
             Response::Saved { bytes } => {
                 w.put_u64(*bytes);
@@ -789,16 +741,9 @@ impl Response {
             RESP_ADDED => Response::Added { name: r.get_str()? },
             RESP_REPLACED => Response::Replaced { name: r.get_str()? },
             RESP_REMOVED => Response::Removed { name: r.get_str()? },
-            RESP_MATCHED => Response::Matched {
-                source: r.get_str()?,
-                target: r.get_str()?,
-                summary: MatchSummary::read_wire(&mut r)?,
-            },
-            RESP_TOP_K => {
-                let (names, summaries) = read_top_k(&mut r)?;
-                Response::TopKList { names, summaries }
-            }
-            RESP_STATS => Response::Stats(StatsReport::read_wire(&mut r)?),
+            RESP_MATCHED => Response::Read(BatchOutcome::read_body(ENTRY_MATCHED, &mut r)?),
+            RESP_TOP_K => Response::Read(BatchOutcome::read_body(ENTRY_TOP_K, &mut r)?),
+            RESP_STATS => Response::Read(BatchOutcome::read_body(ENTRY_STATS, &mut r)?),
             RESP_SAVED => Response::Saved { bytes: r.get_u64()? },
             RESP_SHUTTING_DOWN => Response::ShuttingDown,
             RESP_ERROR => Response::Error { message: r.get_str()? },
@@ -931,12 +876,9 @@ mod tests {
     #[test]
     fn request_kinds_round_trip() {
         let requests = [
-            Request::AddSchema { sdl: "schema S\n  attr A : int\n".into() },
-            Request::ReplaceSchema { sdl: String::new() },
-            Request::RemoveSchema { name: "Sales".into() },
-            Request::MatchPair { source: "PO".into(), target: "Order".into() },
-            Request::TopK { k: 3 },
-            Request::Stats,
+            Request::Read(BatchItem::MatchPair { source: "PO".into(), target: "Order".into() }),
+            Request::Read(BatchItem::TopK { k: 3 }),
+            Request::Read(BatchItem::Stats),
             Request::Save,
             Request::Shutdown,
             Request::Batch {
@@ -972,13 +914,13 @@ mod tests {
         // A response frame on a request stream must not decode.
         let (kind, payload) = Response::ShuttingDown.encode();
         assert!(Request::decode(kind, &payload).is_err());
-        let (kind, payload) = Request::Stats.encode();
+        let (kind, payload) = Request::Read(BatchItem::Stats).encode();
         assert!(Response::decode(kind, &payload).is_err());
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let (kind, mut payload) = Request::TopK { k: 9 }.encode();
+        let (kind, mut payload) = Request::Read(BatchItem::TopK { k: 9 }).encode();
         payload.push(0);
         assert!(Request::decode(kind, &payload).is_err());
         let (kind, mut payload) = Response::Saved { bytes: 17 }.encode();

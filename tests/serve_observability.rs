@@ -140,6 +140,36 @@ fn stage_sums_account_for_at_least_95_percent_of_wall_time() {
     }
 }
 
+/// A unary read is recorded under its own kind, not folded into
+/// `batch`, although both take the same path through the daemon.
+#[test]
+fn unary_reads_are_recorded_under_their_own_kind() {
+    let report = run_workload(ServeOptions::default());
+    let count = |kind: &str| report.latencies.iter().find(|l| l.kind == kind).map(|l| l.count);
+    // `run_workload`'s traffic, less the stats request still in flight
+    // when its own report is taken.
+    for (kind, served) in [
+        ("mutate", 3),
+        ("match_pair", 2),
+        ("top_k", 1),
+        ("stats", 1),
+        ("save", 1),
+        ("batch", 1),
+        ("shutdown", 0),
+        ("slow_log", 0),
+        ("explain", 0),
+    ] {
+        assert_eq!(count(kind), Some(served), "requests recorded under `{kind}`");
+    }
+    for wall in report.latencies.iter().filter(|l| l.count > 0) {
+        for stage in ["decode", "socket_write"] {
+            let label = format!("{}/{stage}", wall.kind);
+            let cell = report.stage_latencies.iter().find(|s| s.kind == label);
+            assert_eq!(cell.map(|s| s.count), Some(wall.count), "stage cell `{label}`");
+        }
+    }
+}
+
 /// The slow log retains the slowest requests (bounded, sorted, stage
 /// breakdowns attached) and the stats counters agree with it.
 #[test]

@@ -1,6 +1,6 @@
 //! Property suite for the daemon's wire protocol (DESIGN.md §9.2).
 //!
-//! Two contracts:
+//! Three contracts:
 //!
 //! * **Round trip** — every request/response frame decodes back to a
 //!   value `==` the one encoded, over randomized payloads including
@@ -11,17 +11,21 @@
 //!   truncating it anywhere, must fail to read: the frame checksum (or
 //!   the strict payload decoder behind it) catches every single-byte
 //!   corruption, so a daemon never serves a damaged summary.
+//! * **Recorded bytes** — one fixed message of every frame kind encodes
+//!   to the kind byte and payload digest recorded in `GOLDEN_FRAMES`.
+//!   The round trips alone would pass a change made to encoder and
+//!   decoder alike, which still breaks every deployed client.
 
 use cupid::core::session::SimilarityEntry;
 use cupid::core::{
-    Explanation, MappingElement, MatchSummary, PairExplanation, SchemaId, StructuralContext,
-    TokenPairScore,
+    CupidConfig, Explanation, MappingElement, MatchSummary, PairExplanation, SchemaId,
+    StructuralContext, TokenPairScore,
 };
-use cupid::lexical::{TokenSimProvenance, TokenType};
-use cupid::model::{read_frame, NodeId};
+use cupid::lexical::{Thesaurus, TokenSimProvenance, TokenType};
+use cupid::model::{fnv1a, read_frame, write_frame, NodeId, WireWriter};
 use cupid::serve::{
-    BatchItem, BatchOutcome, KindLatency, MutationOp, Request, Response, StatsReport, TraceRecord,
-    STAGES,
+    BatchItem, BatchOutcome, KindLatency, MutationOp, Request, Response, ServeOptions, Server,
+    StatsReport, TraceRecord, STAGES,
 };
 use proptest::prelude::*;
 
@@ -115,6 +119,26 @@ fn summary_bits_eq(a: &MatchSummary, b: &MatchSummary) -> bool {
         })
         && a.compared_pairs == b.compared_pairs
         && a.total_pairs == b.total_pairs
+}
+
+/// Read outcomes compare equal iff their summaries' similarity bits
+/// agree, everything else by `==`.
+fn outcome_bits_eq(a: &BatchOutcome, b: &BatchOutcome) -> bool {
+    match (a, b) {
+        (
+            BatchOutcome::Matched { source: as_, target: at, summary: asum },
+            BatchOutcome::Matched { source: bs, target: bt, summary: bsum },
+        ) => as_ == bs && at == bt && summary_bits_eq(asum, bsum),
+        (
+            BatchOutcome::TopKList { names: an, summaries: asums },
+            BatchOutcome::TopKList { names: bn, summaries: bsums },
+        ) => {
+            an == bn
+                && asums.len() == bsums.len()
+                && asums.iter().zip(bsums).all(|(x, y)| summary_bits_eq(x, y))
+        }
+        (a, b) => a == b,
+    }
 }
 
 /// A structurally arbitrary explanation: mapping breakdowns with raw
@@ -231,12 +255,9 @@ fn explanation_bits_eq(a: &PairExplanation, b: &PairExplanation) -> bool {
 /// Every request variant, parameterized by the drawn values.
 fn requests(sdl: &str, a: &str, b: &str, k: u32) -> Vec<Request> {
     vec![
-        Request::AddSchema { sdl: sdl.to_string() },
-        Request::ReplaceSchema { sdl: sdl.to_string() },
-        Request::RemoveSchema { name: a.to_string() },
-        Request::MatchPair { source: a.to_string(), target: b.to_string() },
-        Request::TopK { k },
-        Request::Stats,
+        Request::Read(BatchItem::MatchPair { source: a.to_string(), target: b.to_string() }),
+        Request::Read(BatchItem::TopK { k }),
+        Request::Read(BatchItem::Stats),
         Request::Save,
         Request::Shutdown,
         Request::Batch {
@@ -355,16 +376,16 @@ fn responses(a: &str, b: &str, summary: &MatchSummary, n: u64) -> Vec<Response> 
         Response::Added { name: a.to_string() },
         Response::Replaced { name: b.to_string() },
         Response::Removed { name: a.to_string() },
-        Response::Matched {
+        Response::Read(BatchOutcome::Matched {
             source: a.to_string(),
             target: b.to_string(),
             summary: summary.clone(),
-        },
-        Response::TopKList {
+        }),
+        Response::Read(BatchOutcome::TopKList {
             names: vec![a.to_string(), b.to_string()],
             summaries: vec![summary.clone(), summary.clone()],
-        },
-        Response::Stats(report_from(a, n)),
+        }),
+        Response::Read(BatchOutcome::Stats(report_from(a, n))),
         Response::Saved { bytes: n },
         Response::ShuttingDown,
         Response::Error { message: b.to_string() },
@@ -376,6 +397,183 @@ fn responses(a: &str, b: &str, summary: &MatchSummary, n: u64) -> Vec<Response> 
         Response::Explanation(explanation_from(a, b, n)),
         Response::Explanation(explanation_from(b, a, n.wrapping_add(7))),
     ]
+}
+
+/// The seed behind every fixture of the golden-frame table.
+const GOLDEN_SEED: u64 = 0x5eed_0bad_cafe_f00d;
+
+/// One fixed message of every request kind the daemon accepts.
+fn golden_requests() -> Vec<(&'static str, Request)> {
+    let sdl = "schema PO\n  element Item\n    attr Qty : int\n";
+    let (a, b) = ("PO".to_string(), "Order".to_string());
+    vec![
+        (
+            "mutate_add",
+            Request::Mutate {
+                request_id: 0x0123_4567_89ab_cdef,
+                op: MutationOp::Add { sdl: sdl.to_string() },
+            },
+        ),
+        (
+            "mutate_replace",
+            Request::Mutate { request_id: 7, op: MutationOp::Replace { sdl: sdl.to_string() } },
+        ),
+        (
+            "mutate_remove",
+            Request::Mutate { request_id: u64::MAX, op: MutationOp::Remove { name: a.clone() } },
+        ),
+        (
+            "match_pair",
+            Request::Read(BatchItem::MatchPair { source: a.clone(), target: b.clone() }),
+        ),
+        ("top_k", Request::Read(BatchItem::TopK { k: 3 })),
+        ("stats", Request::Read(BatchItem::Stats)),
+        ("save", Request::Save),
+        ("shutdown", Request::Shutdown),
+        (
+            "batch",
+            Request::Batch {
+                items: vec![
+                    BatchItem::MatchPair { source: a.clone(), target: b.clone() },
+                    BatchItem::TopK { k: 2 },
+                    BatchItem::Stats,
+                ],
+            },
+        ),
+        ("slow_log", Request::SlowLog),
+        ("explain", Request::Explain { source: a, target: b }),
+    ]
+}
+
+/// One fixed message of every response kind the daemon sends.
+fn golden_responses() -> Vec<(&'static str, Response)> {
+    let (a, b) = ("PO".to_string(), "Order".to_string());
+    let summary = summary_from(GOLDEN_SEED);
+    let report = report_from(&a, GOLDEN_SEED);
+    vec![
+        ("added", Response::Added { name: a.clone() }),
+        ("replaced", Response::Replaced { name: a.clone() }),
+        ("removed", Response::Removed { name: b.clone() }),
+        (
+            "matched",
+            Response::Read(BatchOutcome::Matched {
+                source: a.clone(),
+                target: b.clone(),
+                summary: summary.clone(),
+            }),
+        ),
+        (
+            "top_k_list",
+            Response::Read(BatchOutcome::TopKList {
+                names: vec![a.clone(), b.clone()],
+                summaries: vec![summary.clone()],
+            }),
+        ),
+        ("stats", Response::Read(BatchOutcome::Stats(report.clone()))),
+        ("saved", Response::Saved { bytes: 4096 }),
+        ("shutting_down", Response::ShuttingDown),
+        ("error", Response::Error { message: format!("no schema `{b}` in repository") }),
+        ("overloaded", Response::Overloaded { max_inflight: 32, queue_deadline_ms: 100 }),
+        ("batch", Response::Batch { entries: batch_entries(&a, &b, &summary, &report) }),
+        (
+            "slow_log",
+            Response::SlowLog {
+                entries: vec![trace_record("batch", GOLDEN_SEED), trace_record("top_k", 3)],
+            },
+        ),
+        ("explanation", Response::Explanation(explanation_from(&a, &b, GOLDEN_SEED))),
+    ]
+}
+
+/// Recorded (message, frame kind, FNV-1a of the payload) per golden
+/// message, requests first. A deployed client holds these bytes, so a
+/// change here is a wire break, not a refactor.
+#[rustfmt::skip]
+const GOLDEN_FRAMES: &[(&str, u8, u64)] = &[
+    ("mutate_add", 0x0a, 0x27186472609f5879),
+    ("mutate_replace", 0x0a, 0x85d9d63fae4e7d75),
+    ("mutate_remove", 0x0a, 0x340255ea51f84ad5),
+    ("match_pair", 0x04, 0x4865286100afdbcd),
+    ("top_k", 0x05, 0xed202287f403d086),
+    ("stats", 0x06, 0xcbf29ce484222325),
+    ("save", 0x07, 0xcbf29ce484222325),
+    ("shutdown", 0x08, 0xcbf29ce484222325),
+    ("batch", 0x09, 0x97c3a92f94d3f604),
+    ("slow_log", 0x0b, 0xcbf29ce484222325),
+    ("explain", 0x0c, 0x4865286100afdbcd),
+    ("added", 0x81, 0x91b52a60060c0a9e),
+    ("replaced", 0x82, 0x91b52a60060c0a9e),
+    ("removed", 0x83, 0x4b6d00304abf7938),
+    ("matched", 0x84, 0x4103a556d2a96592),
+    ("top_k_list", 0x85, 0xa0d381c5d480f4fb),
+    ("stats", 0x86, 0x840d1c7edfc0e7c3),
+    ("saved", 0x87, 0x53a03f8d0add0c15),
+    ("shutting_down", 0x88, 0xcbf29ce484222325),
+    ("error", 0x89, 0x6ce4dd5b88a64071),
+    ("overloaded", 0x8b, 0x0bcb2bb4308877e1),
+    ("batch", 0x8a, 0x09f90518aa120c58),
+    ("slow_log", 0x8c, 0xff8e1868a6f0e25d),
+    ("explanation", 0x8d, 0xddce47408c609b1b),
+];
+
+#[test]
+fn frame_bytes_match_the_recorded_table() {
+    let requests = golden_requests().into_iter().map(|(label, req)| (label, req.encode()));
+    let responses = golden_responses().into_iter().map(|(label, resp)| (label, resp.encode()));
+    let actual: Vec<(&str, u8, u64)> = requests
+        .chain(responses)
+        .map(|(label, (kind, payload))| (label, kind, fnv1a(&payload)))
+        .collect();
+    if actual != GOLDEN_FRAMES {
+        let table: String = actual
+            .iter()
+            .map(|(label, kind, digest)| {
+                format!("    (\"{label}\", 0x{kind:02x}, 0x{digest:016x}),\n")
+            })
+            .collect();
+        panic!("frame bytes changed:\n{table}");
+    }
+}
+
+/// Kinds 0x01..=0x03 carried id-less add/replace/remove requests. They
+/// are retired: every mutation is a `Mutate`, and the old kinds decode
+/// as unknown ones, on the wire and in a live daemon.
+#[test]
+fn retired_mutation_kinds_are_unknown() {
+    let mut body = WireWriter::new();
+    body.put_str("schema S\n  attr A : int\n");
+    let payload = body.into_bytes();
+    for kind in [0x01u8, 0x02, 0x03] {
+        let err = Request::decode(kind, &payload).expect_err("retired kind must not decode");
+        let want = format!("unknown request kind {kind:#04x}");
+        assert!(err.to_string().contains(&want), "`{err}` should name kind {kind:#04x}");
+    }
+
+    let dir = std::env::temp_dir()
+        .join(format!("cupid-protocol-test-{}-retired-kinds", std::process::id()));
+    let (config, th) = (CupidConfig::default(), Thesaurus::with_default_stopwords());
+    let server =
+        Server::bind("127.0.0.1:0", dir.join("cupid.repo"), &config, &th, ServeOptions::default())
+            .unwrap();
+    let (addr, drain) = (server.local_addr(), server.shutdown_handle());
+    let answer = std::thread::scope(|scope| {
+        let daemon = scope.spawn(move || server.run());
+        let answer = std::panic::catch_unwind(|| {
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            write_frame(&mut stream, 0x01, &payload).unwrap();
+            Response::read_from(&mut stream).unwrap()
+        });
+        drain.drain();
+        daemon.join().unwrap().unwrap();
+        answer
+    });
+    std::fs::remove_dir_all(&dir).ok();
+    match answer.expect("the daemon answers") {
+        Some(Response::Error { message }) => {
+            assert!(message.contains("unknown request kind 0x01"), "got `{message}`");
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
 }
 
 fn request_frame(req: &Request) -> Vec<u8> {
@@ -431,40 +629,15 @@ proptest! {
             let got = Response::read_from(&mut r).unwrap().expect("frame present");
             prop_assert_eq!(Response::read_from(&mut r).unwrap(), None);
             match (&got, &want) {
-                (Response::Matched { summary: g, .. }, Response::Matched { summary: w, .. }) => {
-                    prop_assert!(summary_bits_eq(g, w), "summary bits diverged");
-                }
-                (
-                    Response::TopKList { summaries: g, names: gn },
-                    Response::TopKList { summaries: w, names: wn },
-                ) => {
-                    prop_assert_eq!(gn, wn);
-                    prop_assert_eq!(g.len(), w.len());
-                    for (x, y) in g.iter().zip(w) {
-                        prop_assert!(summary_bits_eq(x, y), "summary bits diverged");
-                    }
+                (Response::Read(g), Response::Read(w)) => {
+                    prop_assert!(outcome_bits_eq(g, w), "outcome bits diverged");
                 }
                 (Response::Batch { entries: g }, Response::Batch { entries: w }) => {
                     prop_assert_eq!(g.len(), w.len());
                     for (x, y) in g.iter().zip(w) {
                         match (x, y) {
-                            (
-                                Ok(BatchOutcome::Matched { source: gs, target: gt, summary: gm }),
-                                Ok(BatchOutcome::Matched { source: ws, target: wt, summary: wm }),
-                            ) => {
-                                prop_assert_eq!(gs, ws);
-                                prop_assert_eq!(gt, wt);
-                                prop_assert!(summary_bits_eq(gm, wm), "summary bits diverged");
-                            }
-                            (
-                                Ok(BatchOutcome::TopKList { names: gn, summaries: gs }),
-                                Ok(BatchOutcome::TopKList { names: wn, summaries: ws }),
-                            ) => {
-                                prop_assert_eq!(gn, wn);
-                                prop_assert_eq!(gs.len(), ws.len());
-                                for (gsum, wsum) in gs.iter().zip(ws) {
-                                    prop_assert!(summary_bits_eq(gsum, wsum), "summary bits diverged");
-                                }
+                            (Ok(x), Ok(y)) => {
+                                prop_assert!(outcome_bits_eq(x, y), "outcome bits diverged");
                             }
                             (x, y) => prop_assert_eq!(x, y),
                         }
