@@ -3,8 +3,8 @@
 //! A match result reports one `wsim` per mapping, but the paper defines
 //! that number as a composition — `wsim = w·ssim + (1−w)·lsim`, with
 //! `lsim` itself built from categorized token similarities and `ssim`
-//! from leaf-set propagation. This module re-executes one prepared pair
-//! with instrumentation and captures the whole decomposition per kept
+//! from leaf-set propagation. This module runs one prepared pair through
+//! the engine's own steps and captures the whole decomposition per kept
 //! mapping: the score breakdown at the final weights, the top
 //! contributing token pairs with their per-pair provenance (thesaurus
 //! hit vs affix match), the structural context (leaf-set sizes,
@@ -14,11 +14,12 @@
 //! Explanations are produced by a **separate entry point**
 //! ([`crate::MatchSession::explain_pair`] /
 //! [`explain_pair_shared`](crate::MatchSession::explain_pair_shared));
-//! the zero-explain hot path is untouched. Pair execution is a pure
-//! function of frozen prepared state, so the re-execution reproduces the
-//! exact float operations of the match — the central invariant, asserted
-//! end to end, is that every explanation **recomposes to the reported
-//! `wsim` bit-exactly** ([`Explanation::recomposes_exactly`]).
+//! the zero-explain hot path is untouched. The explanation reads what
+//! the engine computed — `pair_lsim`'s category scale, the TreeMatch
+//! workspace after its main pass, the match's own mapping policy — and
+//! computes only the top token pairs itself. The central invariant,
+//! asserted end to end, is that every explanation **recomposes to the
+//! reported `wsim` bit-exactly** ([`Explanation::recomposes_exactly`]).
 
 use cupid_lexical::{
     class_similarity_explained, Thesaurus, TokenId, TokenSimCache, TokenSimProvenance, TokenTable,
@@ -27,10 +28,10 @@ use cupid_lexical::{
 use cupid_model::{NodeId, WireError, WireReader, WireWriter};
 
 use crate::config::CupidConfig;
-use crate::linguistic::{ns_elements_ids, ns_token_ids, pair_lsim};
-use crate::mapping::{leaf_mappings, nonleaf_mappings, Cardinality, MappingElement};
+use crate::linguistic::{ns_elements_ids, pair_lsim, PairLsim};
+use crate::mapping::{pair_mappings, MappingElement};
 use crate::session::PreparedSchema;
-use crate::treematch::{TreeMatchResult, Workspace};
+use crate::treematch::Workspace;
 
 /// How many top contributing token pairs an explanation keeps per
 /// mapping (descending similarity).
@@ -315,10 +316,10 @@ fn read_provenance(r: &mut WireReader<'_>) -> Result<TokenSimProvenance, WireErr
     }
 }
 
-/// Re-execute one prepared pair with instrumentation and explain every
-/// kept mapping. Mirrors the session's pair execution phase for phase —
-/// same formulas, same loop order — so the captured scores are
-/// bit-identical to what [`crate::MatchSession::match_pair`] reports.
+/// Run one prepared pair through the engine's steps — `pair_lsim`,
+/// the TreeMatch workspace, the mapping policy — and explain every kept
+/// mapping from their state, so the captured scores are bit-identical
+/// to what [`crate::MatchSession::match_pair`] reports.
 pub(crate) fn explain_pair(
     cfg: &CupidConfig,
     s1: &PreparedSchema,
@@ -330,16 +331,14 @@ pub(crate) fn explain_pair(
     let pair = pair_lsim(&s1.ling, &s2.ling, cfg, cache);
     let mut ws = Workspace::new(&s1.tree, &s2.tree, &pair.lsim, cfg);
     ws.run_main_pass();
-    let (ssim, wsim) = ws.final_matrices();
-    let res = TreeMatchResult { leaf_ssim: ws.leaf_ssim.clone(), ssim, wsim, stats: ws.stats };
-    let leaf = leaf_mappings(&s1.tree, &s2.tree, &res, &pair.lsim, cfg, Cardinality::OneToN);
-    let nonleaf =
-        nonleaf_mappings(&s1.tree, &s2.tree, &res, &pair.lsim, cfg, Cardinality::OneToOne);
+    let (leaf, nonleaf) = pair_mappings(&s1.tree, &s2.tree, &ws.result(), &pair.lsim, cfg);
 
     let mut mappings = Vec::with_capacity(leaf.len() + nonleaf.len());
     for (set, is_leaf) in [(&leaf, true), (&nonleaf, false)] {
         for m in set {
-            mappings.push(explain_mapping(cfg, s1, s2, table, thesaurus, cache, &ws, m, is_leaf));
+            mappings.push(explain_mapping(
+                cfg, s1, s2, table, thesaurus, cache, &pair, &ws, m, is_leaf,
+            ));
         }
     }
     PairExplanation {
@@ -353,9 +352,9 @@ pub(crate) fn explain_pair(
     }
 }
 
-/// Explain one kept mapping: replay its linguistic decomposition and
-/// read its structural context out of the finished workspace.
-#[allow(clippy::too_many_arguments)]
+/// Explain one kept mapping: read its category scale out of the pair's
+/// `pair_lsim` output and its structural context out of the finished
+/// workspace.
 fn explain_mapping(
     cfg: &CupidConfig,
     s1: &PreparedSchema,
@@ -363,6 +362,7 @@ fn explain_mapping(
     table: &TokenTable,
     thesaurus: &Thesaurus,
     cache: &mut TokenSimCache<'_>,
+    pair: &PairLsim,
     ws: &Workspace<'_>,
     m: &MappingElement,
     leaf: bool,
@@ -370,27 +370,7 @@ fn explain_mapping(
     let i1 = s1.tree.node(m.source).element.index();
     let i2 = s2.tree.node(m.target).element.index();
     let comparable = s1.ling.is_comparable(i1) && s2.ling.is_comparable(i2);
-
-    // Replay the category-scale computation of `pair_lsim` for this one
-    // element pair: the strict max of compatible-category keyword
-    // similarities, in the same iteration order.
-    let mut scale = 0.0f64;
-    if comparable {
-        for (c1, k1) in s1.ling.categories.categories.iter().zip(s1.ling.keyword_ids()) {
-            if !c1.members.iter().any(|&e| e.index() == i1) {
-                continue;
-            }
-            for (c2, k2) in s2.ling.categories.categories.iter().zip(s2.ling.keyword_ids()) {
-                if !c2.members.iter().any(|&e| e.index() == i2) {
-                    continue;
-                }
-                let ns_k = ns_token_ids(k1, k2, cache);
-                if ns_k > cfg.th_ns && ns_k > scale {
-                    scale = ns_k;
-                }
-            }
-        }
-    }
+    let scale = if comparable { pair.category_scale.get(i1, i2) } else { 0.0 };
 
     let mut name_similarity = 0.0;
     let mut token_pairs = Vec::new();
@@ -435,7 +415,6 @@ fn explain_mapping(
 
 /// Best-match token pairs of an element pair, both directions, deduped
 /// and sorted by descending similarity, capped at [`TOP_TOKEN_PAIRS`].
-#[allow(clippy::too_many_arguments)]
 fn top_token_pairs(
     cfg: &CupidConfig,
     s1: &PreparedSchema,

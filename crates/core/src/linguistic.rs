@@ -320,11 +320,6 @@ impl SchemaLing {
         &self.typed[i]
     }
 
-    /// Per-category comparable keyword ids (explanation capture).
-    pub(crate) fn keyword_ids(&self) -> &[Vec<TokenId>] {
-        &self.keyword_ids
-    }
-
     /// Whether element `i` participates in linguistic matching.
     pub(crate) fn is_comparable(&self, i: usize) -> bool {
         self.comparable[i]
@@ -409,6 +404,10 @@ impl SchemaLing {
 pub struct PairLsim {
     /// The linguistic similarity table.
     pub lsim: LsimTable,
+    /// Per element pair, the best compatible-category keyword similarity
+    /// that scaled `ns` into `lsim` (0 without a compatible category);
+    /// explanations report it.
+    pub(crate) category_scale: SimMatrix,
     /// Number of compatible category pairs found.
     pub compatible_category_pairs: usize,
     /// Number of element pairs actually compared (pruning diagnostics).
@@ -479,6 +478,7 @@ pub fn pair_lsim(
 
     PairLsim {
         lsim,
+        category_scale: scale,
         compatible_category_pairs: compatible_pairs,
         compared_pairs: compared,
         total_pairs: n1 * n2,

@@ -206,6 +206,27 @@ pub fn nonleaf_mappings(
     select(t1, t2, res, lsim, &res.wsim, &sources, &targets, cfg, cardinality)
 }
 
+/// The mapping policy of every pair the matcher runs: `(leaf, non-leaf)`
+/// mappings. Leaf mappings use the paper's naïve 1:n generator (§7) —
+/// this is what produces the two false positives the paper reports for
+/// the CIDX–Excel example. Non-leaf (XML-element level) mappings are
+/// reported 1:1: with saturated leaf similarities an inner element
+/// (Item) otherwise out-bids its parent (POLines) for the target
+/// (Items), and Table 3 shows Cupid reporting POLines→Items *and*
+/// Item→Item simultaneously, which is a 1:1 interpretation.
+pub(crate) fn pair_mappings(
+    t1: &SchemaTree,
+    t2: &SchemaTree,
+    res: &TreeMatchResult,
+    lsim: &LsimTable,
+    cfg: &CupidConfig,
+) -> (Vec<MappingElement>, Vec<MappingElement>) {
+    (
+        leaf_mappings(t1, t2, res, lsim, cfg, Cardinality::OneToN),
+        nonleaf_mappings(t1, t2, res, lsim, cfg, Cardinality::OneToOne),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,9 +12,8 @@ use cupid_lexical::Thesaurus;
 use cupid_model::{expand, ElementId, ModelError, Schema, SchemaTree};
 
 use crate::config::CupidConfig;
-use crate::lazy;
 use crate::linguistic::{analyze, LinguisticAnalysis};
-use crate::mapping::{leaf_mappings, nonleaf_mappings, Cardinality, MappingElement};
+use crate::mapping::{leaf_mappings, pair_mappings, Cardinality, MappingElement};
 use crate::session::{MatchSession, MatchSummary, SessionStats};
 use crate::treematch::{tree_match, TreeMatchResult};
 
@@ -110,26 +109,17 @@ impl CorpusMatch {
 pub struct Cupid {
     config: CupidConfig,
     thesaurus: Thesaurus,
-    use_lazy_expansion: bool,
 }
 
 impl Cupid {
     /// A matcher with the paper's default parameters (Table 1).
     pub fn new(thesaurus: Thesaurus) -> Self {
-        Cupid { config: CupidConfig::default(), thesaurus, use_lazy_expansion: false }
+        Cupid { config: CupidConfig::default(), thesaurus }
     }
 
     /// A matcher with a custom configuration.
     pub fn with_config(config: CupidConfig, thesaurus: Thesaurus) -> Self {
-        Cupid { config, thesaurus, use_lazy_expansion: false }
-    }
-
-    /// Enable the lazy-expansion optimization (§8.4): duplicate subtree
-    /// contexts created by type substitution are block-copied instead of
-    /// recomputed. Results are identical; see [`crate::lazy`].
-    pub fn with_lazy_expansion(mut self, enabled: bool) -> Self {
-        self.use_lazy_expansion = enabled;
-        self
+        Cupid { config, thesaurus }
     }
 
     /// Access the configuration.
@@ -171,21 +161,30 @@ impl Cupid {
     /// the linguistic similarity of seeded element pairs is raised to the
     /// configured maximum before structure matching, so the hint
     /// propagates to ancestors. Re-running with a corrected seed is the
-    /// paper's user-interaction loop.
+    /// paper's user-interaction loop. A seed naming an element outside
+    /// its schema is rejected with [`ModelError::InvalidElement`].
     pub fn match_schemas_seeded(
         &self,
         s1: &Schema,
         s2: &Schema,
         initial_mapping: &[(ElementId, ElementId)],
     ) -> Result<MatchOutcome, ModelError> {
+        // The lsim table checks its bounds in debug builds only.
+        for &(e1, e2) in initial_mapping {
+            for (id, len) in [(e1, s1.len()), (e2, s2.len())] {
+                if id.index() >= len {
+                    return Err(ModelError::InvalidElement { id, len });
+                }
+            }
+        }
         let t1 = expand(s1, &self.config.expand)?;
         let t2 = expand(s2, &self.config.expand)?;
         Ok(self.match_trees(s1, t1, s2, t2, initial_mapping))
     }
 
-    /// Match pre-expanded trees (useful for ablations that tweak
-    /// expansion).
-    pub fn match_trees(
+    /// The single-pair body over expanded trees: linguistic matching,
+    /// TreeMatch, then the mapping policy ([`crate::mapping`]).
+    fn match_trees(
         &self,
         s1: &Schema,
         t1: SchemaTree,
@@ -197,41 +196,16 @@ impl Cupid {
         for &(e1, e2) in initial_mapping {
             linguistic.lsim.set(e1, e2, self.config.initial_mapping_lsim);
         }
-        let structural = if self.use_lazy_expansion {
-            lazy::tree_match_lazy(&t1, &t2, &linguistic.lsim, &self.config)
-        } else {
-            tree_match(&t1, &t2, &linguistic.lsim, &self.config)
-        };
-        // Leaf mappings use the paper's naïve 1:n generator (§7) — this is
-        // what produces the two false positives the paper reports for the
-        // CIDX–Excel example. Non-leaf (XML-element level) mappings are
-        // reported 1:1: with saturated leaf similarities an inner element
-        // (Item) otherwise out-bids its parent (POLines) for the target
-        // (Items), and Table 3 shows Cupid reporting POLines→Items *and*
-        // Item→Item simultaneously, which is a 1:1 interpretation.
-        let leaf = leaf_mappings(
-            &t1,
-            &t2,
-            &structural,
-            &linguistic.lsim,
-            &self.config,
-            Cardinality::OneToN,
-        );
-        let nonleaf = nonleaf_mappings(
-            &t1,
-            &t2,
-            &structural,
-            &linguistic.lsim,
-            &self.config,
-            Cardinality::OneToOne,
-        );
+        let structural = tree_match(&t1, &t2, &linguistic.lsim, &self.config);
+        let (leaf_mappings, nonleaf_mappings) =
+            pair_mappings(&t1, &t2, &structural, &linguistic.lsim, &self.config);
         MatchOutcome {
             source_tree: t1,
             target_tree: t2,
             linguistic,
             structural,
-            leaf_mappings: leaf,
-            nonleaf_mappings: nonleaf,
+            leaf_mappings,
+            nonleaf_mappings,
         }
     }
 }
@@ -324,6 +298,27 @@ mod tests {
         let g_before = without.wsim_of_paths("S1.GrpQ", "S2.SectZ");
         let g_after = with.wsim_of_paths("S1.GrpQ", "S2.SectZ");
         assert!(g_after > g_before, "seed must lift ancestors: {g_before} -> {g_after}");
+    }
+
+    #[test]
+    fn out_of_range_seeds_are_rejected() {
+        let (po, porder) = fig1();
+        let cupid = Cupid::new(paper_thesaurus());
+        let (n1, n2) = (po.len(), porder.len());
+        let first = ElementId::from_index(0);
+        let past = ElementId::from_index;
+        // One past the end would wrap into the next lsim row in a
+        // release build; further out it would panic.
+        for (seed, id, len) in [
+            ((first, past(n2)), past(n2), n2),
+            ((first, past(n2 + 7)), past(n2 + 7), n2),
+            ((past(n1), first), past(n1), n1),
+        ] {
+            let err = cupid.match_schemas_seeded(&po, &porder, &[seed]).unwrap_err();
+            assert_eq!(err, ModelError::InvalidElement { id, len });
+        }
+        let last = (ElementId::from_index(n1 - 1), ElementId::from_index(n2 - 1));
+        assert!(cupid.match_schemas_seeded(&po, &porder, &[last]).is_ok());
     }
 
     #[test]

@@ -48,8 +48,9 @@ use cupid_model::{
 };
 
 use crate::config::CupidConfig;
-use crate::linguistic::{pair_lsim, LsimTable, RawSchemaLing, SchemaLing};
-use crate::mapping::{leaf_mappings, nonleaf_mappings, Cardinality, MappingElement};
+use crate::explain::{explain_pair, PairExplanation};
+use crate::linguistic::{pair_lsim, LsimTable, PairLsim, RawSchemaLing, SchemaLing};
+use crate::mapping::{pair_mappings, MappingElement};
 use crate::treematch::tree_match;
 
 /// Handle of a schema prepared into a [`MatchSession`], in preparation
@@ -506,21 +507,7 @@ impl<'a> MatchSession<'a> {
     /// Match one prepared pair on the calling thread, reusing (and
     /// further warming) the session's persistent similarity memo.
     pub fn match_pair(&mut self, source: SchemaId, target: SchemaId) -> MatchSummary {
-        let store = std::mem::take(&mut self.store);
-        let mut cache =
-            TokenSimCache::with_store(&self.table, self.thesaurus, &self.config.affix, store);
-        let summary = execute_pair(
-            self.config,
-            &self.schemas[source.0],
-            &self.schemas[target.0],
-            source,
-            target,
-            self.top_k,
-            &mut cache,
-        );
-        self.store = cache.into_store();
-        self.pairs_matched += 1;
-        summary
+        self.match_pairs(&[(source, target)]).remove(0)
     }
 
     /// Match a worklist of prepared pairs through a **shared** (`&self`)
@@ -546,27 +533,7 @@ impl<'a> MatchSession<'a> {
         &self,
         worklist: &[(SchemaId, SchemaId)],
     ) -> (Vec<MatchSummary>, SimStore) {
-        let mut cache = TokenSimCache::with_store(
-            &self.table,
-            self.thesaurus,
-            &self.config.affix,
-            self.store.clone(),
-        );
-        let summaries = worklist
-            .iter()
-            .map(|&(source, target)| {
-                execute_pair(
-                    self.config,
-                    &self.schemas[source.0],
-                    &self.schemas[target.0],
-                    source,
-                    target,
-                    self.top_k,
-                    &mut cache,
-                )
-            })
-            .collect();
-        (summaries, cache.into_store())
+        self.execute(self.store.clone(), worklist, execute_pair)
     }
 
     /// Absorb the results of [`MatchSession::match_pairs_shared`] calls:
@@ -578,30 +545,15 @@ impl<'a> MatchSession<'a> {
         self.pairs_matched += pairs;
     }
 
-    /// Explain one prepared pair: re-execute it with instrumentation and
-    /// return per-mapping score provenance (DESIGN.md §14). The match
-    /// itself never pays for this — explanations are produced by this
-    /// separate entry point, and pair execution is a pure function of
-    /// frozen prepared state, so the captured scores are bit-identical
-    /// to what [`MatchSession::match_pair`] reports.
-    pub fn explain_pair(
-        &mut self,
-        source: SchemaId,
-        target: SchemaId,
-    ) -> crate::explain::PairExplanation {
-        let store = std::mem::take(&mut self.store);
-        let mut cache =
-            TokenSimCache::with_store(&self.table, self.thesaurus, &self.config.affix, store);
-        let ex = crate::explain::explain_pair(
-            self.config,
-            &self.schemas[source.0],
-            &self.schemas[target.0],
-            &self.table,
-            self.thesaurus,
-            &mut cache,
-        );
-        self.store = cache.into_store();
-        ex
+    /// Explain one prepared pair: run it through the pair pipeline and
+    /// return per-mapping score provenance read from the engine's own
+    /// state (DESIGN.md §14). The match itself never pays for this —
+    /// explanations are produced by this separate entry point, and pair
+    /// execution is a pure function of frozen prepared state, so the
+    /// captured scores are bit-identical to what
+    /// [`MatchSession::match_pair`] reports.
+    pub fn explain_pair(&mut self, source: SchemaId, target: SchemaId) -> PairExplanation {
+        self.execute_in_place(&[(source, target)], explain).remove(0)
     }
 
     /// The shared (`&self`) form of [`MatchSession::explain_pair`],
@@ -612,22 +564,9 @@ impl<'a> MatchSession<'a> {
         &self,
         source: SchemaId,
         target: SchemaId,
-    ) -> (crate::explain::PairExplanation, SimStore) {
-        let mut cache = TokenSimCache::with_store(
-            &self.table,
-            self.thesaurus,
-            &self.config.affix,
-            self.store.clone(),
-        );
-        let ex = crate::explain::explain_pair(
-            self.config,
-            &self.schemas[source.0],
-            &self.schemas[target.0],
-            &self.table,
-            self.thesaurus,
-            &mut cache,
-        );
-        (ex, cache.into_store())
+    ) -> (PairExplanation, SimStore) {
+        let (mut explained, store) = self.execute(self.store.clone(), &[(source, target)], explain);
+        (explained.remove(0), store)
     }
 
     /// The linguistic similarity table of a prepared pair, computed
@@ -635,17 +574,10 @@ impl<'a> MatchSession<'a> {
     /// batch-equivalence suite (bit-identical to
     /// [`crate::linguistic::analyze`] on the same schemas).
     pub fn lsim_of(&mut self, source: SchemaId, target: SchemaId) -> LsimTable {
-        let store = std::mem::take(&mut self.store);
-        let mut cache =
-            TokenSimCache::with_store(&self.table, self.thesaurus, &self.config.affix, store);
-        let pair = pair_lsim(
-            &self.schemas[source.0].ling,
-            &self.schemas[target.0].ling,
-            self.config,
-            &mut cache,
-        );
-        self.store = cache.into_store();
-        pair.lsim
+        self.execute_in_place(&[(source, target)], |this, a, b, cache| {
+            pair_lsim(&this.schemas[a.0].ling, &this.schemas[b.0].ling, this.config, cache).lsim
+        })
+        .remove(0)
     }
 
     /// Match an explicit worklist of prepared pairs, sharded across the
@@ -655,15 +587,15 @@ impl<'a> MatchSession<'a> {
     /// only decides *when* a token-pair similarity is computed, never
     /// *what* it is).
     pub fn match_pairs(&mut self, worklist: &[(SchemaId, SchemaId)]) -> Vec<MatchSummary> {
+        self.pairs_matched += worklist.len();
         let threads = self.threads.min(worklist.len());
         if threads <= 1 {
-            return worklist.iter().map(|&(a, b)| self.match_pair(a, b)).collect();
+            return self.execute_in_place(worklist, execute_pair);
         }
         let mut store = std::mem::take(&mut self.store);
         let chunk = worklist.len().div_ceil(threads);
         let this = &*self;
         let mut summaries: Vec<MatchSummary> = Vec::with_capacity(worklist.len());
-        let mut shard_stores: Vec<SimStore> = Vec::with_capacity(threads);
         std::thread::scope(|scope| {
             let workers: Vec<_> = worklist
                 .chunks(chunk)
@@ -672,43 +604,47 @@ impl<'a> MatchSession<'a> {
                     // memo: prior work is shared, only newly discovered
                     // token pairs can be duplicated across shards.
                     let shard_store = store.clone();
-                    scope.spawn(move || {
-                        let mut cache = TokenSimCache::with_store(
-                            &this.table,
-                            this.thesaurus,
-                            &this.config.affix,
-                            shard_store,
-                        );
-                        let out: Vec<MatchSummary> = shard
-                            .iter()
-                            .map(|&(a, b)| {
-                                execute_pair(
-                                    this.config,
-                                    &this.schemas[a.0],
-                                    &this.schemas[b.0],
-                                    a,
-                                    b,
-                                    this.top_k,
-                                    &mut cache,
-                                )
-                            })
-                            .collect();
-                        (out, cache.into_store())
-                    })
+                    scope.spawn(move || this.execute(shard_store, shard, execute_pair))
                 })
                 .collect();
             for worker in workers {
                 let (out, shard_store) = worker.join().expect("match worker panicked");
                 summaries.extend(out);
-                shard_stores.push(shard_store);
+                store.merge(shard_store);
             }
         });
-        for shard_store in shard_stores {
-            store.merge(shard_store);
-        }
         self.store = store;
-        self.pairs_matched += worklist.len();
         summaries
+    }
+
+    /// The pair executor behind every entry point: run `step` over a
+    /// worklist on the calling thread, through one memo cache over
+    /// `store`, and return the results in worklist order with the
+    /// warmed store. Callers only choose the store — the session's own
+    /// ([`MatchSession::execute_in_place`]) or a clone of it.
+    fn execute<T>(
+        &self,
+        store: SimStore,
+        worklist: &[(SchemaId, SchemaId)],
+        step: impl Fn(&Self, SchemaId, SchemaId, &mut TokenSimCache<'_>) -> T,
+    ) -> (Vec<T>, SimStore) {
+        let mut cache =
+            TokenSimCache::with_store(&self.table, self.thesaurus, &self.config.affix, store);
+        let out = worklist.iter().map(|&(a, b)| step(self, a, b, &mut cache)).collect();
+        (out, cache.into_store())
+    }
+
+    /// [`MatchSession::execute`] over the session's own memo: take it,
+    /// run, and put the warmed memo back.
+    fn execute_in_place<T>(
+        &mut self,
+        worklist: &[(SchemaId, SchemaId)],
+        step: impl Fn(&Self, SchemaId, SchemaId, &mut TokenSimCache<'_>) -> T,
+    ) -> Vec<T> {
+        let store = std::mem::take(&mut self.store);
+        let (out, store) = self.execute(store, worklist, step);
+        self.store = store;
+        out
     }
 
     /// Match every unordered schema pair `(i, j)` with `i < j`, in
@@ -736,24 +672,23 @@ fn prepare_raw(
     Ok((tree, RawSchemaLing::of(schema, thesaurus)))
 }
 
-/// Execute one pair over frozen prepared schemas: per-pair linguistic
-/// combine, TreeMatch, mapping generation, top-k extraction. Mirrors
-/// [`crate::Cupid::match_trees`] (same phases, same cardinalities), so
-/// summaries agree bit-for-bit with the single-pair API.
+/// Match step of [`MatchSession::execute`]: one pair through the
+/// pipeline — `pair_lsim`, TreeMatch, the mapping policy — then top-k
+/// extraction. The single-pair API runs the same steps, so summaries
+/// agree with it bit for bit.
 fn execute_pair(
-    cfg: &CupidConfig,
-    s1: &PreparedSchema,
-    s2: &PreparedSchema,
+    session: &MatchSession<'_>,
     source: SchemaId,
     target: SchemaId,
-    top_k: usize,
     cache: &mut TokenSimCache<'_>,
 ) -> MatchSummary {
-    let pair = pair_lsim(&s1.ling, &s2.ling, cfg, cache);
-    let res = tree_match(&s1.tree, &s2.tree, &pair.lsim, cfg);
-    let leaf = leaf_mappings(&s1.tree, &s2.tree, &res, &pair.lsim, cfg, Cardinality::OneToN);
-    let nonleaf =
-        nonleaf_mappings(&s1.tree, &s2.tree, &res, &pair.lsim, cfg, Cardinality::OneToOne);
+    let (cfg, s1, s2) = (session.config, &session.schemas[source.0], &session.schemas[target.0]);
+    // The category scale is kept for explanations only: free it before
+    // TreeMatch allocates.
+    let PairLsim { lsim, compared_pairs, total_pairs, .. } =
+        pair_lsim(&s1.ling, &s2.ling, cfg, cache);
+    let res = tree_match(&s1.tree, &s2.tree, &lsim, cfg);
+    let (leaf, nonleaf) = pair_mappings(&s1.tree, &s2.tree, &res, &lsim, cfg);
 
     // Top-k leaf similarities, threshold-free (discovery signal even
     // when nothing clears th_accept), in `RankedPair` order. One bounded
@@ -761,7 +696,7 @@ fn execute_pair(
     // the worst kept pair on top, so a pair that cannot make the cut
     // costs one comparison, and only the survivors get path strings.
     let (t1, t2) = (&s1.tree, &s2.tree);
-    let cap = top_k.min(t1.leaf_count() * t2.leaf_count());
+    let cap = session.top_k.min(t1.leaf_count() * t2.leaf_count());
     let mut kept = BinaryHeap::with_capacity(cap);
     for l1 in 0..t1.leaf_count() as u32 {
         let source = t1.leaf_node(l1).index();
@@ -794,9 +729,20 @@ fn execute_pair(
         leaf_mappings: leaf,
         nonleaf_mappings: nonleaf,
         top_pairs,
-        compared_pairs: pair.compared_pairs,
-        total_pairs: pair.total_pairs,
+        compared_pairs,
+        total_pairs,
     }
+}
+
+/// Explain step of [`MatchSession::execute`].
+fn explain(
+    session: &MatchSession<'_>,
+    source: SchemaId,
+    target: SchemaId,
+    cache: &mut TokenSimCache<'_>,
+) -> PairExplanation {
+    let (s1, s2) = (&session.schemas[source.0], &session.schemas[target.0]);
+    explain_pair(session.config, s1, s2, &session.table, session.thesaurus, cache)
 }
 
 /// A leaf pair in [`MatchSummary::top_pairs`] order: wsim descending,
@@ -907,10 +853,14 @@ mod tests {
         let cfg = CupidConfig::default();
         let th = thesaurus();
         let corpus = corpus();
+        // The memo counters cover the shard merge: shards may compute a
+        // token pair twice, but the merged memo holds each pair once.
         let run = |threads: usize| {
             let mut session = MatchSession::new(&cfg, &th).threads(threads);
             session.add_corpus(&corpus).unwrap();
-            session.match_all_pairs()
+            let summaries = session.match_all_pairs();
+            let stats = session.stats();
+            (summaries, stats.distinct_pairs_computed, stats.sim_chunks)
         };
         let sequential = run(1);
         for threads in [2, 3, 8] {

@@ -409,7 +409,7 @@ impl<'a> Workspace<'a> {
 
     /// The mapping-stage recomputation (§7): with leaf similarities now
     /// final, recompute `ssim`/`wsim` for every pair (no more updates).
-    pub fn final_matrices(&self) -> (SimMatrix, SimMatrix) {
+    fn final_matrices(&self) -> (SimMatrix, SimMatrix) {
         let mut ssim = SimMatrix::zeros(self.t1.len(), self.t2.len());
         let mut wsim = SimMatrix::zeros(self.t1.len(), self.t2.len());
         for s in 0..self.t1.len() {
@@ -430,6 +430,13 @@ impl<'a> Workspace<'a> {
     pub fn into_result(self) -> TreeMatchResult {
         let (ssim, wsim) = self.final_matrices();
         TreeMatchResult { leaf_ssim: self.leaf_ssim, ssim, wsim, stats: self.stats }
+    }
+
+    /// [`Workspace::into_result`] that keeps the workspace, whose
+    /// main-pass state an explanation reads afterwards.
+    pub fn result(&self) -> TreeMatchResult {
+        let (ssim, wsim) = self.final_matrices();
+        TreeMatchResult { leaf_ssim: self.leaf_ssim.clone(), ssim, wsim, stats: self.stats }
     }
 }
 

@@ -760,22 +760,11 @@ impl<'a> Repository<'a> {
         Ok(self.serve(i, j))
     }
 
-    /// The cached summary of a named pair, through a shared (`&self`)
-    /// handle — the pure read path of the daemon's read/write split
-    /// (DESIGN.md §9). `None` if the pair has not been executed under
-    /// the current content hashes.
-    pub fn cached_pair(
-        &self,
-        source: &str,
-        target: &str,
-    ) -> Result<Option<MatchSummary>, RepoError> {
-        let i = self.index_of(source)?;
-        let j = self.index_of(target)?;
-        Ok(self.cached_pair_at(i, j))
-    }
-
-    /// [`Repository::cached_pair`] by repository indices (the discovery
-    /// index speaks indices). Panics if an index is out of bounds.
+    /// The cached summary of the pair at repository indices `(i, j)`,
+    /// through a shared (`&self`) handle — the pure read path of the
+    /// daemon's read/write split (DESIGN.md §9). `None` if the pair has
+    /// not been executed under the current content hashes. Panics if
+    /// an index is out of bounds.
     pub fn cached_pair_at(&self, i: usize, j: usize) -> Option<MatchSummary> {
         let key = (self.hashes[i], self.hashes[j]);
         self.pair_cache.get(&key).map(|s| {
@@ -1262,11 +1251,11 @@ mod tests {
         assert_eq!(batch.len(), 1);
         let shared = batch.summaries().next().unwrap().clone();
         assert_eq!(repo.pairs_executed(), 0, "shared execution is not yet absorbed");
-        assert!(repo.cached_pair("S0", "S1").unwrap().is_none());
+        assert!(repo.cached_pair_at(s0, s1).is_none());
         // ...absorbing publishes it...
         repo.absorb(batch);
         assert_eq!(repo.pairs_executed(), 1);
-        assert_eq!(repo.cached_pair("S0", "S1").unwrap().as_ref(), Some(&shared));
+        assert_eq!(repo.cached_pair_at(s0, s1).as_ref(), Some(&shared));
         // ...and the exclusive path serves the identical summary.
         assert_eq!(repo.match_pair("S0", "S1").unwrap(), shared);
         // A cached pair serves directly through the shared path too.
@@ -1279,8 +1268,9 @@ mod tests {
         let edited = schema("S2", "Order", &[("Qty", DataType::Int)]);
         repo.replace(&edited).unwrap();
         repo.absorb(stale);
+        let (s2, s3) = (repo.index_of("S2").unwrap(), repo.index_of("S3").unwrap());
         assert!(
-            repo.cached_pair("S2", "S3").unwrap().is_none(),
+            repo.cached_pair_at(s2, s3).is_none(),
             "stale execution must not serve for the replaced schema"
         );
     }

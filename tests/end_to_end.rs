@@ -1,6 +1,8 @@
 //! End-to-end integration tests: the full pipeline over every corpus of
 //! the paper, asserting the headline results of Section 9.
 
+use cupid::core::lazy;
+use cupid::core::mapping::{leaf_mappings, nonleaf_mappings};
 use cupid::corpus::{canonical, cidx_excel, fig1, fig2, star_rdb, thesauri};
 use cupid::eval::{configs, metrics::MatchQuality};
 use cupid::prelude::*;
@@ -88,20 +90,24 @@ fn lazy_expansion_is_a_pure_optimization() {
     // cupid_core::lazy), so the shared-type Excel schema goes first.
     let s1 = cidx_excel::excel();
     let s2 = cidx_excel::cidx();
-    let eager = Cupid::with_config(configs::shallow_xml(), thesauri::paper_thesaurus())
+    let cfg = configs::shallow_xml();
+    let eager = Cupid::with_config(cfg.clone(), thesauri::paper_thesaurus())
         .match_schemas(&s1, &s2)
         .unwrap();
-    let lazy = Cupid::with_config(configs::shallow_xml(), thesauri::paper_thesaurus())
-        .with_lazy_expansion(true)
-        .match_schemas(&s1, &s2)
-        .unwrap();
-    assert!(lazy.structural.stats.lazy_copied_pairs > 0, "lazy should skip work");
-    assert_eq!(eager.leaf_mappings.len(), lazy.leaf_mappings.len());
-    for (a, b) in eager.leaf_mappings.iter().zip(&lazy.leaf_mappings) {
+    // The same trees and lsim table through `tree_match_lazy`, then the
+    // matcher's mapping policy: leaf 1:n, non-leaf 1:1.
+    let (t1, t2, lsim) = (&eager.source_tree, &eager.target_tree, &eager.linguistic.lsim);
+    let lazy = lazy::tree_match_lazy(t1, t2, lsim, &cfg);
+    let lazy_leaf = leaf_mappings(t1, t2, &lazy, lsim, &cfg, Cardinality::OneToN);
+    assert!(lazy.stats.lazy_copied_pairs > 0, "lazy should skip work");
+    assert_eq!(eager.leaf_mappings.len(), lazy_leaf.len());
+    for (a, b) in eager.leaf_mappings.iter().zip(&lazy_leaf) {
         assert_eq!(a.source_path, b.source_path);
         assert_eq!(a.target_path, b.target_path);
         assert_eq!(a.wsim, b.wsim, "wsim must be bit-identical");
     }
+    let lazy_nonleaf = nonleaf_mappings(t1, t2, &lazy, lsim, &cfg, Cardinality::OneToOne);
+    assert_eq!(eager.nonleaf_mappings, lazy_nonleaf);
 }
 
 #[test]

@@ -1,13 +1,20 @@
-//! Golden TreeMatch output across configuration corners.
+//! Golden TreeMatch and pair-pipeline output across configuration
+//! corners.
 //!
 //! `batch_equivalence` compares two callers of `tree_match` and
 //! `lazy_equivalence` two drivers of the same TreeMatch state, so a
 //! change inside TreeMatch passes both as long as it changes every
-//! caller alike. This suite pins TreeMatch's own output instead. For
-//! each schema pair and configuration corner it hashes:
+//! caller alike. This suite pins the output itself instead, in two
+//! tables. For each schema pair and configuration corner,
+//! [`EXPECTED`] hashes:
 //! - every bit of `leaf_ssim`, `ssim` and `wsim` from `tree_match` and
 //!   from `tree_match_lazy`, with both runs' `TreeMatchStats` counters;
 //! - the `StructuralContext` of every explanation of the pair.
+//!
+//! [`EXPECTED_PIPELINE`] hashes what the whole pair pipeline returns:
+//! - the explanation's full wire bytes (name similarity, category
+//!   scale, token pairs with provenance, structure and counters);
+//! - the leaf and non-leaf mappings of `Cupid::match_schemas`.
 //!
 //! The pairs are the paper's four (with their experiment configs; the
 //! relational one reifies join views, so DAGs are covered) and a seeded
@@ -15,11 +22,13 @@
 //! base config plus `leaf_ratio_prune: None`, `use_optionality: false`
 //! and `leaf_depth_limit` of 1 and 2.
 //!
-//! The digests in [`EXPECTED`] are recorded values: if one changes,
-//! TreeMatch's output changed. A failure prints every digest in the
-//! table's layout.
+//! The digests are recorded values: if one changes, the output changed.
+//! A failure prints every digest in the table's layout.
 
-use cupid::core::{lazy, linguistic, treematch, CupidConfig, MatchSession, TreeMatchResult};
+use cupid::core::{
+    lazy, linguistic, treematch, Cupid, CupidConfig, MappingElement, MatchSession, PairExplanation,
+    TreeMatchResult,
+};
 use cupid::corpus::synthetic::{generate, SyntheticConfig};
 use cupid::corpus::{cidx_excel, fig1, fig2, star_rdb, thesauri};
 use cupid::eval::configs;
@@ -39,6 +48,22 @@ const EXPECTED: &[(&str, [u64; 5])] = &[
     ("synthetic_32", [0xf9ef852cb7fd522d, 0xb88c4df504fd187e, 0xf9ef852cb7fd522d, 0xf7d4e3a84c033b80, 0xd53d8ecd9e3a680a]),
     ("synthetic_48", [0xecb94c823ce73c99, 0x009fc676e3e53e5e, 0xecb94c823ce73c99, 0xc2a5dec1e0f37a7b, 0x3fb019c1551e2a5b]),
     ("synthetic_64", [0x6ca5d69972ca8c24, 0xaa5f24fcc6fc3bf8, 0x6ca5d69972ca8c24, 0xf0769118a2efba61, 0x9ad09711e8ed2708]),
+];
+
+/// Recorded pipeline digests per pair, one per corner in [`CORNERS`]
+/// order.
+#[rustfmt::skip]
+const EXPECTED_PIPELINE: &[(&str, [u64; 5])] = &[
+    ("fig1", [0xd412c36af87d2f00, 0x7cc21f812666853d, 0xd412c36af87d2f00, 0x389b3d1f61a98bae, 0x977765cab73b2f8d]),
+    ("fig2", [0xe7312c192f929111, 0x48c6b6ccbfb62ab7, 0xe7312c192f929111, 0x39f562f9c4363695, 0x2346f0ae5b823028]),
+    ("cidx_excel", [0xd2abb9514fb09119, 0x584a2ed59947dc98, 0xea22d149a0331555, 0xa9670e98400f0c23, 0x4000f815d8803336]),
+    ("rdb_star", [0x5b43bf1b0de1f35e, 0xe947b7b930827cf5, 0xeee076d4c248a2cd, 0xedaa719a7034565b, 0x5b43bf1b0de1f35e]),
+    ("synthetic_8", [0xba6b724dc0bbd3ab, 0x6cea0432be938107, 0xba6b724dc0bbd3ab, 0x44c8d3f9924cf58e, 0xbfd2204e9bff5e79]),
+    ("synthetic_16", [0xd63d3f67c82a2fce, 0x29f032e820b6a33a, 0xd63d3f67c82a2fce, 0xf44a7419cf4c1ea3, 0xd6816203f5b684d3]),
+    ("synthetic_24", [0x4499d90f88f7ec18, 0xcc0fb690a96bd9f8, 0x4499d90f88f7ec18, 0x799d9789e464cd89, 0xa6369064a42c623e]),
+    ("synthetic_32", [0x8ca6dc54e93112ac, 0xeb7ca1e49ef8bd43, 0x8ca6dc54e93112ac, 0xe9de58c1a481c6c0, 0xc9ca653e6e1d86bf]),
+    ("synthetic_48", [0x324e21cfcc3f8ca9, 0x9c2c9c51fc362cb1, 0x324e21cfcc3f8ca9, 0x4a25118f9a384a62, 0xe118a743b60d6c32]),
+    ("synthetic_64", [0xab00da3f46d072b5, 0x1eba1337689b6680, 0xab00da3f46d072b5, 0x47e57af0773e109d, 0x04d9323fc7fa458b]),
 ];
 
 /// A named edit of a pair's base config.
@@ -134,9 +159,7 @@ fn digest(case: &Case, cfg: &CupidConfig) -> u64 {
     put_result(&mut w, &treematch::tree_match(&t1, &t2, &la.lsim, cfg));
     put_result(&mut w, &lazy::tree_match_lazy(&t1, &t2, &la.lsim, cfg));
 
-    let mut session = MatchSession::new(cfg, &case.thesaurus);
-    let (a, b) = (session.add(s1).unwrap(), session.add(s2).unwrap());
-    let explanation = session.explain_pair(a, b);
+    let explanation = explain(case, cfg);
     w.put_len(explanation.mappings.len());
     for e in &explanation.mappings {
         let st = &e.structure;
@@ -155,8 +178,43 @@ fn digest(case: &Case, cfg: &CupidConfig) -> u64 {
     fnv1a(w.bytes())
 }
 
-#[test]
-fn treematch_output_matches_recorded_digests() {
+/// The pair's explanation from a fresh session.
+fn explain(case: &Case, cfg: &CupidConfig) -> PairExplanation {
+    let mut session = MatchSession::new(cfg, &case.thesaurus);
+    let (a, b) = (session.add(&case.source).unwrap(), session.add(&case.target).unwrap());
+    session.explain_pair(a, b)
+}
+
+/// Digest of one pair's explanation and single-pair mappings under one
+/// configuration.
+fn pipeline_digest(case: &Case, cfg: &CupidConfig) -> u64 {
+    let mut w = WireWriter::new();
+    explain(case, cfg).write_wire(&mut w);
+    let out = Cupid::with_config(cfg.clone(), case.thesaurus.clone())
+        .match_schemas(&case.source, &case.target)
+        .unwrap();
+    for mappings in [&out.leaf_mappings, &out.nonleaf_mappings] {
+        put_mappings(&mut w, mappings);
+    }
+    fnv1a(w.bytes())
+}
+
+fn put_mappings(w: &mut WireWriter, mappings: &[MappingElement]) {
+    w.put_len(mappings.len());
+    for m in mappings {
+        w.put_len(m.source.index());
+        w.put_len(m.target.index());
+        w.put_str(&m.source_path);
+        w.put_str(&m.target_path);
+        for v in [m.wsim, m.ssim, m.lsim] {
+            w.put_f64(v);
+        }
+    }
+}
+
+/// Digest every case under every corner and compare with a recorded
+/// table; on a mismatch, panic with the whole table as recorded now.
+fn check(what: &str, expected: &[(&str, [u64; 5])], digest: fn(&Case, &CupidConfig) -> u64) {
     let mut actual: Vec<(String, [u64; 5])> = Vec::new();
     for case in cases() {
         let mut row = [0u64; 5];
@@ -168,7 +226,7 @@ fn treematch_output_matches_recorded_digests() {
         actual.push((case.name, row));
     }
     let expected: Vec<(String, [u64; 5])> =
-        EXPECTED.iter().map(|&(name, row)| (name.to_string(), row)).collect();
+        expected.iter().map(|&(name, row)| (name.to_string(), row)).collect();
     if actual != expected {
         let mut table = String::new();
         for (name, row) in &actual {
@@ -176,6 +234,16 @@ fn treematch_output_matches_recorded_digests() {
             table.push_str(&format!("    (\"{name}\", [{}]),\n", cells.join(", ")));
         }
         let corners: Vec<&str> = CORNERS.iter().map(|(name, _)| *name).collect();
-        panic!("TreeMatch digests changed (corners: {}):\n{table}", corners.join(", "));
+        panic!("{what} digests changed (corners: {}):\n{table}", corners.join(", "));
     }
+}
+
+#[test]
+fn treematch_output_matches_recorded_digests() {
+    check("TreeMatch", EXPECTED, digest);
+}
+
+#[test]
+fn pair_pipeline_output_matches_recorded_digests() {
+    check("Pair pipeline", EXPECTED_PIPELINE, pipeline_digest);
 }
