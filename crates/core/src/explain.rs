@@ -21,6 +21,8 @@
 //! asserted end to end, is that every explanation **recomposes to the
 //! reported `wsim` bit-exactly** ([`Explanation::recomposes_exactly`]).
 
+use std::sync::Arc;
+
 use cupid_lexical::{
     class_similarity_explained, Thesaurus, TokenId, TokenSimCache, TokenSimProvenance, TokenTable,
     TokenType,
@@ -85,10 +87,10 @@ pub struct Explanation {
     pub source: NodeId,
     /// Target node in the expanded target tree.
     pub target: NodeId,
-    /// Source context path.
-    pub source_path: String,
+    /// Source context path, shared with the mapping it explains.
+    pub source_path: Arc<str>,
     /// Target context path.
-    pub target_path: String,
+    pub target_path: Arc<str>,
     /// Produced by the leaf generator (1:n) rather than the non-leaf 1:1
     /// generator.
     pub leaf: bool,
@@ -235,8 +237,8 @@ impl Explanation {
     pub fn read_wire(r: &mut WireReader<'_>) -> Result<Explanation, WireError> {
         let source = NodeId::from_index(r.get_u32()? as usize);
         let target = NodeId::from_index(r.get_u32()? as usize);
-        let source_path = r.get_str()?;
-        let target_path = r.get_str()?;
+        let source_path = r.get_arc_str()?;
+        let target_path = r.get_arc_str()?;
         let leaf = r.get_bool()?;
         let mut f = [0.0f64; 7];
         for v in f.iter_mut() {

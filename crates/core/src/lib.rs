@@ -44,7 +44,7 @@
 //! let thesaurus = Thesaurus::parse("abbrev Qty = quantity").unwrap();
 //! let outcome = Cupid::new(thesaurus).match_schemas(&po, &order).unwrap();
 //! assert_eq!(outcome.leaf_mappings.len(), 1);
-//! assert_eq!(outcome.leaf_mappings[0].source_path, "PO.Item.Qty");
+//! assert_eq!(&*outcome.leaf_mappings[0].source_path, "PO.Item.Qty");
 //! ```
 
 #![forbid(unsafe_code)]

@@ -15,6 +15,7 @@
 //! greedy 1:1 generator are provided.
 
 use std::fmt;
+use std::sync::Arc;
 
 use cupid_model::{NodeId, SchemaTree};
 
@@ -35,7 +36,8 @@ pub enum Cardinality {
 
 /// One mapping element: a correspondence between a source and a target
 /// schema-tree node (i.e. element-in-context), with its similarity
-/// coefficients.
+/// coefficients. Its context paths are the trees' own
+/// [`SchemaTree::shared_path`]s: making or cloning one copies no path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MappingElement {
     /// Source node.
@@ -43,9 +45,9 @@ pub struct MappingElement {
     /// Target node.
     pub target: NodeId,
     /// Source context path (e.g. `PO.POBillTo.City`).
-    pub source_path: String,
+    pub source_path: Arc<str>,
     /// Target context path.
-    pub target_path: String,
+    pub target_path: Arc<str>,
     /// Weighted similarity that justified the mapping.
     pub wsim: f64,
     /// Structural component.
@@ -75,8 +77,8 @@ fn make_element(
     MappingElement {
         source: s,
         target: t,
-        source_path: t1.path(s).to_string(),
-        target_path: t2.path(t).to_string(),
+        source_path: t1.shared_path(s).clone(),
+        target_path: t2.shared_path(t).clone(),
         wsim: res.wsim.get(s.index(), t.index()),
         ssim: res.ssim.get(s.index(), t.index()),
         lsim: lsim.get(t1.node(s).element, t2.node(t).element),
@@ -294,7 +296,7 @@ mod tests {
 
         let one = leaf_mappings(&f.t1, &f.t2, &f.res, &f.lsim, &f.cfg, Cardinality::OneToOne);
         assert_eq!(one.len(), 1, "1:1 must not reuse the source");
-        assert_eq!(one[0].target_path, "B.Customer.Phone");
+        assert_eq!(&*one[0].target_path, "B.Customer.Phone");
     }
 
     #[test]
@@ -313,7 +315,7 @@ mod tests {
         let maps = nonleaf_mappings(&f.t1, &f.t2, &f.res, &f.lsim, &f.cfg, Cardinality::OneToN);
         // Customer -> Customer and root -> root.
         let paths: Vec<(&str, &str)> =
-            maps.iter().map(|m| (m.source_path.as_str(), m.target_path.as_str())).collect();
+            maps.iter().map(|m| (&*m.source_path, &*m.target_path)).collect();
         assert!(paths.contains(&("A.Customer", "B.Customer")), "{paths:?}");
     }
 

@@ -42,14 +42,14 @@ impl MatchOutcome {
     pub fn has_leaf_mapping(&self, source_path: &str, target_path: &str) -> bool {
         self.leaf_mappings
             .iter()
-            .any(|m| m.source_path == source_path && m.target_path == target_path)
+            .any(|m| &*m.source_path == source_path && &*m.target_path == target_path)
     }
 
     /// True if some non-leaf mapping relates the two context paths.
     pub fn has_nonleaf_mapping(&self, source_path: &str, target_path: &str) -> bool {
         self.nonleaf_mappings
             .iter()
-            .any(|m| m.source_path == source_path && m.target_path == target_path)
+            .any(|m| &*m.source_path == source_path && &*m.target_path == target_path)
     }
 
     /// The mapping element (leaf or non-leaf) for a target path, if any.
@@ -57,7 +57,7 @@ impl MatchOutcome {
         self.leaf_mappings
             .iter()
             .chain(&self.nonleaf_mappings)
-            .find(|m| m.target_path == target_path)
+            .find(|m| &*m.target_path == target_path)
     }
 
     /// Weighted similarity of two context paths (0 if unknown paths).
@@ -347,7 +347,7 @@ mod tests {
         let one_to_one = out.leaf_mappings_with(&CupidConfig::default(), Cardinality::OneToOne);
         assert!(!one_to_one.is_empty());
         // 1:1 never repeats a source
-        let mut sources: Vec<&str> = one_to_one.iter().map(|m| m.source_path.as_str()).collect();
+        let mut sources: Vec<&str> = one_to_one.iter().map(|m| &*m.source_path).collect();
         sources.sort();
         let before = sources.len();
         sources.dedup();

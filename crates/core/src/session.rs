@@ -13,8 +13,9 @@
 //! Batch results are lightweight [`MatchSummary`] values (mappings +
 //! top-k leaf similarities + pruning counters): an all-pairs run over an
 //! N-schema corpus must not hold O(N²) cloned trees and similarity
-//! matrices. Use the single-pair API ([`crate::Cupid::match_schemas`])
-//! when the full [`crate::MatchOutcome`] is needed.
+//! matrices; their context paths are the prepared trees' own `Arc<str>`s.
+//! Use the single-pair API ([`crate::Cupid::match_schemas`]) when the
+//! full [`crate::MatchOutcome`] is needed.
 //!
 //! ```
 //! use cupid_core::session::MatchSession;
@@ -41,6 +42,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use cupid_lexical::{SimStore, Thesaurus, TokenSimCache, TokenTable};
 use cupid_model::{
@@ -127,9 +129,9 @@ impl PreparedSchema {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimilarityEntry {
     /// Source context path.
-    pub source_path: String,
+    pub source_path: Arc<str>,
     /// Target context path.
-    pub target_path: String,
+    pub target_path: Arc<str>,
     /// Weighted similarity of the pair.
     pub wsim: f64,
 }
@@ -137,8 +139,9 @@ pub struct SimilarityEntry {
 /// Lightweight per-pair result for batch mode: the generated mappings
 /// and the top-k leaf similarities, with the trees and similarity
 /// matrices dropped. An all-pairs corpus run holds O(N²) of these, so
-/// they must stay small; the single-pair API ([`crate::Cupid`]) keeps
-/// returning the full [`crate::MatchOutcome`].
+/// they must stay small: a clone copies three `Vec`s and shares every
+/// path. The single-pair API ([`crate::Cupid`]) returns the full
+/// [`crate::MatchOutcome`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatchSummary {
     /// Source schema.
@@ -163,7 +166,7 @@ impl MatchSummary {
     pub fn has_leaf_mapping(&self, source_path: &str, target_path: &str) -> bool {
         self.leaf_mappings
             .iter()
-            .any(|m| m.source_path == source_path && m.target_path == target_path)
+            .any(|m| &*m.source_path == source_path && &*m.target_path == target_path)
     }
 
     /// Highest leaf-pair weighted similarity (0.0 for empty schemas) —
@@ -214,8 +217,8 @@ impl MatchSummary {
                 out.push(MappingElement {
                     source: NodeId::from_index(r.get_u32()? as usize),
                     target: NodeId::from_index(r.get_u32()? as usize),
-                    source_path: r.get_str()?,
-                    target_path: r.get_str()?,
+                    source_path: r.get_arc_str()?,
+                    target_path: r.get_arc_str()?,
                     wsim: r.get_f64()?,
                     ssim: r.get_f64()?,
                     lsim: r.get_f64()?,
@@ -229,8 +232,8 @@ impl MatchSummary {
         let mut top_pairs = Vec::with_capacity(n);
         for _ in 0..n {
             top_pairs.push(SimilarityEntry {
-                source_path: r.get_str()?,
-                target_path: r.get_str()?,
+                source_path: r.get_arc_str()?,
+                target_path: r.get_arc_str()?,
                 wsim: r.get_f64()?,
             });
         }
@@ -694,7 +697,7 @@ fn execute_pair(
     // when nothing clears th_accept), in `RankedPair` order. One bounded
     // selection pass: the heap holds at most min(k, n₁·n₂) pairs with
     // the worst kept pair on top, so a pair that cannot make the cut
-    // costs one comparison, and only the survivors get path strings.
+    // costs one comparison, and only survivors clone the trees' paths.
     let (t1, t2) = (&s1.tree, &s2.tree);
     let cap = session.top_k.min(t1.leaf_count() * t2.leaf_count());
     let mut kept = BinaryHeap::with_capacity(cap);
@@ -717,8 +720,8 @@ fn execute_pair(
         .into_sorted_vec()
         .into_iter()
         .map(|p| SimilarityEntry {
-            source_path: t1.path(NodeId::from_index(p.source)).to_string(),
-            target_path: t2.path(NodeId::from_index(p.target)).to_string(),
+            source_path: t1.shared_path(NodeId::from_index(p.source)).clone(),
+            target_path: t2.shared_path(NodeId::from_index(p.target)).clone(),
             wsim: p.wsim,
         })
         .collect();
@@ -827,6 +830,22 @@ mod tests {
         assert_eq!(summary.nonleaf_mappings, outcome.nonleaf_mappings);
         assert_eq!(summary.compared_pairs, outcome.linguistic.compared_pairs);
         assert!(summary.has_leaf_mapping("S0.Item.Qty", "S1.Item.Quantity"));
+    }
+
+    #[test]
+    fn summary_paths_are_the_prepared_trees_paths() {
+        let (cfg, th) = (CupidConfig::default(), thesaurus());
+        let mut session = MatchSession::new(&cfg, &th).threads(1);
+        let ids = session.add_corpus(&corpus()).unwrap();
+        let s = session.match_pair(ids[0], ids[1]);
+        let (t1, t2) = (&session.schema(ids[0]).tree, &session.schema(ids[1]).tree);
+        let shared = |t: &SchemaTree, id, p: &Arc<str>| Arc::ptr_eq(p, t.shared_path(id));
+        let named = |t: &SchemaTree, p: &Arc<str>| shared(t, t.find_path(p).unwrap(), p);
+        assert!(!s.leaf_mappings.is_empty() && !s.nonleaf_mappings.is_empty());
+        for m in s.leaf_mappings.iter().chain(&s.nonleaf_mappings) {
+            assert!(shared(t1, m.source, &m.source_path) && shared(t2, m.target, &m.target_path));
+        }
+        assert!(s.top_pairs.iter().all(|e| named(t1, &e.source_path) && named(t2, &e.target_path)));
     }
 
     #[test]
@@ -990,7 +1009,7 @@ mod tests {
             let ids = session.add_corpus(&corpus).unwrap();
             let top = session.match_pair(ids[0], ids[1]).top_pairs;
             let got: Vec<(&str, &str)> =
-                top.iter().map(|e| (e.source_path.as_str(), e.target_path.as_str())).collect();
+                top.iter().map(|e| (&*e.source_path, &*e.target_path)).collect();
             assert_eq!(got, all[..k.min(all.len())], "k = {k}");
             assert!(top.iter().all(|e| e.wsim.to_bits() == top[0].wsim.to_bits()), "k = {k}");
         }

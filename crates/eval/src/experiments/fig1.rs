@@ -25,8 +25,8 @@ pub fn run() -> Report {
     );
     for m in &out.leaf_mappings {
         t.row(vec![
-            m.source_path.clone(),
-            m.target_path.clone(),
+            m.source_path.to_string(),
+            m.target_path.to_string(),
             format!("{:.3}", m.wsim),
             if gold.contains(&m.source_path, &m.target_path) { "yes" } else { "NO" }.to_string(),
         ]);
@@ -44,8 +44,8 @@ pub fn run() -> Report {
     let mut t = TextTable::new("Element-level mappings", vec!["source", "target", "in gold"]);
     for m in &out.nonleaf_mappings {
         t.row(vec![
-            m.source_path.clone(),
-            m.target_path.clone(),
+            m.source_path.to_string(),
+            m.target_path.to_string(),
             if nl.contains(&m.source_path, &m.target_path) { "yes" } else { "NO" }.to_string(),
         ]);
     }

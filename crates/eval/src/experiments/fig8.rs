@@ -35,8 +35,8 @@ pub fn run() -> Report {
         let found = out
             .nonleaf_mappings
             .iter()
-            .find(|m| m.target_path == table)
-            .map(|m| m.source_path.clone())
+            .find(|m| &*m.target_path == table)
+            .map(|m| m.source_path.to_string())
             .unwrap_or_else(|| "(none)".to_string());
         let ok = gold_tables.contains(&found, table);
         t.row(vec![table.to_string(), found, if ok { "yes" } else { "-" }.to_string()]);
@@ -56,8 +56,8 @@ pub fn run() -> Report {
         let found = out
             .leaf_mappings
             .iter()
-            .find(|m| m.target_path == target)
-            .map(|m| m.source_path.clone())
+            .find(|m| &*m.target_path == target)
+            .map(|m| m.source_path.to_string())
             .unwrap_or_else(|| "(none)".to_string());
         if found == "RDB.Customers.PostalCode" {
             postal_ok += 1;
@@ -75,7 +75,7 @@ pub fn run() -> Report {
 
     // CustomerName: missed without the Customer:Contact entry, found with.
     let name_mapped_without = out.leaf_mappings.iter().any(|m| {
-        m.target_path == "Star.Customers.CustomerName"
+        &*m.target_path == "Star.Customers.CustomerName"
             && (m.source_path.contains("ContactFirstName")
                 || m.source_path.contains("ContactLastName"))
     });
@@ -83,7 +83,7 @@ pub fn run() -> Report {
         Cupid::with_config(configs::relational(), thesauri::star_rdb_customer_contact_thesaurus());
     let out2 = cupid2.match_schemas(&rdb, &star).expect("fig8 schemas expand");
     let name_mapped_with = out2.leaf_mappings.iter().any(|m| {
-        m.target_path == "Star.Customers.CustomerName"
+        &*m.target_path == "Star.Customers.CustomerName"
             && (m.source_path.contains("ContactFirstName")
                 || m.source_path.contains("ContactLastName")
                 || m.source_path.contains("CompanyName"))
@@ -99,8 +99,8 @@ pub fn run() -> Report {
     let sales_src = out
         .nonleaf_mappings
         .iter()
-        .find(|m| m.target_path == "Star.Sales")
-        .map(|m| m.source_path.clone())
+        .find(|m| &*m.target_path == "Star.Sales")
+        .map(|m| m.source_path.to_string())
         .unwrap_or_default();
     report.notes.push(format!(
         "Sales best source: `{sales_src}` (paper: the Orders⋈OrderDetails join; \
@@ -170,8 +170,8 @@ mod tests {
         let src = out
             .nonleaf_mappings
             .iter()
-            .find(|m| m.target_path == "Star.Sales")
-            .map(|m| m.source_path.clone());
+            .find(|m| &*m.target_path == "Star.Sales")
+            .map(|m| m.source_path.to_string());
         let src = src.expect("Sales should be mapped");
         assert!(
             src == "RDB.OrderDetails-Orders-fk" || src == "RDB.Orders" || src == "RDB.OrderDetails",
@@ -186,7 +186,7 @@ mod tests {
         // the TerritoryRegion join columns).
         let gold = star_rdb::gold_columns();
         for target in ["Star.Geography.TerritoryID", "Star.Geography.RegionID"] {
-            let m = out.leaf_mappings.iter().find(|m| m.target_path == target);
+            let m = out.leaf_mappings.iter().find(|m| &*m.target_path == target);
             if let Some(m) = m {
                 assert!(
                     gold.contains(&m.source_path, target),
@@ -201,7 +201,7 @@ mod tests {
     fn customer_name_needs_thesaurus_entry() {
         let out = outcome();
         assert!(
-            !out.leaf_mappings.iter().any(|m| m.target_path == "Star.Customers.CustomerName"
+            !out.leaf_mappings.iter().any(|m| &*m.target_path == "Star.Customers.CustomerName"
                 && (m.source_path.contains("ContactFirstName")
                     || m.source_path.contains("ContactLastName"))),
             "paper: CustomerName not matched to contact names without thesaurus"

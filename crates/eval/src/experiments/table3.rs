@@ -130,7 +130,11 @@ pub fn run_leaves() -> Report {
     let mut t = TextTable::new("False positives (not in gold)", vec!["source", "target", "wsim"]);
     for m in &out.leaf_mappings {
         if !gold.contains(&m.source_path, &m.target_path) {
-            t.row(vec![m.source_path.clone(), m.target_path.clone(), format!("{:.3}", m.wsim)]);
+            t.row(vec![
+                m.source_path.to_string(),
+                m.target_path.to_string(),
+                format!("{:.3}", m.wsim),
+            ]);
         }
     }
     report.tables.push(t);
@@ -142,7 +146,7 @@ pub fn run_leaves() -> Report {
         if line_found { "FOUND (matches paper)" } else { "MISSING" }
     ));
     let fp_company = out.leaf_mappings.iter().any(|m| {
-        m.source_path == "PO.Contact.ContactName" && m.target_path.ends_with("companyName")
+        &*m.source_path == "PO.Contact.ContactName" && m.target_path.ends_with("companyName")
     });
     report.notes.push(format!(
         "contactName also mapped to companyName (the paper's false-positive example): {}",

@@ -68,7 +68,7 @@ impl MatchQuality {
 
     /// Score Cupid mapping elements directly.
     pub fn score_mappings(mappings: &[MappingElement], gold: &GoldMapping) -> MatchQuality {
-        Self::score(mappings.iter().map(|m| (m.source_path.as_str(), m.target_path.as_str())), gold)
+        Self::score(mappings.iter().map(|m| (&*m.source_path, &*m.target_path)), gold)
     }
 
     /// Precision = correct / found (1.0 when nothing was found and

@@ -15,6 +15,7 @@ use crate::error::ModelError;
 use crate::joinview::{self, ExpandOptions};
 use crate::schema::Schema;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a node within a [`SchemaTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -98,8 +99,8 @@ pub struct SchemaTree {
     leaf_index: Vec<u32>,
     /// Depth from root via primary parents (root = 0).
     depth: Vec<u32>,
-    /// Dotted context path via primary parents.
-    paths: Vec<String>,
+    /// Dotted context path via primary parents, shared with every result.
+    paths: Vec<Arc<str>>,
 }
 
 impl SchemaTree {
@@ -181,9 +182,15 @@ impl SchemaTree {
         &self.paths[id.index()]
     }
 
+    /// The same path as the shared `Arc<str>` the tree owns: clone it to
+    /// name the node in a result without copying the path.
+    pub fn shared_path(&self, id: NodeId) -> &Arc<str> {
+        &self.paths[id.index()]
+    }
+
     /// Find the first node whose context path equals `path`.
     pub fn find_path(&self, path: &str) -> Option<NodeId> {
-        self.paths.iter().position(|p| p == path).map(NodeId::from_index)
+        self.paths.iter().position(|p| **p == *path).map(NodeId::from_index)
     }
 
     /// All nodes instantiating a given element (several in case of type
@@ -246,19 +253,13 @@ impl SchemaTree {
         self.root = root;
     }
 
-    /// Recompute every derived table from the adjacency — the wire
-    /// decoder's entry to [`SchemaTree::finalize`].
-    pub(crate) fn refresh_derived(&mut self) {
-        self.finalize();
-    }
-
     pub(crate) fn link(&mut self, parent: NodeId, child: NodeId) {
         self.nodes[parent.index()].children.push(child);
         self.nodes[child.index()].parents.push(parent);
     }
 
-    /// Recompute all derived tables. Called after base expansion and again
-    /// after reification mutates the graph.
+    /// Recompute all derived tables. Called after base expansion, again
+    /// after reification mutates the graph, and by the wire decoder.
     pub(crate) fn finalize(&mut self) {
         let n = self.nodes.len();
         // post-order DFS from root (iterative, DAG-aware)
@@ -322,20 +323,20 @@ impl SchemaTree {
         // depth + paths via primary parents (BFS from root over first-parent
         // relation; reification parents never become primary)
         self.depth = vec![0; n];
-        self.paths = vec![String::new(); n];
-        // process in reverse post-order so parents come before children
+        self.paths = vec![Arc::from(""); n];
+        // process in reverse post-order so parents come before children;
+        // each path is formatted into one reused buffer, then allocated once
+        let mut buf = String::new();
         for &id in self.post_order.iter().rev() {
             let i = id.index();
-            match self.nodes[i].parents.first().copied() {
-                None => {
-                    self.depth[i] = 0;
-                    self.paths[i] = self.nodes[i].name.clone();
-                }
-                Some(p) => {
-                    self.depth[i] = self.depth[p.index()] + 1;
-                    self.paths[i] = format!("{}.{}", self.paths[p.index()], self.nodes[i].name);
-                }
+            buf.clear();
+            if let Some(p) = self.nodes[i].parents.first().copied() {
+                self.depth[i] = self.depth[p.index()] + 1;
+                buf.push_str(&self.paths[p.index()]);
+                buf.push('.');
             }
+            buf.push_str(&self.nodes[i].name);
+            self.paths[i] = Arc::from(&buf[..]);
         }
     }
 }

@@ -25,6 +25,7 @@ use crate::schema::{Edges, Schema};
 use crate::tree::{NodeId, SchemaTree, SyntheticKind, TreeNode};
 use std::fmt;
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 /// Error produced when decoding malformed or truncated wire bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,9 +198,18 @@ impl<'a> WireReader<'a> {
 
     /// Read a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, WireError> {
+        Ok(self.take_str()?.to_owned())
+    }
+
+    /// [`WireReader::get_str`] straight into one shared allocation.
+    pub fn get_arc_str(&mut self) -> Result<Arc<str>, WireError> {
+        Ok(Arc::from(self.take_str()?))
+    }
+
+    fn take_str(&mut self) -> Result<&'a str, WireError> {
         let n = self.get_len()?;
         let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
             .map_err(|e| WireError { offset: self.pos - n, message: format!("invalid UTF-8: {e}") })
     }
 
@@ -782,7 +792,7 @@ impl SchemaTree {
                 }
             }
         }
-        tree.refresh_derived();
+        tree.finalize();
         Ok(tree)
     }
 }
@@ -840,6 +850,21 @@ mod tests {
         // corrupt length prefix: claims more than remains
         let mut r = WireReader::new(&[0xff, 0xff, 0xff, 0x7f, b'a']);
         assert!(r.get_len().is_err());
+    }
+
+    #[test]
+    fn arc_str_reads_and_rejects_like_get_str() {
+        let mut w = WireWriter::new();
+        w.put_str("");
+        assert_eq!(&*WireReader::new(w.bytes()).get_arc_str().unwrap(), "");
+        let utf8: &[u8] = &[2, 0, 0, 0, b'a', 0xff];
+        for (bad, why) in
+            [(utf8, "invalid UTF-8"), (&[3, 0], "need 4"), (&[3, 0, 0, 0, 1], "need 3")]
+        {
+            let want = WireReader::new(bad).get_str().unwrap_err();
+            assert!(want.message.starts_with(why), "{want}");
+            assert_eq!(WireReader::new(bad).get_arc_str().unwrap_err(), want);
+        }
     }
 
     #[test]

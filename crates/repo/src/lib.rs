@@ -702,8 +702,9 @@ impl<'a> Repository<'a> {
         Ok(schema)
     }
 
-    /// Execute the uncached subset of a worklist and fill the cache.
-    fn execute_missing(&mut self, pairs: &[(usize, usize)]) {
+    /// Execute the uncached subset of a worklist, fill the cache, and
+    /// serve every listed pair from it, in worklist order.
+    fn serve_pairs(&mut self, pairs: &[(usize, usize)]) -> Vec<MatchSummary> {
         let mut need: BTreeSet<(u64, u64)> = BTreeSet::new();
         let mut worklist: Vec<(SchemaId, SchemaId)> = Vec::new();
         for &(i, j) in pairs {
@@ -712,28 +713,16 @@ impl<'a> Repository<'a> {
                 worklist.push((SchemaId::from_index(i), SchemaId::from_index(j)));
             }
         }
-        if worklist.is_empty() {
-            return;
+        if !worklist.is_empty() {
+            let summaries = self.session.match_pairs(&worklist);
+            self.pairs_executed += worklist.len();
+            self.dirty = true;
+            for s in summaries {
+                let key = (self.hashes[s.source.index()], self.hashes[s.target.index()]);
+                self.pair_cache.insert(key, s);
+            }
         }
-        let summaries = self.session.match_pairs(&worklist);
-        self.pairs_executed += worklist.len();
-        self.dirty = true;
-        for s in summaries {
-            let key = (self.hashes[s.source.index()], self.hashes[s.target.index()]);
-            self.pair_cache.insert(key, s);
-        }
-    }
-
-    /// A cached summary re-anchored to the current indices `(i, j)`.
-    /// Valid because everything in a summary except the two ids is a
-    /// pure function of the schemas' *content* (plus config and
-    /// thesaurus, which are fingerprint-pinned).
-    fn serve(&self, i: usize, j: usize) -> MatchSummary {
-        let key = (self.hashes[i], self.hashes[j]);
-        let mut s = self.pair_cache.get(&key).expect("pair executed or cached").clone();
-        s.source = SchemaId::from_index(i);
-        s.target = SchemaId::from_index(j);
-        s
+        pairs.iter().map(|&(i, j)| self.cached_pair_at(i, j).expect("pair cached")).collect()
     }
 
     /// Match every unordered schema pair, serving cached pairs from the
@@ -748,31 +737,27 @@ impl<'a> Repository<'a> {
                 pairs.push((i, j));
             }
         }
-        self.execute_missing(&pairs);
-        pairs.into_iter().map(|(i, j)| self.serve(i, j)).collect()
+        self.serve_pairs(&pairs)
     }
 
     /// Match one named pair (cached or executed).
     pub fn match_pair(&mut self, source: &str, target: &str) -> Result<MatchSummary, RepoError> {
         let i = self.index_of(source)?;
         let j = self.index_of(target)?;
-        self.execute_missing(&[(i, j)]);
-        Ok(self.serve(i, j))
+        Ok(self.serve_pairs(&[(i, j)]).remove(0))
     }
 
     /// The cached summary of the pair at repository indices `(i, j)`,
     /// through a shared (`&self`) handle — the pure read path of the
     /// daemon's read/write split (DESIGN.md §9). `None` if the pair has
     /// not been executed under the current content hashes. Panics if
-    /// an index is out of bounds.
+    /// an index is out of bounds. The copy is re-anchored to `(i, j)` (the
+    /// rest is a pure function of schema content) and shares the cached
+    /// paths: three `Vec` copies and reference-count bumps, no path bytes.
     pub fn cached_pair_at(&self, i: usize, j: usize) -> Option<MatchSummary> {
-        let key = (self.hashes[i], self.hashes[j]);
-        self.pair_cache.get(&key).map(|s| {
-            let mut s = s.clone();
-            s.source = SchemaId::from_index(i);
-            s.target = SchemaId::from_index(j);
-            s
-        })
+        let (source, target) = (SchemaId::from_index(i), SchemaId::from_index(j));
+        let cached = self.pair_cache.get(&(self.hashes[i], self.hashes[j]))?;
+        Some(MatchSummary { source, target, ..cached.clone() })
     }
 
     /// Explain one named pair: per-mapping score provenance (lsim/ssim/
@@ -861,9 +846,7 @@ impl<'a> Repository<'a> {
     /// The recall/pruning trade-off is measured by the eval harness's
     /// `retrieval` experiment.
     pub fn top_k_pairs(&mut self, k: usize) -> Vec<MatchSummary> {
-        let pairs = self.discovery_index().top_k_pairs(k);
-        self.execute_missing(&pairs);
-        pairs.into_iter().map(|(i, j)| self.serve(i, j)).collect()
+        self.serve_pairs(&self.discovery_index().top_k_pairs(k))
     }
 
     /// Build the discovery index over the current corpus. Positions

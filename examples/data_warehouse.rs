@@ -91,8 +91,8 @@ fn main() {
     let sales_source = outcome
         .nonleaf_mappings
         .iter()
-        .find(|m| m.target_path == "Star.Sales")
-        .map(|m| m.source_path.as_str())
+        .find(|m| &*m.target_path == "Star.Sales")
+        .map(|m| &*m.source_path)
         .unwrap_or("(none)");
     println!(
         "\nSales is sourced from `{sales_source}` — the paper: \"Cupid matches \

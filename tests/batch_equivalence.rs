@@ -164,8 +164,8 @@ fn assert_session_equivalent(
             let want = reference_top_pairs(&outcome, DEFAULT_TOP_K);
             assert_eq!(summary.top_pairs.len(), want.len(), "{what}: length");
             for (g, (source, target, wsim)) in summary.top_pairs.iter().zip(&want) {
-                assert_eq!(&g.source_path, source, "{what}");
-                assert_eq!(&g.target_path, target, "{what}");
+                assert_eq!(&*g.source_path, source, "{what}");
+                assert_eq!(&*g.target_path, target, "{what}");
                 assert_eq!(g.wsim.to_bits(), wsim.to_bits(), "{what}: wsim bits");
             }
         }

@@ -70,10 +70,13 @@ fn star_rdb_join_view_wins_sales() {
     let out = Cupid::with_config(configs::relational(), thesauri::empty_thesaurus())
         .match_schemas(&star_rdb::rdb(), &star_rdb::star())
         .unwrap();
-    let sales =
-        out.nonleaf_mappings.iter().find(|m| m.target_path == "Star.Sales").expect("Sales mapped");
+    let sales = out
+        .nonleaf_mappings
+        .iter()
+        .find(|m| &*m.target_path == "Star.Sales")
+        .expect("Sales mapped");
     assert_eq!(
-        sales.source_path, "RDB.OrderDetails-Orders-fk",
+        &*sales.source_path, "RDB.OrderDetails-Orders-fk",
         "paper: the join of Orders and OrderDetails matches Sales"
     );
     // and the join strictly beats both plain tables

@@ -63,13 +63,13 @@ fn sdl_and_ddl_schemas_match_each_other() {
     let s1 = parse_sdl(SDL).unwrap();
     let s2 = parse_ddl("OrderDB", SQL).unwrap();
     let out = Cupid::new(Thesaurus::with_default_stopwords()).match_schemas(&s1, &s2).unwrap();
-    assert!(out.leaf_mappings.iter().any(|m| m.source_path == "PurchaseOrder.Header.OrderDate"
-        && m.target_path == "OrderDB.Header.OrderDate"));
+    assert!(out.leaf_mappings.iter().any(|m| &*m.source_path == "PurchaseOrder.Header.OrderDate"
+        && &*m.target_path == "OrderDB.Header.OrderDate"));
     assert!(out
         .leaf_mappings
         .iter()
-        .any(|m| m.source_path == "PurchaseOrder.Items.Item.UnitPrice"
-            && m.target_path == "OrderDB.Item.UnitPrice"));
+        .any(|m| &*m.source_path == "PurchaseOrder.Items.Item.UnitPrice"
+            && &*m.target_path == "OrderDB.Item.UnitPrice"));
 }
 
 #[test]

@@ -108,7 +108,7 @@ fn assert_equivalent(s1: &Schema, s2: &Schema, thesaurus: &Thesaurus, cfg: &Cupi
     let map_fast = leaf_mappings(&t1, &t2, &res_fast, &fast.lsim, cfg, Cardinality::OneToN);
     let map_naive = leaf_mappings(&t1, &t2, &res_naive, &naive.lsim, cfg, Cardinality::OneToN);
     let pairs = |m: &[cupid::core::MappingElement]| -> Vec<(String, String)> {
-        m.iter().map(|e| (e.source_path.clone(), e.target_path.clone())).collect()
+        m.iter().map(|e| (e.source_path.to_string(), e.target_path.to_string())).collect()
     };
     assert_eq!(pairs(&map_fast), pairs(&map_naive), "mappings diverged");
 }

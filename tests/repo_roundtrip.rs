@@ -9,8 +9,9 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
-use cupid::core::{Cupid, CupidConfig};
+use cupid::core::{Cupid, CupidConfig, MatchSummary};
 use cupid::corpus::synthetic::{generate, SyntheticConfig};
 use cupid::model::Schema;
 use cupid::prelude::{CupidRepositoryExt, Repository};
@@ -221,4 +222,71 @@ fn save_prunes_unreachable_cache_entries() {
     let warm = Repository::open_or_create(&tmp.0, &config, &thesaurus).unwrap();
     assert_eq!(warm.stats().cached_pairs, 6);
     let _ = size_before;
+}
+
+/// The snapshot container's bytes, pinned. A fixed seeded corpus, saved
+/// after `match_all_pairs` at 1 and at 2 threads, hashes (FNV-1a) to one
+/// recorded digest, so a change in how summaries hold their data in
+/// memory cannot change what is persisted; and a reopened repository
+/// saves the same bytes again.
+#[test]
+fn snapshot_bytes_match_the_recorded_digest() {
+    const SNAPSHOT_FNV: u64 = 0xcdf0_e9a0_aad1_19ae;
+    let schemas = corpus(4242, 10);
+    let thesaurus = generate(&SyntheticConfig::sized(10, 4242)).thesaurus;
+    let config = CupidConfig::default();
+    for threads in [1, 2] {
+        let tmp = TempSnap::new();
+        let mut repo =
+            Repository::open_or_create(&tmp.0, &config, &thesaurus).unwrap().threads(threads);
+        repo.add_corpus(&schemas).unwrap();
+        assert_eq!(repo.match_all_pairs().len(), 6);
+        repo.save().unwrap();
+        drop(repo);
+        let bytes = std::fs::read(&tmp.0).unwrap();
+        let digest = cupid::model::fnv1a(&bytes);
+        assert_eq!(digest, SNAPSHOT_FNV, "{threads} threads: snapshot digest {digest:#018x}");
+        let mut warm = Repository::open_or_create(&tmp.0, &config, &thesaurus).unwrap();
+        assert!(warm.was_loaded());
+        warm.save().unwrap();
+        assert!(
+            std::fs::read(&tmp.0).unwrap() == bytes,
+            "{threads} threads: re-save changed bytes"
+        );
+    }
+}
+
+/// Every context path a summary holds, in field order.
+fn paths(s: &MatchSummary) -> Vec<Arc<str>> {
+    let maps = s.leaf_mappings.iter().chain(&s.nonleaf_mappings);
+    let tops = s.top_pairs.iter().map(|e| [&e.source_path, &e.target_path]);
+    maps.map(|m| [&m.source_path, &m.target_path]).chain(tops).flatten().cloned().collect()
+}
+
+/// Served summaries share the cache's path allocations: two reads of one
+/// cached pair, and two all-pairs runs, hand out the same `Arc`s — for a
+/// freshly matched repository and for one decoded from its snapshot.
+#[test]
+fn served_summaries_share_the_cached_paths() {
+    let tmp = TempSnap::new();
+    let thesaurus = generate(&SyntheticConfig::sized(8, 31)).thesaurus;
+    let config = CupidConfig::default();
+    let shared = |a: &[MatchSummary], b: &[MatchSummary]| {
+        let (a, b): (Vec<_>, Vec<_>) =
+            (a.iter().flat_map(paths).collect(), b.iter().flat_map(paths).collect());
+        assert!(!a.is_empty() && a.len() == b.len());
+        assert!(a.iter().zip(&b).all(|(x, y)| Arc::ptr_eq(x, y)), "a served path was copied");
+    };
+    let mut repo = Repository::open_or_create(&tmp.0, &config, &thesaurus).unwrap();
+    repo.add_corpus(&corpus(31, 8)).unwrap();
+    for reopen in [false, true] {
+        if reopen {
+            repo.save().unwrap();
+            drop(repo);
+            repo = Repository::open_or_create(&tmp.0, &config, &thesaurus).unwrap();
+            assert!(repo.was_loaded());
+        }
+        shared(&repo.match_all_pairs(), &repo.match_all_pairs());
+        shared(&[repo.cached_pair_at(0, 1).unwrap()], &[repo.cached_pair_at(0, 1).unwrap()]);
+    }
 }

@@ -68,8 +68,8 @@ fn summary_from(seed: u64) -> MatchSummary {
             .map(|i| MappingElement {
                 source: NodeId::from_index(i),
                 target: NodeId::from_index(i + 1),
-                source_path: mix.word(),
-                target_path: mix.word(),
+                source_path: mix.word().into(),
+                target_path: mix.word().into(),
                 wsim: f(mix),
                 ssim: f(mix),
                 lsim: f(mix),
@@ -83,8 +83,8 @@ fn summary_from(seed: u64) -> MatchSummary {
         nonleaf_mappings: mappings(&mut mix),
         top_pairs: (0..(mix.next() % 4) as usize)
             .map(|_| SimilarityEntry {
-                source_path: mix.word(),
-                target_path: mix.word(),
+                source_path: mix.word().into(),
+                target_path: mix.word().into(),
                 wsim: f(&mut mix),
             })
             .collect(),
@@ -167,8 +167,8 @@ fn explanation_from(a: &str, b: &str, seed: u64) -> PairExplanation {
         .map(|i| Explanation {
             source: NodeId::from_index(i),
             target: NodeId::from_index(i + 2),
-            source_path: mix.word(),
-            target_path: mix.word(),
+            source_path: mix.word().into(),
+            target_path: mix.word().into(),
             leaf: mix.next() % 2 == 0,
             wsim: f(&mut mix),
             ssim: f(&mut mix),
