@@ -388,8 +388,8 @@ pub const JOURNAL_REMOVE: u8 = 0x43;
 // response block (0x81..=0x89), and both stay disjoint from the
 // journal's 0x4_ block. In the request block, 0x01..=0x03 (the id-less
 // add/replace/remove) are retired and reserved: every mutation is a
-// `MUTATE_REQUEST`. 0x04..=0x06 carry one read each, served as a
-// one-entry worklist, with the batch entry's body minus its tag.
+// `MUTATE_REQUEST`. So are 0x04..=0x06 and their answers 0x84..=0x86,
+// which carried one read each: a lone read is a one-entry batch.
 
 /// Batched request frame: a worklist of MatchPair/TopK/Stats entries.
 pub const BATCH_REQUEST: u8 = 0x09;

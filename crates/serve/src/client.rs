@@ -16,9 +16,8 @@
 //!   ([`crate::protocol::Request::Batch`]); the daemon executes it
 //!   under one read-lock acquisition and one memo clone, which is
 //!   where the ≥3× unary throughput win comes from. Each entry carries
-//!   its own status, so one bad entry fails alone. A unary read
-//!   ([`crate::protocol::Request::Read`]) is the same item in a frame
-//!   of its own, served as a one-entry worklist.
+//!   its own status, so one bad entry fails alone. A unary read is a
+//!   one-entry batch.
 //! * **Pooling** — [`ServePool`] hands out connections with
 //!   checkout/checkin semantics: capped size, lazy dial, and eviction
 //!   of connections whose transport broke mid-exchange (tracked by the
@@ -270,13 +269,11 @@ impl ServeClient {
         ServeError::Unexpected(format!("unexpected response variant: {response:?}"))
     }
 
-    /// One read in a frame of its own: the daemon answers with the
-    /// outcome a batch entry would carry, or an error.
+    /// One read as a one-entry batch: its entry's outcome, or the
+    /// entry's error as [`ServeError::Remote`].
     fn read(&mut self, item: BatchItem) -> Result<BatchOutcome, ServeError> {
-        match self.call(&Request::Read(item))? {
-            Response::Read(outcome) => Ok(outcome),
-            other => Err(Self::unexpected(other)),
-        }
+        let entry = self.batch(vec![item])?.pop().expect("one entry per worklist item");
+        entry.map_err(ServeError::Remote)
     }
 
     /// The next client-assigned mutation request id (random base,

@@ -15,9 +15,9 @@
 //! Every open connection is registered (a [`TcpStream`] clone), which
 //! is how shutdown unblocks workers parked in `read` on idle peers.
 //!
-//! **One read path.** Every read — a [`Request::Read`] on its own or
-//! the entries of a [`Request::Batch`] — goes through one resolver
-//! (`serve_reads`): a lone read is a one-entry worklist.
+//! **One read path.** Every read is an entry of a [`Request::Batch`]
+//! and goes through one resolver (`serve_reads`): a lone read is a
+//! one-entry worklist.
 //!
 //! **Read/write split.** The repository sits behind one [`RwLock`].
 //! Reads whose pairs are already cached run concurrently under the
@@ -60,8 +60,9 @@ use crate::ServeError;
 /// order (`Shared::latencies` and the stage matrix are indexed by
 /// [`latency_kind`]). The three schema mutations share one "mutate"
 /// histogram — they share the same write-lock + journal path, so their
-/// latency profile is one conversation. A lone read records under its
-/// own kind, not under "batch", though both take the same path.
+/// latency profile is one conversation. A one-entry batch records under
+/// its item's kind; only empty and multi-entry batches record under
+/// "batch".
 const LATENCY_KINDS: [&str; 9] =
     ["mutate", "match_pair", "top_k", "stats", "save", "batch", "shutdown", "slow_log", "explain"];
 
@@ -69,15 +70,23 @@ const LATENCY_KINDS: [&str; 9] =
 fn latency_kind(request: &Request) -> usize {
     match request {
         Request::Mutate { .. } => 0,
-        Request::Read(BatchItem::MatchPair { .. }) => 1,
-        Request::Read(BatchItem::TopK { .. }) => 2,
-        Request::Read(BatchItem::Stats) => 3,
+        Request::Batch { items } => match items.as_slice() {
+            [BatchItem::MatchPair { .. }] => 1,
+            [BatchItem::TopK { .. }] => 2,
+            [BatchItem::Stats] => 3,
+            _ => 5,
+        },
         Request::Save => 4,
-        Request::Batch { .. } => 5,
         Request::Shutdown => 6,
         Request::SlowLog => 7,
         Request::Explain { .. } => 8,
     }
+}
+
+/// Stats reads and Shutdown bypass admission control: an operator must
+/// always be able to observe and drain an overloaded daemon.
+fn bypasses_admission(kind: usize) -> bool {
+    matches!(LATENCY_KINDS[kind], "stats" | "shutdown")
 }
 
 /// Tuning knobs of a [`Server`].
@@ -680,13 +689,10 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared<'_>) {
         let kind = latency_kind(&request);
         // Admission control: bound concurrently-executing requests,
         // shedding arrivals that cannot get a slot within the queue
-        // deadline. Stats and Shutdown bypass admission — an operator
-        // must always be able to observe and drain an overloaded
-        // daemon.
-        let exempt = matches!(request, Request::Read(BatchItem::Stats) | Request::Shutdown);
+        // deadline.
         let handler_started = trace.is_enabled().then(Instant::now);
         let response = match &shared.admission {
-            Some(admission) if !exempt => {
+            Some(admission) if !bypasses_admission(kind) => {
                 let wait = trace.start(Stage::AdmissionWait);
                 let slot = admission.admit();
                 wait.stop(&mut trace);
@@ -843,13 +849,6 @@ fn handle_request(request: &Request, shared: &Shared<'_>, trace: &mut RequestTra
                 Ok(Response::Removed { name: name.clone() })
             }
         }),
-        Request::Read(item) => {
-            let entry = serve_reads(std::slice::from_ref(item), shared, trace).pop();
-            match entry.expect("one entry per worklist item") {
-                Ok(outcome) => Response::Read(outcome),
-                Err(message) => Response::Error { message },
-            }
-        }
         Request::Batch { items } => Response::Batch { entries: serve_reads(items, shared, trace) },
         Request::Save => {
             let wait = trace.start(Stage::LockWaitWrite);
@@ -1136,4 +1135,36 @@ fn absorb(shared: &Shared<'_>, batch: SharedBatch, trace: &mut RequestTrace) {
     let exec = trace.start(Stage::ExecUncached);
     guard.absorb(batch);
     exec.stop(trace);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_entry_batches_are_timed_and_admitted_like_lone_reads() {
+        let pair = || BatchItem::MatchPair { source: "A".into(), target: "B".into() };
+        let batch = |items| Request::Batch { items };
+        for (request, want_kind, want_bypass) in [
+            (batch(vec![pair()]), "match_pair", false),
+            (batch(vec![BatchItem::TopK { k: 3 }]), "top_k", false),
+            (batch(vec![BatchItem::Stats]), "stats", true),
+            (batch(Vec::new()), "batch", false),
+            (batch(vec![pair(), pair()]), "batch", false),
+            (batch(vec![BatchItem::Stats, BatchItem::Stats]), "batch", false),
+            (Request::Shutdown, "shutdown", true),
+            (Request::Save, "save", false),
+            (Request::SlowLog, "slow_log", false),
+            (Request::Explain { source: "A".into(), target: "B".into() }, "explain", false),
+            (
+                Request::Mutate { request_id: 1, op: MutationOp::Remove { name: "A".into() } },
+                "mutate",
+                false,
+            ),
+        ] {
+            let kind = latency_kind(&request);
+            let got = (LATENCY_KINDS[kind], bypasses_admission(kind));
+            assert_eq!(got, (want_kind, want_bypass), "{request:?}");
+        }
+    }
 }

@@ -22,11 +22,11 @@
 //!   serialize through the writer.
 //! * **[`protocol`]** — a length-prefixed, checksummed binary protocol
 //!   over [`cupid_model::wire`] frames. Every read is a [`BatchItem`]
-//!   (`MatchPair`, `TopK` discovery, `Stats`), sent alone as a
-//!   [`Request::Read`] or many to a frame as a [`Request::Batch`];
-//!   every mutation is a [`Request::Mutate`] (SDL payloads, incremental
-//!   re-match underneath, a request id for retry deduplication); plus
-//!   `Save`, `Shutdown`, `SlowLog` and `Explain`.
+//!   (`MatchPair`, `TopK` discovery, `Stats`) in a [`Request::Batch`]
+//!   frame, alone or many to a frame; every mutation is a
+//!   [`Request::Mutate`] (SDL payloads, incremental re-match
+//!   underneath, a request id for retry deduplication); plus `Save`,
+//!   `Shutdown`, `SlowLog` and `Explain`.
 //! * **[`ServeClient`]** — the blocking client library the CLI, the
 //!   tests, the bench and the example all drive the daemon with, with
 //!   connect/read timeouts via [`ClientBuilder`] and transport-error
@@ -34,7 +34,7 @@
 //! * **Batch frames** (DESIGN.md §11) — one checksummed frame carries
 //!   a worklist of [`BatchItem`]s, answered under a single read lock
 //!   with one warm memo clone; each entry succeeds or fails alone. A
-//!   lone read takes the same path as a one-entry worklist.
+//!   lone read is a one-entry worklist.
 //!   [`ServePool`] adds a capped, lazily dialed connection pool whose
 //!   checkin evicts poisoned connections, and
 //!   [`ServeClient::match_pairs`] / [`ServeClient::top_k_many`] wrap

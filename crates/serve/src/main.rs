@@ -208,39 +208,8 @@ fn run_client(args: &[String]) -> Result<(), String> {
     match (command.as_str(), rest) {
         ("stats", []) => {
             let s = client.stats().map_err(remote)?;
-            println!(
-                "schemas {}  cached pairs {}  pairs executed {}\n\
-                 vocabulary {} tokens ({} KiB)  memoized token pairs {}  \
-                 memo {} chunks ({} KiB)\n\
-                 journal {} records ({} bytes)  replayed {}  compactions {}\n\
-                 requests served {}  explanations served {}",
-                s.schemas,
-                s.cached_pairs,
-                s.pairs_executed,
-                s.vocab_size,
-                s.vocab_bytes / 1024,
-                s.distinct_pairs_computed,
-                s.sim_chunks,
-                s.sim_bytes / 1024,
-                s.journal_records,
-                s.journal_bytes,
-                s.replayed_records,
-                s.compactions,
-                s.requests_served,
-                s.explanations_served
-            );
-            if s.shed_requests + s.idle_disconnects + s.deadline_cuts + s.deduped_mutations > 0 {
-                println!(
-                    "hostile-network: shed {}  idle disconnects {}  deadline cuts {}  \
-                     deduped mutations {}",
-                    s.shed_requests, s.idle_disconnects, s.deadline_cuts, s.deduped_mutations
-                );
-            }
-            if s.slow_requests + s.slow_log_entries + s.metrics_scrapes > 0 {
-                println!(
-                    "observability: slow requests {}  slow-log entries {}  metrics scrapes {}",
-                    s.slow_requests, s.slow_log_entries, s.metrics_scrapes
-                );
+            for (series, _, _, value) in s.counters() {
+                println!("{series} {value}");
             }
             if !s.last_fsync_error.is_empty() {
                 println!("DEGRADED: last fsync error: {}", s.last_fsync_error);

@@ -24,102 +24,21 @@
 use crate::histogram::{bucket_upper_ns, KindLatency};
 use crate::protocol::StatsReport;
 
-/// Render a full exposition from one stats snapshot.
+/// Render a full exposition from one stats snapshot: every declared
+/// counter ([`StatsReport::counters`], in wire order), the durability
+/// flag derived from `last_fsync_error`, then both histogram families.
 pub fn render_prometheus(report: &StatsReport) -> String {
     let mut out = String::with_capacity(8 << 10);
-    let mut gauge = |name: &str, help: &str, value: u64| {
-        scalar(&mut out, name, help, "gauge", value);
-    };
-    gauge("cupid_schemas", "Schemas resident in the repository.", report.schemas);
-    gauge("cupid_cached_pairs", "Pair summaries currently cached.", report.cached_pairs);
-    gauge("cupid_vocab_size", "Distinct interned tokens across the corpus.", report.vocab_size);
-    gauge(
-        "cupid_vocab_bytes",
-        "Approximate heap bytes held by the interned token table.",
-        report.vocab_bytes,
-    );
-    gauge(
-        "cupid_distinct_token_pairs",
-        "Distinct token pairs memoized in the similarity store.",
-        report.distinct_pairs_computed,
-    );
-    gauge("cupid_sim_chunks", "Chunks allocated by the similarity memo.", report.sim_chunks);
-    gauge("cupid_sim_bytes", "Bytes committed by the similarity memo.", report.sim_bytes);
-    gauge(
-        "cupid_journal_records",
-        "Mutation records in the write-ahead journal (folds to 0 at compaction).",
-        report.journal_records,
-    );
-    gauge(
-        "cupid_journal_bytes",
-        "Bytes in the journal file, header included.",
-        report.journal_bytes,
-    );
-    gauge(
-        "cupid_slow_log_entries",
-        "Traces currently held in the slow-log ring.",
-        report.slow_log_entries,
-    );
-    gauge(
+    for (name, kind, help, value) in report.counters() {
+        scalar(&mut out, name, help, kind, value);
+    }
+    scalar(
+        &mut out,
         "cupid_durability_degraded",
         "1 when the repository's last journal fsync failed, 0 when healthy.",
+        "gauge",
         u64::from(!report.last_fsync_error.is_empty()),
     );
-    let mut counter = |name: &str, help: &str, value: u64| {
-        scalar(&mut out, name, help, "counter", value);
-    };
-    counter(
-        "cupid_pairs_executed_total",
-        "Full pair executions since the daemon opened the repository.",
-        report.pairs_executed,
-    );
-    counter("cupid_requests_total", "Requests served since daemon start.", report.requests_served);
-    counter(
-        "cupid_replayed_records_total",
-        "Journal records replayed when the daemon opened the repository.",
-        report.replayed_records,
-    );
-    counter(
-        "cupid_compactions_total",
-        "Times the journal was folded into a snapshot since open.",
-        report.compactions,
-    );
-    counter(
-        "cupid_shed_requests_total",
-        "Requests refused by admission control past the queue deadline.",
-        report.shed_requests,
-    );
-    counter(
-        "cupid_idle_disconnects_total",
-        "Connections closed for idling past the idle read deadline.",
-        report.idle_disconnects,
-    );
-    counter(
-        "cupid_deadline_cuts_total",
-        "Connections cut for stalling mid-frame past the frame deadline.",
-        report.deadline_cuts,
-    );
-    counter(
-        "cupid_deduped_mutations_total",
-        "Mutation retries answered from the request-id replay table.",
-        report.deduped_mutations,
-    );
-    counter(
-        "cupid_slow_requests_total",
-        "Requests slower than the slow-log threshold since daemon start.",
-        report.slow_requests,
-    );
-    counter(
-        "cupid_metrics_scrapes_total",
-        "HTTP /metrics scrapes answered since daemon start.",
-        report.metrics_scrapes,
-    );
-    counter(
-        "cupid_explanations_served_total",
-        "Explain requests answered since daemon start.",
-        report.explanations_served,
-    );
-
     histogram_family(
         &mut out,
         "cupid_request_duration_seconds",
@@ -201,6 +120,8 @@ mod tests {
     use crate::histogram::LatencyHistogram;
     use std::time::Duration;
 
+    /// A report whose counters all hold distinct values, with a
+    /// persistence failure recorded.
     fn report() -> StatsReport {
         let wall = LatencyHistogram::new();
         wall.record(Duration::from_micros(3));
@@ -208,28 +129,28 @@ mod tests {
         let stage = LatencyHistogram::new();
         stage.record(Duration::from_micros(1));
         StatsReport {
-            schemas: 4,
-            cached_pairs: 6,
-            pairs_executed: 6,
-            vocab_size: 100,
-            vocab_bytes: 4096,
-            distinct_pairs_computed: 50,
-            sim_chunks: 2,
-            sim_bytes: 65536,
-            requests_served: 9,
-            journal_records: 3,
-            journal_bytes: 200,
-            replayed_records: 0,
-            compactions: 1,
-            last_fsync_error: String::new(),
-            shed_requests: 0,
-            idle_disconnects: 0,
-            deadline_cuts: 0,
-            deduped_mutations: 0,
-            slow_requests: 1,
-            slow_log_entries: 1,
-            metrics_scrapes: 0,
-            explanations_served: 2,
+            schemas: 1,
+            cached_pairs: 2,
+            pairs_executed: 3,
+            vocab_size: 4,
+            distinct_pairs_computed: 5,
+            sim_chunks: 6,
+            sim_bytes: 7,
+            requests_served: 8,
+            journal_records: 9,
+            journal_bytes: 10,
+            replayed_records: 11,
+            compactions: 12,
+            shed_requests: 13,
+            idle_disconnects: 14,
+            deadline_cuts: 15,
+            deduped_mutations: 16,
+            slow_requests: 17,
+            slow_log_entries: 18,
+            metrics_scrapes: 19,
+            vocab_bytes: 20,
+            explanations_served: 21,
+            last_fsync_error: "fsync: injected".into(),
             latencies: vec![wall.snapshot("match_pair"), KindLatency::empty("save")],
             stage_latencies: vec![stage.snapshot("match_pair/decode")],
         }
@@ -298,9 +219,22 @@ mod tests {
     #[test]
     fn degraded_flag_follows_fsync_error() {
         let mut r = report();
-        assert!(render_prometheus(&r).contains("cupid_durability_degraded 0"));
-        r.last_fsync_error = "fsync: injected".into();
         assert!(render_prometheus(&r).contains("cupid_durability_degraded 1"));
+        r.last_fsync_error.clear();
+        assert!(render_prometheus(&r).contains("cupid_durability_degraded 0"));
+    }
+
+    /// Every series line by line: the sorted exposition hashes to a
+    /// digest recorded from the hand-written renderer this one
+    /// replaced, so no series name, HELP line, TYPE or value changes
+    /// unnoticed, while the order of families may.
+    #[test]
+    fn sorted_exposition_matches_the_recorded_digest() {
+        let text = render_prometheus(&report());
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines.sort_unstable();
+        let digest = cupid_model::fnv1a(lines.join("\n").as_bytes());
+        assert_eq!(digest, 0xce5a_8bd1_0c17_228c, "exposition changed:\n{text}");
     }
 
     #[test]

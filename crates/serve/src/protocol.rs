@@ -5,23 +5,20 @@
 //! message discriminator, the payload is the message body in the
 //! workspace's hand-rolled wire format ([`WireWriter`]/[`WireReader`]
 //! — little-endian integers, `f64` by bits, length-prefixed UTF-8).
-//! Requests use kinds `0x04..=0x0C`; responses set the high bit
+//! Requests use kinds `0x07..=0x0C`; responses set the high bit
 //! (`0x81..=0x8D`), so a stray response on a request stream (or vice
 //! versa) is rejected as an unknown kind rather than mis-decoded.
-//! Kinds `0x01..=0x03` carried id-less mutations; they are retired and
-//! stay reserved, never reused.
+//! Kinds `0x01..=0x06` and `0x84..=0x86` carried id-less mutations and
+//! lone reads; they are retired and stay reserved, never reused.
 //!
 //! Every read is a [`BatchItem`] and every read result a
 //! [`BatchOutcome`]. The batch kinds (`0x09`/`0x8A`, DESIGN.md §11)
 //! carry a worklist of them — tagged entries in, per-entry
 //! outcome-or-error statuses out — so one frame round-trip amortizes
-//! across many requests. A lone read ([`Request::Read`]) travels under
-//! its own kind (`0x04` match pair, `0x05` top-k, `0x06` stats, answered
-//! in `0x84..=0x86`) with the entry's body minus its tag byte, so one
-//! body encoder and decoder serve both frame shapes. Every mutation is
-//! a [`Request::Mutate`] (`0x0A`), stamped with a request id for retry
-//! deduplication (DESIGN.md §12); `0x8B` is the admission controller's
-//! typed overload shed.
+//! across many requests. A lone read is a one-entry batch. Every
+//! mutation is a [`Request::Mutate`] (`0x0A`), stamped with a request
+//! id for retry deduplication (DESIGN.md §12); `0x8B` is the admission
+//! controller's typed overload shed.
 //!
 //! Schema payloads travel as SDL text (`cupid-io`'s schema description
 //! language), the reproduction's native review/exchange format — the
@@ -50,10 +47,6 @@ use crate::trace::TraceRecord;
 /// A request a client sends to the daemon.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// One read in a frame of its own kind. The daemon serves it as a
-    /// one-entry worklist and answers with [`Response::Read`], or with
-    /// [`Response::Error`] carrying the entry's error.
-    Read(BatchItem),
     /// Persist the repository snapshot now.
     Save,
     /// Stop accepting connections and exit after a final save.
@@ -118,10 +111,9 @@ pub enum MutationOp {
     },
 }
 
-/// One read: an entry of a [`Request::Batch`] worklist, or a
-/// [`Request::Read`] on its own. Only reads batch — mutations stay
-/// unary so each keeps its own durability acknowledgment (DESIGN.md
-/// §10.4).
+/// One read: an entry of a [`Request::Batch`] worklist. Only reads
+/// batch — mutations stay unary so each keeps its own durability
+/// acknowledgment (DESIGN.md §10.4).
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchItem {
     /// Match one stored pair by name.
@@ -140,8 +132,7 @@ pub enum BatchItem {
     Stats,
 }
 
-/// The successful result of one [`BatchItem`], in a batch entry or in
-/// a [`Response::Read`] alike.
+/// The successful result of one [`BatchItem`], in a batch entry.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchOutcome {
     /// [`BatchItem::MatchPair`] result.
@@ -166,70 +157,97 @@ pub enum BatchOutcome {
     Stats(StatsReport),
 }
 
-/// Aggregate daemon counters, as served by [`BatchItem::Stats`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StatsReport {
-    /// Schemas in the repository.
-    pub schemas: u64,
-    /// Pair summaries currently cached.
-    pub cached_pairs: u64,
-    /// Full pair executions since the daemon opened the repository.
-    pub pairs_executed: u64,
-    /// Distinct interned tokens across the corpus.
-    pub vocab_size: u64,
-    /// Approximate heap bytes held by the interned token table
-    /// (strings, ids and the canonical-form map).
-    pub vocab_bytes: u64,
-    /// Distinct token pairs memoized in the session store.
-    pub distinct_pairs_computed: u64,
-    /// Chunks allocated by the similarity memo.
-    pub sim_chunks: u64,
-    /// Bytes committed by those chunks.
-    pub sim_bytes: u64,
-    /// Requests the daemon has served since it started.
-    pub requests_served: u64,
-    /// Mutation records in the write-ahead journal (fold to 0 at every
-    /// save/compaction; DESIGN.md §10.6).
-    pub journal_records: u64,
-    /// Bytes in the journal file, header included.
-    pub journal_bytes: u64,
-    /// Journal records replayed when the daemon opened the repository.
-    pub replayed_records: u64,
-    /// Times the journal was folded into a snapshot since open.
-    pub compactions: u64,
-    /// The repository's most recent persistence failure, or empty when
-    /// durability is healthy — how autosave degradation reaches
-    /// operators instead of dying in the daemon's stderr.
-    pub last_fsync_error: String,
-    /// Requests refused by admission control because the in-flight cap
-    /// stayed full past the queue deadline (DESIGN.md §12).
-    pub shed_requests: u64,
-    /// Connections closed for sitting idle past the idle read deadline
-    /// without sending a frame — each one a reclaimed worker slot.
-    pub idle_disconnects: u64,
-    /// Connections cut for stalling mid-frame (read or write) past the
-    /// frame deadline — a misbehaving peer, not an idle one.
-    pub deadline_cuts: u64,
-    /// Mutations answered from the request-id dedup table instead of
-    /// re-applied — each one a retry whose original ack was lost.
-    pub deduped_mutations: u64,
-    /// Requests slower than the slow-log threshold since daemon start
-    /// (whether or not they are still resident in the ring).
-    pub slow_requests: u64,
-    /// Traces currently held in the slow-log ring.
-    pub slow_log_entries: u64,
-    /// HTTP `/metrics` scrapes answered since daemon start.
-    pub metrics_scrapes: u64,
-    /// Explain requests answered since daemon start (DESIGN.md §14).
-    pub explanations_served: u64,
-    /// Per-request-kind latency histograms (log2 buckets; DESIGN.md
-    /// §11), one entry per kind the daemon records, in the daemon's
-    /// fixed kind order.
-    pub latencies: Vec<KindLatency>,
-    /// Per-(request kind, stage) attribution histograms (DESIGN.md
-    /// §13.1), labeled `"<kind>/<stage>"`, non-empty cells only —
-    /// where each kind's wall time actually goes.
-    pub stage_latencies: Vec<KindLatency>,
+/// Declares [`StatsReport`]: its `u64` counters in wire order, each
+/// with its Prometheus series, type and HELP line (which is also the
+/// field's doc), then the fields that are not plain counters. From the
+/// one list come the struct, its Stats payload codec and
+/// [`StatsReport::counters`], which `/metrics` and the CLI render.
+macro_rules! stats_report {
+    ($($field:ident: $series:literal $kind:ident $help:literal,)*) => {
+        /// Aggregate daemon counters, as served by [`BatchItem::Stats`].
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct StatsReport {
+            $(#[doc = $help] pub $field: u64,)*
+            /// The repository's most recent persistence failure, or
+            /// empty when durability is healthy — how autosave
+            /// degradation reaches operators instead of dying in the
+            /// daemon's stderr.
+            pub last_fsync_error: String,
+            /// Per-request-kind latency histograms (log2 buckets;
+            /// DESIGN.md §11), one entry per kind the daemon records, in
+            /// the daemon's fixed kind order.
+            pub latencies: Vec<KindLatency>,
+            /// Per-(request kind, stage) attribution histograms
+            /// (DESIGN.md §13.1), labeled `"<kind>/<stage>"`, non-empty
+            /// cells only — where each kind's wall time actually goes.
+            pub stage_latencies: Vec<KindLatency>,
+        }
+
+        impl StatsReport {
+            /// Every counter as (Prometheus series, type, HELP line,
+            /// value), in wire order.
+            pub fn counters(&self) -> Vec<(&'static str, &'static str, &'static str, u64)> {
+                vec![$(($series, stringify!($kind), $help, self.$field)),*]
+            }
+
+            fn write_wire(&self, w: &mut WireWriter) {
+                $(w.put_u64(self.$field);)*
+                w.put_str(&self.last_fsync_error);
+                write_latencies(w, &self.latencies);
+                write_latencies(w, &self.stage_latencies);
+            }
+
+            fn read_wire(r: &mut WireReader<'_>) -> Result<StatsReport, WireError> {
+                // Struct-literal order is evaluation order, so fields
+                // decode in wire order.
+                Ok(StatsReport {
+                    $($field: r.get_u64()?,)*
+                    last_fsync_error: r.get_str()?,
+                    latencies: read_latencies(r)?,
+                    stage_latencies: read_latencies(r)?,
+                })
+            }
+        }
+    };
+}
+
+// Append-only, like every wire layout: a new counter goes after every
+// older one.
+stats_report! {
+    schemas: "cupid_schemas" gauge "Schemas resident in the repository.",
+    cached_pairs: "cupid_cached_pairs" gauge "Pair summaries currently cached.",
+    pairs_executed: "cupid_pairs_executed_total" counter
+        "Full pair executions since the daemon opened the repository.",
+    vocab_size: "cupid_vocab_size" gauge "Distinct interned tokens across the corpus.",
+    distinct_pairs_computed: "cupid_distinct_token_pairs" gauge
+        "Distinct token pairs memoized in the similarity store.",
+    sim_chunks: "cupid_sim_chunks" gauge "Chunks allocated by the similarity memo.",
+    sim_bytes: "cupid_sim_bytes" gauge "Bytes committed by the similarity memo.",
+    requests_served: "cupid_requests_total" counter "Requests served since daemon start.",
+    journal_records: "cupid_journal_records" gauge
+        "Mutation records in the write-ahead journal (folds to 0 at compaction).",
+    journal_bytes: "cupid_journal_bytes" gauge "Bytes in the journal file, header included.",
+    replayed_records: "cupid_replayed_records_total" counter
+        "Journal records replayed when the daemon opened the repository.",
+    compactions: "cupid_compactions_total" counter
+        "Times the journal was folded into a snapshot since open.",
+    shed_requests: "cupid_shed_requests_total" counter
+        "Requests refused by admission control past the queue deadline.",
+    idle_disconnects: "cupid_idle_disconnects_total" counter
+        "Connections closed for idling past the idle read deadline.",
+    deadline_cuts: "cupid_deadline_cuts_total" counter
+        "Connections cut for stalling mid-frame past the frame deadline.",
+    deduped_mutations: "cupid_deduped_mutations_total" counter
+        "Mutation retries answered from the request-id replay table.",
+    slow_requests: "cupid_slow_requests_total" counter
+        "Requests slower than the slow-log threshold since daemon start.",
+    slow_log_entries: "cupid_slow_log_entries" gauge "Traces currently held in the slow-log ring.",
+    metrics_scrapes: "cupid_metrics_scrapes_total" counter
+        "HTTP /metrics scrapes answered since daemon start.",
+    vocab_bytes: "cupid_vocab_bytes" gauge
+        "Approximate heap bytes held by the interned token table.",
+    explanations_served: "cupid_explanations_served_total" counter
+        "Explain requests answered since daemon start.",
 }
 
 /// A response the daemon sends back. Every request gets exactly one.
@@ -250,9 +268,6 @@ pub enum Response {
         /// The repository key that was removed.
         name: String,
     },
-    /// The result of a [`Request::Read`], in the frame kind paired with
-    /// the request's.
-    Read(BatchOutcome),
     /// The snapshot was persisted ([`Request::Save`]).
     Saved {
         /// Size of the written snapshot file, in bytes.
@@ -299,20 +314,16 @@ pub enum Response {
 
 // Frame kind codes. Append-only, like every enum code in the wire
 // format: new messages get new numbers, existing numbers never change
-// meaning. 0x01..=0x03 carried the id-less add/replace/remove requests
-// before every mutation became a `Mutate`; they are retired, decode as
-// unknown kinds, and are never reused.
-const REQ_MATCH_PAIR: u8 = 0x04;
-const REQ_TOP_K: u8 = 0x05;
-const REQ_STATS: u8 = 0x06;
+// meaning. Retired kinds decode as unknown ones and are never reused:
+// 0x01..=0x03 carried the id-less add/replace/remove requests before
+// every mutation became a `Mutate`, and 0x04..=0x06 (answered in
+// 0x84..=0x86) carried one read each before a lone read became a
+// one-entry batch.
 const REQ_SAVE: u8 = 0x07;
 const REQ_SHUTDOWN: u8 = 0x08;
 const RESP_ADDED: u8 = 0x81;
 const RESP_REPLACED: u8 = 0x82;
 const RESP_REMOVED: u8 = 0x83;
-const RESP_MATCHED: u8 = 0x84;
-const RESP_TOP_K: u8 = 0x85;
-const RESP_STATS: u8 = 0x86;
 const RESP_SAVED: u8 = 0x87;
 const RESP_SHUTTING_DOWN: u8 = 0x88;
 const RESP_ERROR: u8 = 0x89;
@@ -320,8 +331,7 @@ const RESP_ERROR: u8 = 0x89;
 // workspace kind-space bookkeeping (0x09 request / 0x8A response).
 
 // Inner tag bytes of batch worklist entries and their statuses
-// (same append-only discipline as frame kinds). A lone read's frame
-// kind stands in for the tag.
+// (same append-only discipline as frame kinds).
 const ITEM_MATCH_PAIR: u8 = 0x01;
 const ITEM_TOP_K: u8 = 0x02;
 const ITEM_STATS: u8 = 0x03;
@@ -338,17 +348,12 @@ impl Request {
     pub fn encode(&self) -> (u8, Vec<u8>) {
         let mut w = WireWriter::new();
         let kind = match self {
-            Request::Read(item) => {
-                item.write_body(&mut w);
-                item.codes().1
-            }
             Request::Save => REQ_SAVE,
             Request::Shutdown => REQ_SHUTDOWN,
             Request::Batch { items } => {
                 w.put_len(items.len());
                 for item in items {
-                    w.put_u8(item.codes().0);
-                    item.write_body(&mut w);
+                    item.write_wire(&mut w);
                 }
                 BATCH_REQUEST
             }
@@ -385,17 +390,13 @@ impl Request {
     pub fn decode(kind: u8, payload: &[u8]) -> Result<Request, WireError> {
         let mut r = WireReader::new(payload);
         let req = match kind {
-            REQ_MATCH_PAIR => Request::Read(BatchItem::read_body(ITEM_MATCH_PAIR, &mut r)?),
-            REQ_TOP_K => Request::Read(BatchItem::read_body(ITEM_TOP_K, &mut r)?),
-            REQ_STATS => Request::Read(BatchItem::read_body(ITEM_STATS, &mut r)?),
             REQ_SAVE => Request::Save,
             REQ_SHUTDOWN => Request::Shutdown,
             BATCH_REQUEST => {
                 let n = r.get_len()?;
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let tag = r.get_u8()?;
-                    items.push(BatchItem::read_body(tag, &mut r)?);
+                    items.push(BatchItem::read_wire(&mut r)?);
                 }
                 Request::Batch { items }
             }
@@ -435,30 +436,24 @@ impl Request {
 }
 
 impl BatchItem {
-    /// This read's tag inside a batch and its frame kind on its own.
-    fn codes(&self) -> (u8, u8) {
-        match self {
-            BatchItem::MatchPair { .. } => (ITEM_MATCH_PAIR, REQ_MATCH_PAIR),
-            BatchItem::TopK { .. } => (ITEM_TOP_K, REQ_TOP_K),
-            BatchItem::Stats => (ITEM_STATS, REQ_STATS),
-        }
-    }
-
-    /// The body both frame shapes carry, without the batch tag.
-    fn write_body(&self, w: &mut WireWriter) {
+    /// Write this read as a batch entry: its tag, then its body.
+    fn write_wire(&self, w: &mut WireWriter) {
         match self {
             BatchItem::MatchPair { source, target } => {
+                w.put_u8(ITEM_MATCH_PAIR);
                 w.put_str(source);
                 w.put_str(target);
             }
-            BatchItem::TopK { k } => w.put_u32(*k),
-            BatchItem::Stats => {}
+            BatchItem::TopK { k } => {
+                w.put_u8(ITEM_TOP_K);
+                w.put_u32(*k);
+            }
+            BatchItem::Stats => w.put_u8(ITEM_STATS),
         }
     }
 
-    /// Decode the body of the read tagged `tag`.
-    fn read_body(tag: u8, r: &mut WireReader<'_>) -> Result<BatchItem, WireError> {
-        Ok(match tag {
+    fn read_wire(r: &mut WireReader<'_>) -> Result<BatchItem, WireError> {
+        Ok(match r.get_u8()? {
             ITEM_MATCH_PAIR => BatchItem::MatchPair { source: r.get_str()?, target: r.get_str()? },
             ITEM_TOP_K => BatchItem::TopK { k: r.get_u32()? },
             ITEM_STATS => BatchItem::Stats,
@@ -468,25 +463,21 @@ impl BatchItem {
 }
 
 impl BatchOutcome {
-    /// This outcome's status tag inside a batch and its frame kind on
-    /// its own.
-    fn codes(&self) -> (u8, u8) {
-        match self {
-            BatchOutcome::Matched { .. } => (ENTRY_MATCHED, RESP_MATCHED),
-            BatchOutcome::TopKList { .. } => (ENTRY_TOP_K, RESP_TOP_K),
-            BatchOutcome::Stats(_) => (ENTRY_STATS, RESP_STATS),
-        }
-    }
-
-    /// The body both frame shapes carry, without the status tag.
-    fn write_body(&self, w: &mut WireWriter) {
-        match self {
-            BatchOutcome::Matched { source, target, summary } => {
+    /// Write one batch entry: its status tag, then its body.
+    fn write_entry(entry: &Result<BatchOutcome, String>, w: &mut WireWriter) {
+        match entry {
+            Err(message) => {
+                w.put_u8(ENTRY_ERR);
+                w.put_str(message);
+            }
+            Ok(BatchOutcome::Matched { source, target, summary }) => {
+                w.put_u8(ENTRY_MATCHED);
                 w.put_str(source);
                 w.put_str(target);
                 summary.write_wire(w);
             }
-            BatchOutcome::TopKList { names, summaries } => {
+            Ok(BatchOutcome::TopKList { names, summaries }) => {
+                w.put_u8(ENTRY_TOP_K);
                 w.put_len(names.len());
                 for n in names {
                     w.put_str(n);
@@ -496,13 +487,16 @@ impl BatchOutcome {
                     s.write_wire(w);
                 }
             }
-            BatchOutcome::Stats(report) => report.write_wire(w),
+            Ok(BatchOutcome::Stats(report)) => {
+                w.put_u8(ENTRY_STATS);
+                report.write_wire(w);
+            }
         }
     }
 
-    /// Decode the body of the outcome tagged `tag`.
-    fn read_body(tag: u8, r: &mut WireReader<'_>) -> Result<BatchOutcome, WireError> {
-        Ok(match tag {
+    fn read_entry(r: &mut WireReader<'_>) -> Result<Result<BatchOutcome, String>, WireError> {
+        Ok(Ok(match r.get_u8()? {
+            ENTRY_ERR => return Ok(Err(r.get_str()?)),
             ENTRY_MATCHED => BatchOutcome::Matched {
                 source: r.get_str()?,
                 target: r.get_str()?,
@@ -517,33 +511,23 @@ impl BatchOutcome {
                 let n = r.get_len()?;
                 let mut summaries = Vec::with_capacity(n);
                 for _ in 0..n {
-                    summaries.push(MatchSummary::read_wire(r)?);
+                    let summary = MatchSummary::read_wire(r)?;
+                    // A client renders summary ids through the name
+                    // table, so an id past it is a malformed listing.
+                    let id = summary.source.index().max(summary.target.index());
+                    if id >= names.len() {
+                        return Err(r.err(format!(
+                            "top-k summary names schema id {id} past its {}-name table",
+                            names.len()
+                        )));
+                    }
+                    summaries.push(summary);
                 }
                 BatchOutcome::TopKList { names, summaries }
             }
             ENTRY_STATS => BatchOutcome::Stats(StatsReport::read_wire(r)?),
             other => return Err(r.err(format!("unknown batch entry tag {other:#04x}"))),
-        })
-    }
-
-    fn write_entry(entry: &Result<BatchOutcome, String>, w: &mut WireWriter) {
-        match entry {
-            Err(message) => {
-                w.put_u8(ENTRY_ERR);
-                w.put_str(message);
-            }
-            Ok(outcome) => {
-                w.put_u8(outcome.codes().0);
-                outcome.write_body(w);
-            }
-        }
-    }
-
-    fn read_entry(r: &mut WireReader<'_>) -> Result<Result<BatchOutcome, String>, WireError> {
-        Ok(match r.get_u8()? {
-            ENTRY_ERR => Err(r.get_str()?),
-            tag => Ok(BatchOutcome::read_body(tag, r)?),
-        })
+        }))
     }
 }
 
@@ -578,72 +562,6 @@ fn read_latencies(r: &mut WireReader<'_>) -> Result<Vec<KindLatency>, WireError>
         out.push(KindLatency { kind, count, total_ns, buckets });
     }
     Ok(out)
-}
-
-impl StatsReport {
-    fn write_wire(&self, w: &mut WireWriter) {
-        for v in [
-            self.schemas,
-            self.cached_pairs,
-            self.pairs_executed,
-            self.vocab_size,
-            self.distinct_pairs_computed,
-            self.sim_chunks,
-            self.sim_bytes,
-            self.requests_served,
-            self.journal_records,
-            self.journal_bytes,
-            self.replayed_records,
-            self.compactions,
-            self.shed_requests,
-            self.idle_disconnects,
-            self.deadline_cuts,
-            self.deduped_mutations,
-            self.slow_requests,
-            self.slow_log_entries,
-            self.metrics_scrapes,
-            // Appended fields keep the append-only discipline: new
-            // counters go after every older one.
-            self.vocab_bytes,
-            self.explanations_served,
-        ] {
-            w.put_u64(v);
-        }
-        w.put_str(&self.last_fsync_error);
-        write_latencies(w, &self.latencies);
-        write_latencies(w, &self.stage_latencies);
-    }
-
-    fn read_wire(r: &mut WireReader<'_>) -> Result<StatsReport, WireError> {
-        Ok(StatsReport {
-            schemas: r.get_u64()?,
-            cached_pairs: r.get_u64()?,
-            pairs_executed: r.get_u64()?,
-            vocab_size: r.get_u64()?,
-            distinct_pairs_computed: r.get_u64()?,
-            sim_chunks: r.get_u64()?,
-            sim_bytes: r.get_u64()?,
-            requests_served: r.get_u64()?,
-            journal_records: r.get_u64()?,
-            journal_bytes: r.get_u64()?,
-            replayed_records: r.get_u64()?,
-            compactions: r.get_u64()?,
-            shed_requests: r.get_u64()?,
-            idle_disconnects: r.get_u64()?,
-            deadline_cuts: r.get_u64()?,
-            deduped_mutations: r.get_u64()?,
-            slow_requests: r.get_u64()?,
-            slow_log_entries: r.get_u64()?,
-            metrics_scrapes: r.get_u64()?,
-            // Struct-literal order is evaluation order: the appended
-            // counters decode after the older ones, matching the wire.
-            vocab_bytes: r.get_u64()?,
-            explanations_served: r.get_u64()?,
-            last_fsync_error: r.get_str()?,
-            latencies: read_latencies(r)?,
-            stage_latencies: read_latencies(r)?,
-        })
-    }
 }
 
 impl TraceRecord {
@@ -693,10 +611,6 @@ impl Response {
                 w.put_str(name);
                 RESP_REMOVED
             }
-            Response::Read(outcome) => {
-                outcome.write_body(&mut w);
-                outcome.codes().1
-            }
             Response::Saved { bytes } => {
                 w.put_u64(*bytes);
                 RESP_SAVED
@@ -741,9 +655,6 @@ impl Response {
             RESP_ADDED => Response::Added { name: r.get_str()? },
             RESP_REPLACED => Response::Replaced { name: r.get_str()? },
             RESP_REMOVED => Response::Removed { name: r.get_str()? },
-            RESP_MATCHED => Response::Read(BatchOutcome::read_body(ENTRY_MATCHED, &mut r)?),
-            RESP_TOP_K => Response::Read(BatchOutcome::read_body(ENTRY_TOP_K, &mut r)?),
-            RESP_STATS => Response::Read(BatchOutcome::read_body(ENTRY_STATS, &mut r)?),
             RESP_SAVED => Response::Saved { bytes: r.get_u64()? },
             RESP_SHUTTING_DOWN => Response::ShuttingDown,
             RESP_ERROR => Response::Error { message: r.get_str()? },
@@ -793,7 +704,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cupid_core::{Explanation, StructuralContext, TokenPairScore};
+    use cupid_core::{Explanation, SchemaId, StructuralContext, TokenPairScore};
     use cupid_lexical::{TokenSimProvenance, TokenType};
     use cupid_model::NodeId;
 
@@ -876,9 +787,11 @@ mod tests {
     #[test]
     fn request_kinds_round_trip() {
         let requests = [
-            Request::Read(BatchItem::MatchPair { source: "PO".into(), target: "Order".into() }),
-            Request::Read(BatchItem::TopK { k: 3 }),
-            Request::Read(BatchItem::Stats),
+            Request::Batch {
+                items: vec![BatchItem::MatchPair { source: "PO".into(), target: "Order".into() }],
+            },
+            Request::Batch { items: vec![BatchItem::TopK { k: 3 }] },
+            Request::Batch { items: vec![BatchItem::Stats] },
             Request::Save,
             Request::Shutdown,
             Request::Batch {
@@ -914,21 +827,18 @@ mod tests {
         // A response frame on a request stream must not decode.
         let (kind, payload) = Response::ShuttingDown.encode();
         assert!(Request::decode(kind, &payload).is_err());
-        let (kind, payload) = Request::Read(BatchItem::Stats).encode();
+        let (kind, payload) = Request::Batch { items: vec![BatchItem::Stats] }.encode();
         assert!(Response::decode(kind, &payload).is_err());
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let (kind, mut payload) = Request::Read(BatchItem::TopK { k: 9 }).encode();
+        let (kind, mut payload) = Request::Batch { items: vec![BatchItem::TopK { k: 9 }] }.encode();
         payload.push(0);
         assert!(Request::decode(kind, &payload).is_err());
         let (kind, mut payload) = Response::Saved { bytes: 17 }.encode();
         payload.push(0);
         assert!(Response::decode(kind, &payload).is_err());
-        let (kind, mut payload) = Request::Batch { items: vec![BatchItem::Stats] }.encode();
-        payload.push(0);
-        assert!(Request::decode(kind, &payload).is_err());
     }
 
     #[test]
@@ -964,6 +874,32 @@ mod tests {
         let (kind, mut payload) = Response::Batch { entries: vec![Err("x".into())] }.encode();
         payload[4] = 0x7f; // the first entry's tag byte (after the u32 count)
         assert!(Response::decode(kind, &payload).is_err());
+    }
+
+    #[test]
+    fn top_k_listing_ids_stay_inside_the_name_table() {
+        let summary = MatchSummary {
+            source: SchemaId::from_index(0),
+            target: SchemaId::from_index(5),
+            leaf_mappings: Vec::new(),
+            nonleaf_mappings: Vec::new(),
+            top_pairs: Vec::new(),
+            compared_pairs: 0,
+            total_pairs: 0,
+        };
+        let listing = |names: usize| Response::Batch {
+            entries: vec![Ok(BatchOutcome::TopKList {
+                names: (0..names).map(|i| format!("S{i}")).collect(),
+                summaries: vec![summary.clone()],
+            })],
+        };
+        let (kind, payload) = listing(6).encode();
+        assert_eq!(Response::decode(kind, &payload).unwrap(), listing(6));
+        // Id 5 indexes past a one-name table: a client would panic
+        // rendering it, so the listing must not decode.
+        let (kind, payload) = listing(1).encode();
+        let err = Response::decode(kind, &payload).expect_err("id 5 is past a one-name table");
+        assert!(err.to_string().contains("schema id 5 past its 1-name table"), "got `{err}`");
     }
 
     #[test]

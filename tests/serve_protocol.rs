@@ -252,12 +252,15 @@ fn explanation_bits_eq(a: &PairExplanation, b: &PairExplanation) -> bool {
         })
 }
 
-/// Every request variant, parameterized by the drawn values.
+/// Every request variant, parameterized by the drawn values, with a
+/// one-entry batch per item tag.
 fn requests(sdl: &str, a: &str, b: &str, k: u32) -> Vec<Request> {
     vec![
-        Request::Read(BatchItem::MatchPair { source: a.to_string(), target: b.to_string() }),
-        Request::Read(BatchItem::TopK { k }),
-        Request::Read(BatchItem::Stats),
+        Request::Batch {
+            items: vec![BatchItem::MatchPair { source: a.to_string(), target: b.to_string() }],
+        },
+        Request::Batch { items: vec![BatchItem::TopK { k }] },
+        Request::Batch { items: vec![BatchItem::Stats] },
         Request::Save,
         Request::Shutdown,
         Request::Batch {
@@ -282,8 +285,10 @@ fn requests(sdl: &str, a: &str, b: &str, k: u32) -> Vec<Request> {
     ]
 }
 
-/// A batch entry mix covering every outcome tag plus the error slot.
+/// A batch entry mix covering every outcome tag plus the error slot;
+/// the top-k listing carries `names`.
 fn batch_entries(
+    names: &[String],
     a: &str,
     b: &str,
     summary: &MatchSummary,
@@ -296,10 +301,7 @@ fn batch_entries(
             summary: summary.clone(),
         }),
         Err(format!("no schema `{b}` in repository")),
-        Ok(BatchOutcome::TopKList {
-            names: vec![a.to_string(), b.to_string()],
-            summaries: vec![summary.clone()],
-        }),
+        Ok(BatchOutcome::TopKList { names: names.to_vec(), summaries: vec![summary.clone()] }),
         Ok(BatchOutcome::Stats(report.clone())),
     ]
 }
@@ -370,26 +372,30 @@ fn trace_record(a: &str, n: u64) -> TraceRecord {
     }
 }
 
-/// Every response variant.
+/// Every response variant, with a one-entry batch per outcome tag.
 fn responses(a: &str, b: &str, summary: &MatchSummary, n: u64) -> Vec<Response> {
+    let one = |outcome| Response::Batch { entries: vec![Ok(outcome)] };
+    // `summary_from` draws schema ids below 64, so top-k listings over
+    // this name table name no id past it and decode.
+    let names: Vec<String> = (0..64).map(|i| format!("{a}{i}")).collect();
     vec![
         Response::Added { name: a.to_string() },
         Response::Replaced { name: b.to_string() },
         Response::Removed { name: a.to_string() },
-        Response::Read(BatchOutcome::Matched {
+        one(BatchOutcome::Matched {
             source: a.to_string(),
             target: b.to_string(),
             summary: summary.clone(),
         }),
-        Response::Read(BatchOutcome::TopKList {
-            names: vec![a.to_string(), b.to_string()],
+        one(BatchOutcome::TopKList {
+            names: names.clone(),
             summaries: vec![summary.clone(), summary.clone()],
         }),
-        Response::Read(BatchOutcome::Stats(report_from(a, n))),
+        one(BatchOutcome::Stats(report_from(a, n))),
         Response::Saved { bytes: n },
         Response::ShuttingDown,
         Response::Error { message: b.to_string() },
-        Response::Batch { entries: batch_entries(a, b, summary, &report_from(a, n)) },
+        Response::Batch { entries: batch_entries(&names, a, b, summary, &report_from(a, n)) },
         Response::Batch { entries: Vec::new() },
         Response::Overloaded { max_inflight: n % 4096, queue_deadline_ms: n.rotate_left(7) },
         Response::SlowLog { entries: vec![trace_record(a, n), trace_record(b, n.wrapping_add(1))] },
@@ -422,12 +428,6 @@ fn golden_requests() -> Vec<(&'static str, Request)> {
             "mutate_remove",
             Request::Mutate { request_id: u64::MAX, op: MutationOp::Remove { name: a.clone() } },
         ),
-        (
-            "match_pair",
-            Request::Read(BatchItem::MatchPair { source: a.clone(), target: b.clone() }),
-        ),
-        ("top_k", Request::Read(BatchItem::TopK { k: 3 })),
-        ("stats", Request::Read(BatchItem::Stats)),
         ("save", Request::Save),
         ("shutdown", Request::Shutdown),
         (
@@ -454,27 +454,18 @@ fn golden_responses() -> Vec<(&'static str, Response)> {
         ("added", Response::Added { name: a.clone() }),
         ("replaced", Response::Replaced { name: a.clone() }),
         ("removed", Response::Removed { name: b.clone() }),
-        (
-            "matched",
-            Response::Read(BatchOutcome::Matched {
-                source: a.clone(),
-                target: b.clone(),
-                summary: summary.clone(),
-            }),
-        ),
-        (
-            "top_k_list",
-            Response::Read(BatchOutcome::TopKList {
-                names: vec![a.clone(), b.clone()],
-                summaries: vec![summary.clone()],
-            }),
-        ),
-        ("stats", Response::Read(BatchOutcome::Stats(report.clone()))),
         ("saved", Response::Saved { bytes: 4096 }),
         ("shutting_down", Response::ShuttingDown),
         ("error", Response::Error { message: format!("no schema `{b}` in repository") }),
         ("overloaded", Response::Overloaded { max_inflight: 32, queue_deadline_ms: 100 }),
-        ("batch", Response::Batch { entries: batch_entries(&a, &b, &summary, &report) }),
+        // Its top-k listing names ids past its two-name table: the row
+        // pins encoder bytes recorded before decoding checked listings.
+        (
+            "batch",
+            Response::Batch {
+                entries: batch_entries(&[a.clone(), b.clone()], &a, &b, &summary, &report),
+            },
+        ),
         (
             "slow_log",
             Response::SlowLog {
@@ -493,9 +484,6 @@ const GOLDEN_FRAMES: &[(&str, u8, u64)] = &[
     ("mutate_add", 0x0a, 0x27186472609f5879),
     ("mutate_replace", 0x0a, 0x85d9d63fae4e7d75),
     ("mutate_remove", 0x0a, 0x340255ea51f84ad5),
-    ("match_pair", 0x04, 0x4865286100afdbcd),
-    ("top_k", 0x05, 0xed202287f403d086),
-    ("stats", 0x06, 0xcbf29ce484222325),
     ("save", 0x07, 0xcbf29ce484222325),
     ("shutdown", 0x08, 0xcbf29ce484222325),
     ("batch", 0x09, 0x97c3a92f94d3f604),
@@ -504,9 +492,6 @@ const GOLDEN_FRAMES: &[(&str, u8, u64)] = &[
     ("added", 0x81, 0x91b52a60060c0a9e),
     ("replaced", 0x82, 0x91b52a60060c0a9e),
     ("removed", 0x83, 0x4b6d00304abf7938),
-    ("matched", 0x84, 0x4103a556d2a96592),
-    ("top_k_list", 0x85, 0xa0d381c5d480f4fb),
-    ("stats", 0x86, 0x840d1c7edfc0e7c3),
     ("saved", 0x87, 0x53a03f8d0add0c15),
     ("shutting_down", 0x88, 0xcbf29ce484222325),
     ("error", 0x89, 0x6ce4dd5b88a64071),
@@ -535,17 +520,25 @@ fn frame_bytes_match_the_recorded_table() {
     }
 }
 
-/// Kinds 0x01..=0x03 carried id-less add/replace/remove requests. They
-/// are retired: every mutation is a `Mutate`, and the old kinds decode
-/// as unknown ones, on the wire and in a live daemon.
+/// Kinds 0x01..=0x03 carried id-less add/replace/remove requests, and
+/// 0x04..=0x06 (answered in 0x84..=0x86) one read each. They are
+/// retired: every mutation is a `Mutate` and every read a batch entry,
+/// and the old kinds decode as unknown ones, on the wire and in a live
+/// daemon.
 #[test]
-fn retired_mutation_kinds_are_unknown() {
+fn retired_kinds_are_unknown() {
+    const RETIRED_REQUESTS: [u8; 6] = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06];
     let mut body = WireWriter::new();
     body.put_str("schema S\n  attr A : int\n");
     let payload = body.into_bytes();
-    for kind in [0x01u8, 0x02, 0x03] {
+    for kind in RETIRED_REQUESTS {
         let err = Request::decode(kind, &payload).expect_err("retired kind must not decode");
         let want = format!("unknown request kind {kind:#04x}");
+        assert!(err.to_string().contains(&want), "`{err}` should name kind {kind:#04x}");
+    }
+    for kind in [0x84u8, 0x85, 0x86] {
+        let err = Response::decode(kind, &payload).expect_err("retired kind must not decode");
+        let want = format!("unknown response kind {kind:#04x}");
         assert!(err.to_string().contains(&want), "`{err}` should name kind {kind:#04x}");
     }
 
@@ -556,23 +549,30 @@ fn retired_mutation_kinds_are_unknown() {
         Server::bind("127.0.0.1:0", dir.join("cupid.repo"), &config, &th, ServeOptions::default())
             .unwrap();
     let (addr, drain) = (server.local_addr(), server.shutdown_handle());
-    let answer = std::thread::scope(|scope| {
+    let answers = std::thread::scope(|scope| {
         let daemon = scope.spawn(move || server.run());
-        let answer = std::panic::catch_unwind(|| {
-            let mut stream = std::net::TcpStream::connect(addr).unwrap();
-            write_frame(&mut stream, 0x01, &payload).unwrap();
-            Response::read_from(&mut stream).unwrap()
+        // The daemon hangs up after a malformed frame: one connection
+        // per kind.
+        let answers = std::panic::catch_unwind(|| {
+            RETIRED_REQUESTS.map(|kind| {
+                let mut stream = std::net::TcpStream::connect(addr).unwrap();
+                write_frame(&mut stream, kind, &payload).unwrap();
+                Response::read_from(&mut stream).unwrap()
+            })
         });
         drain.drain();
         daemon.join().unwrap().unwrap();
-        answer
+        answers
     });
     std::fs::remove_dir_all(&dir).ok();
-    match answer.expect("the daemon answers") {
-        Some(Response::Error { message }) => {
-            assert!(message.contains("unknown request kind 0x01"), "got `{message}`");
+    for (kind, answer) in RETIRED_REQUESTS.into_iter().zip(answers.expect("the daemon answers")) {
+        match answer {
+            Some(Response::Error { message }) => {
+                let want = format!("unknown request kind {kind:#04x}");
+                assert!(message.contains(&want), "got `{message}`");
+            }
+            other => panic!("expected an error frame for {kind:#04x}, got {other:?}"),
         }
-        other => panic!("expected an error frame, got {other:?}"),
     }
 }
 
@@ -629,9 +629,6 @@ proptest! {
             let got = Response::read_from(&mut r).unwrap().expect("frame present");
             prop_assert_eq!(Response::read_from(&mut r).unwrap(), None);
             match (&got, &want) {
-                (Response::Read(g), Response::Read(w)) => {
-                    prop_assert!(outcome_bits_eq(g, w), "outcome bits diverged");
-                }
                 (Response::Batch { entries: g }, Response::Batch { entries: w }) => {
                     prop_assert_eq!(g.len(), w.len());
                     for (x, y) in g.iter().zip(w) {
