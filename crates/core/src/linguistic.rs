@@ -592,8 +592,7 @@ pub fn analyze(
 /// The naive reference engine: §5 transliterated, re-running string
 /// token similarity for every element pair. Kept (not dead code) as the
 /// oracle for the interned engine — `tests/linguistic_equivalence.rs`
-/// asserts [`analyze`] reproduces its `lsim` bits and counters exactly —
-/// and as the baseline leg of the `linguistic` bench.
+/// asserts [`analyze`] reproduces its `lsim` bits and counters exactly.
 pub fn analyze_naive(
     s1: &Schema,
     s2: &Schema,

@@ -249,8 +249,7 @@ impl MatchSummary {
     }
 }
 
-/// Aggregate counters of a session, for reports and the `batch` bench
-/// context block.
+/// Aggregate counters of a session, for reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Schemas prepared into the session.

@@ -4,8 +4,9 @@
 //!
 //! Runs the full pipeline over synthetic schema pairs of doubling size
 //! and reports wall time, node-pair counts, pruning effectiveness and
-//! mapping quality. Criterion benches (`crates/bench`) measure the same
-//! sweep with statistical rigor; this experiment prints the series.
+//! mapping quality. The times are one wall-clock run per size, a
+//! series to read the growth from rather than a gated measurement;
+//! the performance ledger (`ledger/`) is the repository's benchmark.
 
 use std::time::Instant;
 

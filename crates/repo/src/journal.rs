@@ -63,9 +63,7 @@ pub const JOURNAL_VERSION: u32 = 1;
 /// `cupid.repo.journal`), so snapshot, lock, and journal sit side by
 /// side in one directory.
 pub fn journal_path(snapshot: &Path) -> PathBuf {
-    let mut name = snapshot.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-    name.push(".journal");
-    snapshot.with_file_name(name)
+    crate::sibling(snapshot, ".journal")
 }
 
 /// The journal's first frame: which snapshot (and which matcher

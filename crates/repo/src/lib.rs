@@ -102,6 +102,17 @@ pub use lock::RepoLock;
 /// Default file name used when a repository path points at a directory.
 pub const SNAPSHOT_FILE: &str = "cupid.repo";
 
+/// `path` with `suffix` appended to its file name (`cupid.repo` +
+/// `.journal` → `cupid.repo.journal`). Every file that belongs to a
+/// snapshot — journal, lock, save temp — is named this way, so two
+/// snapshots in one directory never share one, whatever their
+/// extensions.
+pub(crate) fn sibling(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+    name.push(suffix);
+    path.with_file_name(name)
+}
+
 /// Errors of the repository subsystem.
 #[derive(Debug)]
 pub enum RepoError {
@@ -185,7 +196,7 @@ impl From<ModelError> for RepoError {
     }
 }
 
-/// Aggregate repository counters, for reports and benches.
+/// Aggregate repository counters, for reports and the ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepositoryStats {
     /// Schemas in the repository.
@@ -871,7 +882,7 @@ impl<'a> Repository<'a> {
     /// first, so snapshots do not grow monotonically.
     ///
     /// The crash-safe sequence (DESIGN.md §10.2): write the snapshot to
-    /// a temp file, `fsync` it, rename it over the snapshot, `fsync`
+    /// `<snapshot>.tmp`, `fsync` it, rename it over the snapshot, `fsync`
     /// the parent directory — only then truncate the journal and write
     /// a fresh fsynced header naming the new snapshot's content id. A
     /// crash before the rename leaves the old snapshot + journal pair
@@ -894,7 +905,7 @@ impl<'a> Repository<'a> {
         };
         let bytes =
             snapshot::encode(&refs, self.config.fingerprint(), self.thesaurus.fingerprint());
-        let tmp = self.path.with_extension("tmp");
+        let tmp = sibling(&self.path, ".tmp");
         let io_err = |path: &Path, e: std::io::Error| RepoError::Io {
             path: path.to_path_buf(),
             message: e.to_string(),
@@ -1392,17 +1403,22 @@ mod tests {
         let config = CupidConfig::default();
         let th = Thesaurus::with_default_stopwords();
         // Each scenario arms one fault on the save path; a synced
-        // journal record must survive every one of them.
-        for (point, action) in [
+        // journal record must survive every one of them. A snapshot
+        // named `*.tmp` must not be its own temp file.
+        let scenarios = [
             (fault::FaultPoint::SnapshotWrite, fault::FaultAction::Error),
             (fault::FaultPoint::SnapshotWrite, fault::FaultAction::ShortWrite(5)),
             (fault::FaultPoint::SnapshotSync, fault::FaultAction::Error),
             (fault::FaultPoint::SnapshotRename, fault::FaultAction::Error),
-        ] {
+        ];
+        for (file, (point, action)) in
+            [SNAPSHOT_FILE, "snap.tmp"].into_iter().flat_map(|f| scenarios.map(|s| (f, s)))
+        {
             let tmp = TempRepo::new();
+            let path = tmp.0.with_file_name(file);
             let marker = tmp.0.parent().unwrap().file_name().unwrap().to_str().unwrap();
             {
-                let mut repo = Repository::open_or_create(&tmp.0, &config, &th).unwrap();
+                let mut repo = Repository::open_or_create(&path, &config, &th).unwrap();
                 repo.add(&corpus()[0]).unwrap();
                 repo.save().unwrap();
                 repo.add(&corpus()[1]).unwrap();
@@ -1418,14 +1434,18 @@ mod tests {
                 assert!(repo.is_dirty(), "a failed save leaves the handle dirty");
             }
             fault::disarm(marker);
-            let warm = Repository::open_or_create(&tmp.0, &config, &th).unwrap();
+            let warm = Repository::open_or_create(&path, &config, &th).unwrap();
             assert_eq!(
                 warm.names(),
                 ["S0", "S1"],
-                "{point:?}/{action:?}: snapshot + journal replay must recover both schemas"
+                "{file} {point:?}/{action:?}: snapshot + journal replay must recover both schemas"
             );
             assert_eq!(warm.durability().replayed_records, 1);
         }
+        // Sibling snapshots save through temp files of their own.
+        let dir = Path::new("dir");
+        assert_eq!(sibling(&dir.join("a.repo"), ".tmp"), dir.join("a.repo.tmp"));
+        assert_eq!(sibling(&dir.join("a.snap"), ".tmp"), dir.join("a.snap.tmp"));
     }
 
     #[test]

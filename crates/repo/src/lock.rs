@@ -22,7 +22,7 @@ use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::RepoError;
+use crate::{sibling, RepoError};
 
 /// A held advisory lock: the sibling `<snapshot>.lock` file, removed on
 /// drop. Owned by [`crate::Repository`]; exposed so a daemon can report
@@ -35,10 +35,7 @@ pub struct RepoLock {
 impl RepoLock {
     /// The lock file guarding a snapshot path.
     pub fn lock_path(snapshot: &Path) -> PathBuf {
-        let name = snapshot
-            .file_name()
-            .map_or_else(|| "cupid.repo".to_string(), |n| n.to_string_lossy().into_owned());
-        snapshot.with_file_name(format!("{name}.lock"))
+        sibling(snapshot, ".lock")
     }
 
     /// Acquire the single-writer lock for `snapshot`, writing this
@@ -121,7 +118,7 @@ fn read_pid(path: &Path) -> Option<Holder> {
 fn try_create_with_pid(path: &Path) -> std::io::Result<bool> {
     static TEMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let seq = TEMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let temp = sibling(path, &format!("tmp.{}.{seq}", std::process::id()));
+    let temp = sibling(path, &format!(".tmp.{}.{seq}", std::process::id()));
     {
         let mut f = OpenOptions::new().write(true).create(true).truncate(true).open(&temp)?;
         f.write_all(std::process::id().to_string().as_bytes())?;
@@ -145,7 +142,7 @@ fn try_create_with_pid(path: &Path) -> std::io::Result<bool> {
 /// mutex (they are doing the same job); a reclaim mutex whose own
 /// holder died is discarded the same way.
 fn reclaim_dead_lock(path: &Path, dead_pid: u32) -> std::io::Result<()> {
-    let mutex = sibling(path, "reclaim");
+    let mutex = sibling(path, ".reclaim");
     if !try_create_with_pid(&mutex)? {
         match read_pid(&mutex) {
             Some(h) if h.pid != std::process::id() && !pid_alive(h.pid) => {
@@ -168,12 +165,6 @@ fn reclaim_dead_lock(path: &Path, dead_pid: u32) -> std::io::Result<()> {
     }
     std::fs::remove_file(&mutex).ok();
     Ok(())
-}
-
-/// A sibling file of `path` with a dotted suffix appended to its name.
-fn sibling(path: &Path, suffix: &str) -> PathBuf {
-    let name = path.file_name().map_or_else(String::new, |n| n.to_string_lossy().into_owned());
-    path.with_file_name(format!("{name}.{suffix}"))
 }
 
 /// Best-effort liveness check for a recorded pid. On Linux, a pid runs

@@ -4,8 +4,8 @@
 //! A [`ServeClient`] is deliberately thin — it owns a single stream and
 //! runs the protocol synchronously, so "N concurrent clients" is N
 //! `ServeClient`s on N threads, which is exactly how the integration
-//! suite and the throughput bench drive the daemon. Three layers sit
-//! on top of that core:
+//! suite and the ledger's `serve_mixed` workload drive the daemon.
+//! Three layers sit on top of that core:
 //!
 //! * **Timeouts** — [`ClientBuilder`] dials with a connect timeout and
 //!   arms a read timeout on the socket, so a hung daemon surfaces as a
@@ -14,10 +14,9 @@
 //! * **Batching** — [`ServeClient::batch`] ships a worklist of
 //!   match/top-k/stats requests in one frame
 //!   ([`crate::protocol::Request::Batch`]); the daemon executes it
-//!   under one read-lock acquisition and one memo clone, which is
-//!   where the ≥3× unary throughput win comes from. Each entry carries
-//!   its own status, so one bad entry fails alone. A unary read is a
-//!   one-entry batch.
+//!   under one read-lock acquisition and one memo clone. Each entry
+//!   carries its own status, so one bad entry fails alone. A unary read
+//!   is a one-entry batch.
 //! * **Pooling** — [`ServePool`] hands out connections with
 //!   checkout/checkin semantics: capped size, lazy dial, and eviction
 //!   of connections whose transport broke mid-exchange (tracked by the

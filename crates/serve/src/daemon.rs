@@ -133,12 +133,6 @@ pub struct ServeOptions {
     /// (the stream cannot be resynchronized anyway) and counted in
     /// `deadline_cuts`. `None` disables the per-frame deadline.
     pub frame_deadline: Option<Duration>,
-    /// Per-request stage tracing (DESIGN.md §13). On by default — the
-    /// cost is a handful of monotonic clock reads per request, bounded
-    /// under 5% by `benches/obs.rs`. Off, requests carry a disabled
-    /// [`RequestTrace`] that skips every clock read, stage histograms
-    /// stay empty, and the slow log records nothing.
-    pub tracing: bool,
     /// Slow-log ring capacity: how many of the slowest traces the
     /// daemon retains for the `SlowLog` frame. Zero disables the ring
     /// (the over-threshold counter still ticks).
@@ -160,7 +154,6 @@ impl Default for ServeOptions {
             queue_deadline: Duration::from_millis(100),
             idle_timeout: Some(Duration::from_secs(300)),
             frame_deadline: Some(Duration::from_secs(30)),
-            tracing: true,
             slow_log_capacity: 32,
             slow_threshold: Duration::from_millis(1),
             log_level: Level::Info,
@@ -405,11 +398,7 @@ impl<'a> Server<'a> {
         let shared = &shared;
         shared.logger.info(
             "listening",
-            &[
-                ("addr", &shared.addr.to_string()),
-                ("repo", &shared.path.display().to_string()),
-                ("tracing", if shared.options.tracing { "on" } else { "off" }),
-            ],
+            &[("addr", &shared.addr.to_string()), ("repo", &shared.path.display().to_string())],
         );
         std::thread::scope(|scope| {
             for conn in listener.incoming() {
@@ -656,11 +645,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared<'_>) {
             }
         }
         let trace_id = shared.next_trace_id.fetch_add(1, Ordering::Relaxed);
-        let mut trace = if opts.tracing {
-            RequestTrace::new(trace_id)
-        } else {
-            RequestTrace::disabled(trace_id)
-        };
+        let mut trace = RequestTrace::new(trace_id);
         let started = Instant::now();
         let decode = trace.start(Stage::Decode);
         let request = match Request::read_from(&mut stream) {
@@ -690,7 +675,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared<'_>) {
         // Admission control: bound concurrently-executing requests,
         // shedding arrivals that cannot get a slot within the queue
         // deadline.
-        let handler_started = trace.is_enabled().then(Instant::now);
+        let handler_started = Instant::now();
         let response = match &shared.admission {
             Some(admission) if !bypasses_admission(kind) => {
                 let wait = trace.start(Stage::AdmissionWait);
@@ -713,14 +698,12 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared<'_>) {
             }
             _ => handle_request(&request, shared, &mut trace),
         };
-        if let Some(handler_started) = handler_started {
-            // Admission wait is timed separately; the residual tiling
-            // covers only the handler's own wall time.
-            let handler_wall = handler_started.elapsed().saturating_sub(Duration::from_nanos(
-                trace.stage_ns[Stage::AdmissionWait as usize],
-            ));
-            trace.absorb_handler_residual(handler_wall);
-        }
+        // Admission wait is timed separately; the residual tiling covers
+        // only the handler's own wall time.
+        let handler_wall = handler_started
+            .elapsed()
+            .saturating_sub(Duration::from_nanos(trace.stage_ns[Stage::AdmissionWait as usize]));
+        trace.absorb_handler_residual(handler_wall);
         let shutting_down = matches!(response, Response::ShuttingDown);
         if shutting_down {
             // Commit to the shutdown *before* the response write: a
@@ -740,9 +723,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared<'_>) {
         let wall = started.elapsed();
         shared.latencies[kind].record(wall);
         shared.stages.record(kind, &trace);
-        if trace.is_enabled() {
-            shared.slow_log.offer(&trace, LATENCY_KINDS[kind], wall);
-        }
+        shared.slow_log.offer(&trace, LATENCY_KINDS[kind], wall);
         if shutting_down {
             // Wake the accept loop and stay until it observes the flag.
             wake_accept_loop(shared.addr, &shared.accept_exited);

@@ -12,8 +12,8 @@
 //!
 //! [`LatencyHistogram`] is the daemon-side atomic recorder;
 //! [`KindLatency`] is the frozen snapshot that travels in the `Stats`
-//! frame ([`crate::StatsReport`]) and feeds the CLI table and the soak
-//! harness's p50/p99/p999 report.
+//! frame ([`crate::StatsReport`]) and feeds the CLI table and the
+//! `/metrics` exposition.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -128,17 +128,6 @@ impl KindLatency {
         }
         bucket_upper_ns(self.buckets.len().saturating_sub(1))
     }
-
-    /// Merge another histogram of the same kind into this one (the
-    /// soak harness folds per-client histograms this way).
-    pub fn merge(&mut self, other: &KindLatency) {
-        assert_eq!(self.buckets.len(), other.buckets.len(), "bucket layouts must agree");
-        self.count += other.count;
-        self.total_ns += other.total_ns;
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-    }
 }
 
 /// Inclusive upper bound of log2 bucket `i`, in nanoseconds (also the
@@ -193,18 +182,5 @@ mod tests {
         assert_eq!(snap.count, 0);
         assert_eq!(snap.quantile_ns(0.99), 0);
         assert_eq!(snap.mean_ns(), 0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let a = LatencyHistogram::new();
-        let b = LatencyHistogram::new();
-        a.record(Duration::from_nanos(100));
-        b.record(Duration::from_nanos(100_000));
-        let mut m = a.snapshot("x");
-        m.merge(&b.snapshot("x"));
-        assert_eq!(m.count, 2);
-        assert_eq!(m.total_ns, 100_100);
-        assert_eq!(m.buckets.iter().sum::<u64>(), 2);
     }
 }

@@ -28,7 +28,7 @@
 //!   underneath, a request id for retry deduplication); plus `Save`,
 //!   `Shutdown`, `SlowLog` and `Explain`.
 //! * **[`ServeClient`]** — the blocking client library the CLI, the
-//!   tests, the bench and the example all drive the daemon with, with
+//!   tests, the ledger and the example all drive the daemon with, with
 //!   connect/read timeouts via [`ClientBuilder`] and transport-error
 //!   poisoning (a desynchronized stream refuses reuse).
 //! * **Batch frames** (DESIGN.md §11) — one checksummed frame carries

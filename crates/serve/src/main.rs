@@ -7,17 +7,17 @@
 //! ```text
 //! cupid-serve <addr> <repo-path> [--max-conns N] [--autosave N] [--compact-after N]
 //!             [--max-inflight N] [--queue-deadline MS] [--idle-timeout MS] [--frame-deadline MS]
-//!             [--no-trace] [--slow-log-capacity N] [--slow-threshold-ms MS] [--log-level LEVEL]
+//!             [--slow-log-capacity N] [--slow-threshold-ms MS] [--log-level LEVEL]
 //! ```
 //!
 //! `--max-inflight` / `--queue-deadline` enable admission control
 //! (shed with a typed `Overloaded` frame instead of queueing);
 //! `--idle-timeout` / `--frame-deadline` bound how long a silent or
 //! stalling peer can hold a connection (DESIGN.md §12). The
-//! observability knobs (DESIGN.md §13) tune per-request stage tracing,
-//! the slow-log ring and the structured stderr log; the daemon also
-//! answers `GET /metrics` on its own port with a Prometheus text
-//! exposition.
+//! observability knobs (DESIGN.md §13) tune the slow-log ring and the
+//! structured stderr log; per-request stage tracing is always on. The
+//! daemon also answers `GET /metrics` on its own port with a Prometheus
+//! text exposition.
 //!
 //! Client mode sends one request to a running daemon and prints the
 //! reply:
@@ -42,7 +42,7 @@ use cupid_serve::{Level, ServeClient, ServeOptions, Server, STAGE_NAMES};
 const USAGE: &str = "usage:
   cupid-serve <addr> <repo-path> [--max-conns N] [--autosave N] [--compact-after N]
               [--max-inflight N] [--queue-deadline MS] [--idle-timeout MS] [--frame-deadline MS]
-              [--no-trace] [--slow-log-capacity N] [--slow-threshold-ms MS] [--log-level LEVEL]
+              [--slow-log-capacity N] [--slow-threshold-ms MS] [--log-level LEVEL]
   cupid-serve --client <addr> <command> [args]
 
 daemon flags:
@@ -57,8 +57,6 @@ daemon flags:
                        (default 300000; 0 disables)
   --frame-deadline MS  cut connections stalled mid-frame this long
                        (default 30000; 0 disables)
-  --no-trace           disable per-request stage tracing (stage
-                       histograms and the slow log stay empty)
   --slow-log-capacity N  slowest traces retained for `slowlog` (default
                        32; 0 disables the ring)
   --slow-threshold-ms MS  requests at least this slow enter the slow
@@ -123,9 +121,6 @@ fn run_daemon(args: &[String]) -> Result<(), String> {
             "--frame-deadline" => {
                 let ms = flag_value(args, &mut i, "--frame-deadline")?;
                 options.frame_deadline = (ms > 0).then(|| std::time::Duration::from_millis(ms));
-            }
-            "--no-trace" => {
-                options.tracing = false;
             }
             "--slow-log-capacity" => {
                 options.slow_log_capacity =

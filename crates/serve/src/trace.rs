@@ -1,13 +1,14 @@
 //! Request-scoped tracing and per-stage latency attribution
 //! (DESIGN.md §13).
 //!
-//! The PR 7 soak measured daemon-side batch p50 at ~0.13 ms while
-//! clients observed ~34 ms at 24 clients on one core — and nothing in
-//! the system could say where those milliseconds lived. This module is
-//! the answer: every request carries a [`RequestTrace`] that attributes
-//! its wall time to a fixed taxonomy of pipeline [`Stage`]s (admission
-//! wait, frame decode, repository lock wait split read/write, match
-//! execution split cached/uncached, response encode, socket write).
+//! Per-kind latency histograms say how long a request took, never
+//! where: a client can observe far more latency than the daemon's own
+//! histogram holds, and nothing in them says which stage holds the gap.
+//! This module is the answer: every request carries a [`RequestTrace`]
+//! that attributes its wall time to a fixed taxonomy of pipeline
+//! [`Stage`]s (admission wait, frame decode, repository lock wait split
+//! read/write, match execution split cached/uncached, response encode,
+//! socket write).
 //! Traces aggregate into per-(request kind, stage)
 //! [`LatencyHistogram`]s ([`StageRecorder`]) served through the `Stats`
 //! frame, and the slowest requests land whole in a bounded [`SlowLog`]
@@ -20,10 +21,8 @@
 //! allocation, no locks until the trace finishes), so the stage sums of
 //! a request reconstruct its handler wall time to within the few
 //! untimed glue instructions between boundaries — the integration suite
-//! asserts ≥ 95% coverage. A daemon started with tracing off
-//! ([`RequestTrace::disabled`]) skips the clock reads and records
-//! nothing; the compiled-in-but-idle cost is what `benches/obs.rs`
-//! bounds.
+//! asserts ≥ 95% coverage. Tracing is always on, so its cost is inside
+//! every latency the daemon reports.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -89,42 +88,26 @@ pub struct RequestTrace {
     pub trace_id: u64,
     /// Nanoseconds attributed to each stage, indexed by [`Stage`].
     pub stage_ns: [u64; STAGES],
-    enabled: bool,
 }
 
 impl RequestTrace {
-    /// A live trace with the given id.
+    /// A trace with the given id.
     pub fn new(trace_id: u64) -> RequestTrace {
-        RequestTrace { trace_id, stage_ns: [0; STAGES], enabled: true }
-    }
-
-    /// A disabled trace: timing calls no-op (and [`Timed`] skips its
-    /// clock reads), so a daemon run with tracing off pays only the
-    /// branch.
-    pub fn disabled(trace_id: u64) -> RequestTrace {
-        RequestTrace { trace_id, stage_ns: [0; STAGES], enabled: false }
-    }
-
-    /// Whether this trace records anything.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+        RequestTrace { trace_id, stage_ns: [0; STAGES] }
     }
 
     /// Attribute `elapsed` to `stage` (accumulating — a batch that
     /// executes several uncached stretches sums them).
     #[inline]
     pub fn add(&mut self, stage: Stage, elapsed: Duration) {
-        if self.enabled {
-            self.stage_ns[stage as usize] += u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        }
+        self.stage_ns[stage as usize] += u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
     }
 
     /// Start timing a stage; [`Timed::stop`] attributes the elapsed
-    /// time. Disabled traces skip the clock read.
+    /// time.
     #[inline]
     pub fn start(&self, stage: Stage) -> Timed {
-        Timed { stage, started: self.enabled.then(Instant::now) }
+        Timed { stage, started: Instant::now() }
     }
 
     /// Attribute everything of `handler_wall` not yet attributed to a
@@ -134,9 +117,6 @@ impl RequestTrace {
     /// splicing are interleaved with the timed stretches, so they are
     /// attributed by subtraction instead of by dozens of clock reads).
     pub fn absorb_handler_residual(&mut self, handler_wall: Duration) {
-        if !self.enabled {
-            return;
-        }
         let wall = u64::try_from(handler_wall.as_nanos()).unwrap_or(u64::MAX);
         let attributed = self.stage_ns[Stage::LockWaitRead as usize]
             + self.stage_ns[Stage::LockWaitWrite as usize]
@@ -154,17 +134,14 @@ impl RequestTrace {
 #[must_use = "call stop(trace) to attribute the elapsed time"]
 pub struct Timed {
     stage: Stage,
-    started: Option<Instant>,
+    started: Instant,
 }
 
 impl Timed {
     /// Stop the clock and attribute the elapsed time to the stage.
     #[inline]
     pub fn stop(self, trace: &mut RequestTrace) {
-        if let Some(started) = self.started {
-            trace.stage_ns[self.stage as usize] +=
-                u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        }
+        trace.add(self.stage, self.started.elapsed());
     }
 }
 
@@ -188,9 +165,6 @@ impl<const KINDS: usize> StageRecorder<KINDS> {
     /// attributed time are skipped — their counts would say nothing and
     /// their zero samples would drag bucket 0.
     pub fn record(&self, kind: usize, trace: &RequestTrace) {
-        if !trace.is_enabled() {
-            return;
-        }
         for (stage, &ns) in trace.stage_ns.iter().enumerate() {
             if ns > 0 {
                 self.cells[kind][stage].record(Duration::from_nanos(ns));
@@ -360,20 +334,6 @@ mod tests {
         t.add(Stage::ExecUncached, Duration::from_nanos(10_000));
         t.absorb_handler_residual(Duration::from_nanos(9_000));
         assert_eq!(t.stage_ns[Stage::ExecCached as usize], 0);
-    }
-
-    #[test]
-    fn disabled_trace_records_nothing() {
-        let mut t = RequestTrace::disabled(1);
-        let timed = t.start(Stage::Decode);
-        std::thread::sleep(Duration::from_millis(1));
-        timed.stop(&mut t);
-        t.add(Stage::Encode, Duration::from_nanos(500));
-        t.absorb_handler_residual(Duration::from_millis(5));
-        assert_eq!(t.attributed_ns(), 0);
-        let rec: StageRecorder<2> = StageRecorder::new();
-        rec.record(0, &t);
-        assert!(rec.snapshot(&["a", "b"]).is_empty());
     }
 
     #[test]
