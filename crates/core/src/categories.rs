@@ -64,8 +64,7 @@ impl SchemaCategories {
     /// Encode the categories (snapshot support; DESIGN.md §8). `vocab`
     /// scopes the keyword names' interned ids on decode.
     pub fn write_wire(&self, w: &mut WireWriter) {
-        w.put_len(self.categories.len());
-        for c in &self.categories {
+        w.put_list(&self.categories, |w, c| {
             match &c.key {
                 CategoryKey::Concept(name) => {
                     w.put_u8(0);
@@ -81,25 +80,14 @@ impl SchemaCategories {
                 }
             }
             c.keywords.write_wire(w);
-            w.put_len(c.members.len());
-            for m in &c.members {
-                w.put_u32(m.index() as u32);
-            }
-        }
-        w.put_len(self.element_categories.len());
-        for cs in &self.element_categories {
-            w.put_len(cs.len());
-            for &c in cs {
-                w.put_u32(c);
-            }
-        }
+            w.put_list(&c.members, |w, m| w.put_u32(m.index() as u32));
+        });
+        w.put_list(&self.element_categories, |w, cs| w.put_list(cs, |w, &c| w.put_u32(c)));
     }
 
     /// Decode categories written by [`SchemaCategories::write_wire`].
     pub fn read_wire(r: &mut WireReader<'_>, vocab: usize) -> Result<SchemaCategories, WireError> {
-        let nc = r.get_len()?;
-        let mut categories = Vec::with_capacity(nc);
-        for _ in 0..nc {
+        let categories = r.get_list(|r| {
             let key = match r.get_u8()? {
                 0 => CategoryKey::Concept(r.get_str()?),
                 1 => CategoryKey::Broad(
@@ -110,27 +98,17 @@ impl SchemaCategories {
                 c => return Err(r.err(format!("unknown category key code {c}"))),
             };
             let keywords = NormalizedName::read_wire(r, vocab)?;
-            let nm = r.get_len()?;
-            let mut members = Vec::with_capacity(nm);
-            for _ in 0..nm {
-                members.push(ElementId::from_index(r.get_u32()? as usize));
-            }
-            categories.push(Category { key, keywords, members });
-        }
-        let ne = r.get_len()?;
-        let mut element_categories = Vec::with_capacity(ne);
-        for _ in 0..ne {
-            let n = r.get_len()?;
-            let mut cs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let c = r.get_u32()?;
-                if c as usize >= nc {
-                    return Err(r.err(format!("category index {c} out of bounds ({nc})")));
-                }
-                cs.push(c);
-            }
-            element_categories.push(cs);
-        }
+            let members = r.get_list(|r| Ok(ElementId::from_index(r.get_u32()? as usize)))?;
+            Ok(Category { key, keywords, members })
+        })?;
+        let nc = categories.len();
+        let element_categories = r.get_list(|r| {
+            r.get_list(|r| match r.get_u32()? {
+                c if (c as usize) < nc => Ok(c),
+                c => Err(r.err(format!("category index {c} out of bounds ({nc})"))),
+            })
+        })?;
+        let ne = element_categories.len();
         // Element ids inside the categories are only checkable now that
         // the element count is known; without this, a crafted snapshot
         // could smuggle out-of-range members into `pair_lsim`'s matrix

@@ -307,6 +307,8 @@ mod tests {
         let mut c = CupidConfig::default();
         c.type_compat.set_override(cupid_model::DataType::Int, cupid_model::DataType::Money, 0.45);
         assert_ne!(c.fingerprint(), base);
+        c.type_compat.set_override(cupid_model::DataType::Date, cupid_model::DataType::String, 0.2);
+        assert_eq!(c.fingerprint(), 0x0a14_4053_39e3_1dcb, "two overrides' recorded value");
         let mut c = CupidConfig::default();
         c.expand = ExpandOptions::none();
         assert_ne!(c.fingerprint(), base);

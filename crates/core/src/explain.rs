@@ -163,10 +163,7 @@ impl PairExplanation {
     pub fn write_wire(&self, w: &mut WireWriter) {
         w.put_str(&self.source_name);
         w.put_str(&self.target_name);
-        w.put_len(self.mappings.len());
-        for m in &self.mappings {
-            m.write_wire(w);
-        }
+        w.put_list(&self.mappings, |w, m| m.write_wire(w));
         w.put_u64(self.compared_pairs as u64);
         w.put_u64(self.total_pairs as u64);
         w.put_u64(self.increases as u64);
@@ -177,15 +174,10 @@ impl PairExplanation {
     pub fn read_wire(r: &mut WireReader<'_>) -> Result<PairExplanation, WireError> {
         let source_name = r.get_str()?;
         let target_name = r.get_str()?;
-        let n = r.get_len()?;
-        let mut mappings = Vec::with_capacity(n);
-        for _ in 0..n {
-            mappings.push(Explanation::read_wire(r)?);
-        }
         Ok(PairExplanation {
             source_name,
             target_name,
-            mappings,
+            mappings: r.get_list(Explanation::read_wire)?,
             compared_pairs: r.get_u64()? as usize,
             total_pairs: r.get_u64()? as usize,
             increases: r.get_u64()? as usize,
@@ -213,14 +205,13 @@ impl Explanation {
         ] {
             w.put_f64(v);
         }
-        w.put_len(self.token_pairs.len());
-        for t in &self.token_pairs {
+        w.put_list(&self.token_pairs, |w, t| {
             w.put_str(&t.source_token);
             w.put_str(&t.target_token);
             w.put_u8(t.token_type.index() as u8);
             w.put_f64(t.sim);
             write_provenance(w, t.provenance);
-        }
+        });
         let s = &self.structure;
         w.put_u64(s.source_leaves as u64);
         w.put_u64(s.target_leaves as u64);
@@ -244,23 +235,21 @@ impl Explanation {
         for v in f.iter_mut() {
             *v = r.get_f64()?;
         }
-        let n = r.get_len()?;
-        let mut token_pairs = Vec::with_capacity(n);
-        for _ in 0..n {
+        let token_pairs = r.get_list(|r| {
             let source_token = r.get_str()?;
             let target_token = r.get_str()?;
             let k = r.get_u8()? as usize;
             if k >= TokenType::ALL.len() {
                 return Err(r.err(format!("token type index {k} out of range")));
             }
-            token_pairs.push(TokenPairScore {
+            Ok(TokenPairScore {
                 source_token,
                 target_token,
                 token_type: TokenType::ALL[k],
                 sim: r.get_f64()?,
                 provenance: read_provenance(r)?,
-            });
-        }
+            })
+        })?;
         let structure = StructuralContext {
             source_leaves: r.get_u64()? as usize,
             target_leaves: r.get_u64()? as usize,

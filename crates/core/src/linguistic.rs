@@ -157,10 +157,7 @@ impl TypedIds {
 
     /// Encode the grouped id slices (snapshot support; DESIGN.md §8).
     pub fn write_wire(&self, w: &mut WireWriter) {
-        w.put_len(self.ids.len());
-        for id in &self.ids {
-            w.put_u32(id.index() as u32);
-        }
+        w.put_list(&self.ids, |w, id| w.put_u32(id.index() as u32));
         for s in self.starts {
             w.put_u32(s);
         }
@@ -168,12 +165,8 @@ impl TypedIds {
 
     /// Decode grouped id slices written by [`TypedIds::write_wire`].
     pub fn read_wire(r: &mut WireReader<'_>, vocab: usize) -> Result<TypedIds, WireError> {
-        let n = r.get_len()?;
-        let mut ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            let raw = r.get_u32()?;
-            ids.push(token_id_from_wire(r, raw, vocab)?);
-        }
+        let ids = r.get_list(|r| r.get_u32().and_then(|raw| token_id_from_wire(r, raw, vocab)))?;
+        let n = ids.len();
         let mut starts = [0u32; 6];
         for s in starts.iter_mut() {
             *s = r.get_u32()?;
@@ -332,21 +325,14 @@ impl SchemaLing {
     /// the exact same float operations) as the one that was saved —
     /// the heart of the snapshot bit-identity argument (DESIGN.md §8).
     pub fn write_wire(&self, w: &mut WireWriter) {
-        w.put_len(self.names.len());
-        for n in &self.names {
-            n.write_wire(w);
-        }
+        w.put_list(&self.names, |w, n| n.write_wire(w));
         self.categories.write_wire(w);
         for t in &self.typed {
             t.write_wire(w);
         }
-        w.put_len(self.keyword_ids.len());
-        for ids in &self.keyword_ids {
-            w.put_len(ids.len());
-            for id in ids {
-                w.put_u32(id.index() as u32);
-            }
-        }
+        w.put_list(&self.keyword_ids, |w, ids| {
+            w.put_list(ids, |w, id| w.put_u32(id.index() as u32));
+        });
         for &c in &self.comparable {
             w.put_bool(c);
         }
@@ -356,11 +342,8 @@ impl SchemaLing {
     /// are bounds-checked against `vocab`, the vocabulary size of the
     /// snapshot's [`TokenTable`].
     pub fn read_wire(r: &mut WireReader<'_>, vocab: usize) -> Result<SchemaLing, WireError> {
-        let n = r.get_len()?;
-        let mut names = Vec::with_capacity(n);
-        for _ in 0..n {
-            names.push(NormalizedName::read_wire(r, vocab)?);
-        }
+        let names = r.get_list(|r| NormalizedName::read_wire(r, vocab))?;
+        let n = names.len();
         let categories = SchemaCategories::read_wire(r, vocab)?;
         if categories.element_categories.len() != n {
             return Err(r.err(format!(
@@ -372,22 +355,15 @@ impl SchemaLing {
         for _ in 0..n {
             typed.push(TypedIds::read_wire(r, vocab)?);
         }
-        let nk = r.get_len()?;
-        if nk != categories.categories.len() {
+        let keyword_ids = r.get_list(|r| {
+            r.get_list(|r| r.get_u32().and_then(|raw| token_id_from_wire(r, raw, vocab)))
+        })?;
+        if keyword_ids.len() != categories.categories.len() {
             return Err(r.err(format!(
-                "{nk} keyword id lists for {} categories",
+                "{} keyword id lists for {} categories",
+                keyword_ids.len(),
                 categories.categories.len()
             )));
-        }
-        let mut keyword_ids = Vec::with_capacity(nk);
-        for _ in 0..nk {
-            let ni = r.get_len()?;
-            let mut ids = Vec::with_capacity(ni);
-            for _ in 0..ni {
-                let raw = r.get_u32()?;
-                ids.push(token_id_from_wire(r, raw, vocab)?);
-            }
-            keyword_ids.push(ids);
         }
         let mut comparable = Vec::with_capacity(n);
         for _ in 0..n {

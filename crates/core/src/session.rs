@@ -181,8 +181,7 @@ impl MatchSummary {
         w.put_u32(self.source.0 as u32);
         w.put_u32(self.target.0 as u32);
         for mappings in [&self.leaf_mappings, &self.nonleaf_mappings] {
-            w.put_len(mappings.len());
-            for m in mappings {
+            w.put_list(mappings, |w, m| {
                 w.put_u32(m.source.index() as u32);
                 w.put_u32(m.target.index() as u32);
                 w.put_str(&m.source_path);
@@ -190,14 +189,13 @@ impl MatchSummary {
                 w.put_f64(m.wsim);
                 w.put_f64(m.ssim);
                 w.put_f64(m.lsim);
-            }
+            });
         }
-        w.put_len(self.top_pairs.len());
-        for e in &self.top_pairs {
+        w.put_list(&self.top_pairs, |w, e| {
             w.put_str(&e.source_path);
             w.put_str(&e.target_path);
             w.put_f64(e.wsim);
-        }
+        });
         // Plain u64 counters, not put_len: these are statistics, not
         // allocation counts — they may legitimately exceed the
         // remaining input length that get_len sanity-checks against
@@ -210,39 +208,29 @@ impl MatchSummary {
     pub fn read_wire(r: &mut WireReader<'_>) -> Result<MatchSummary, WireError> {
         let source = SchemaId(r.get_u32()? as usize);
         let target = SchemaId(r.get_u32()? as usize);
-        let read_mappings = |r: &mut WireReader<'_>| -> Result<Vec<MappingElement>, WireError> {
-            let n = r.get_len()?;
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push(MappingElement {
-                    source: NodeId::from_index(r.get_u32()? as usize),
-                    target: NodeId::from_index(r.get_u32()? as usize),
-                    source_path: r.get_arc_str()?,
-                    target_path: r.get_arc_str()?,
-                    wsim: r.get_f64()?,
-                    ssim: r.get_f64()?,
-                    lsim: r.get_f64()?,
-                });
-            }
-            Ok(out)
-        };
-        let leaf_mappings = read_mappings(r)?;
-        let nonleaf_mappings = read_mappings(r)?;
-        let n = r.get_len()?;
-        let mut top_pairs = Vec::with_capacity(n);
-        for _ in 0..n {
-            top_pairs.push(SimilarityEntry {
+        let mapping = |r: &mut WireReader<'_>| {
+            Ok(MappingElement {
+                source: NodeId::from_index(r.get_u32()? as usize),
+                target: NodeId::from_index(r.get_u32()? as usize),
                 source_path: r.get_arc_str()?,
                 target_path: r.get_arc_str()?,
                 wsim: r.get_f64()?,
-            });
-        }
+                ssim: r.get_f64()?,
+                lsim: r.get_f64()?,
+            })
+        };
         Ok(MatchSummary {
             source,
             target,
-            leaf_mappings,
-            nonleaf_mappings,
-            top_pairs,
+            leaf_mappings: r.get_list(mapping)?,
+            nonleaf_mappings: r.get_list(mapping)?,
+            top_pairs: r.get_list(|r| {
+                Ok(SimilarityEntry {
+                    source_path: r.get_arc_str()?,
+                    target_path: r.get_arc_str()?,
+                    wsim: r.get_f64()?,
+                })
+            })?,
             compared_pairs: r.get_u64()? as usize,
             total_pairs: r.get_u64()? as usize,
         })
@@ -1089,17 +1077,12 @@ mod tests {
         let mut w = WireWriter::new();
         table.write_wire(&mut w);
         store.write_wire(&mut w);
-        w.put_len(schemas.len());
-        for s in &schemas {
-            s.write_wire(&mut w);
-        }
+        w.put_list(&schemas, |w, s| s.write_wire(w));
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
         let table2 = cupid_lexical::TokenTable::read_wire(&mut r).unwrap();
-        let store2 = SimStore::read_wire(&mut r).unwrap();
-        let n = r.get_len().unwrap();
-        let schemas2: Vec<PreparedSchema> =
-            (0..n).map(|_| PreparedSchema::read_wire(&mut r, vocab).unwrap()).collect();
+        let store2 = SimStore::read_wire(&mut r, table2.len()).unwrap();
+        let schemas2 = r.get_list(|r| PreparedSchema::read_wire(r, vocab)).unwrap();
         r.finish().unwrap();
 
         let mut session = MatchSession::from_parts(&cfg, &th, table2, store2, schemas2).threads(1);

@@ -62,12 +62,11 @@ impl TypeCompatibility {
             .map(|(&(a, b), &v)| (data_type_code(a), data_type_code(b), v))
             .collect();
         overrides.sort_by_key(|x| (x.0, x.1));
-        w.put_len(overrides.len());
-        for (a, b, v) in overrides {
+        w.put_list(overrides, |w, (a, b, v)| {
             w.put_u8(a);
             w.put_u8(b);
             w.put_f64(v);
-        }
+        });
     }
 
     /// Install a symmetric override for a specific type pair. The value is

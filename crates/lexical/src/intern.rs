@@ -176,11 +176,10 @@ impl TokenTable {
 
     /// Encode the table: every entry in id order.
     pub fn write_wire(&self, w: &mut WireWriter) {
-        w.put_len(self.entries.len());
-        for (c, t) in &self.entries {
+        w.put_list(&self.entries, |w, (c, t)| {
             w.put_u8(c.index() as u8);
             w.put_str(t);
-        }
+        });
     }
 
     /// Decode a table written by [`TokenTable::write_wire`]. Entries
@@ -297,8 +296,19 @@ impl SimStore {
     /// count is rebuilt by counting non-`NaN` entries, so a decoded
     /// store reports the same [`SimStore::distinct_pairs_computed`] as
     /// the one that was saved.
-    pub fn read_wire(r: &mut WireReader<'_>) -> Result<SimStore, WireError> {
+    ///
+    /// `vocab` is the size of the [`TokenTable`] the store indexes. A
+    /// directory longer than that table's triangle of pairs needs is
+    /// corrupt: [`TokenSimCache::sim`] and [`SimStore::merge`] never
+    /// create a slot past it, and the table only grows.
+    pub fn read_wire(r: &mut WireReader<'_>, vocab: usize) -> Result<SimStore, WireError> {
         let dir_len = r.get_len()?;
+        let max_chunks = (vocab.saturating_mul(vocab + 1) / 2).div_ceil(CHUNK_LEN);
+        if dir_len > max_chunks {
+            return Err(r.err(format!(
+                "chunk directory of {dir_len} past the {max_chunks} a {vocab}-token table can fill"
+            )));
+        }
         let present = r.get_len()?;
         if present > dir_len {
             return Err(r.err(format!("{present} chunks present but directory holds {dir_len}")));
@@ -644,7 +654,7 @@ mod tests {
         store.write_wire(&mut w);
         let bytes = w.into_bytes();
         let mut r = cupid_model::WireReader::new(&bytes);
-        let back = SimStore::read_wire(&mut r).unwrap();
+        let back = SimStore::read_wire(&mut r, table.len()).unwrap();
         r.finish().unwrap();
         assert_eq!(back.distinct_pairs_computed(), store.distinct_pairs_computed());
         assert_eq!(back.allocated_chunks(), store.allocated_chunks());
@@ -665,7 +675,7 @@ mod tests {
         // chunk index out of bounds
         bytes[8] = 0xfe;
         let mut r = cupid_model::WireReader::new(&bytes);
-        assert!(SimStore::read_wire(&mut r).is_err());
+        assert!(SimStore::read_wire(&mut r, 3).is_err());
     }
 
     #[test]

@@ -68,50 +68,32 @@ impl NormalizedName {
     /// Encode the name: tokens (canonical + raw text, type), concepts,
     /// and the interned id slice (empty when not interned).
     pub fn write_wire(&self, w: &mut WireWriter) {
-        w.put_len(self.tokens.len());
-        for t in &self.tokens {
+        w.put_list(&self.tokens, |w, t| {
             w.put_str(&t.text);
             w.put_str(&t.raw);
             w.put_u8(t.ttype.index() as u8);
-        }
-        w.put_len(self.concepts.len());
-        for c in &self.concepts {
-            w.put_str(c);
-        }
-        w.put_len(self.ids.len());
-        for id in &self.ids {
-            w.put_u32(id.index() as u32);
-        }
+        });
+        w.put_list(&self.concepts, |w, c| w.put_str(c));
+        w.put_list(&self.ids, |w, id| w.put_u32(id.index() as u32));
     }
 
     /// Decode a name written by [`NormalizedName::write_wire`]. Ids are
     /// bounds-checked against `vocab` (the size of the table the
     /// snapshot was taken with).
     pub fn read_wire(r: &mut WireReader<'_>, vocab: usize) -> Result<NormalizedName, WireError> {
-        let nt = r.get_len()?;
-        let mut tokens = Vec::with_capacity(nt);
-        for _ in 0..nt {
+        let tokens = r.get_list(|r| {
             let text = r.get_str()?;
             let raw = r.get_str()?;
             let ttype = match r.get_u8()? {
                 c if (c as usize) < TokenType::ALL.len() => TokenType::ALL[c as usize],
                 c => return Err(r.err(format!("unknown token type code {c}"))),
             };
-            tokens.push(Token { text, raw, ttype });
-        }
-        let nc = r.get_len()?;
-        let mut concepts = BTreeSet::new();
-        for _ in 0..nc {
-            concepts.insert(r.get_str()?);
-        }
-        let ni = r.get_len()?;
-        if ni != 0 && ni != tokens.len() {
-            return Err(r.err(format!("{ni} ids for {} tokens", tokens.len())));
-        }
-        let mut ids = Vec::with_capacity(ni);
-        for _ in 0..ni {
-            let raw_id = r.get_u32()?;
-            ids.push(token_id_from_wire(r, raw_id, vocab)?);
+            Ok(Token { text, raw, ttype })
+        })?;
+        let concepts = r.get_list(WireReader::get_str)?.into_iter().collect();
+        let ids = r.get_list(|r| r.get_u32().and_then(|raw| token_id_from_wire(r, raw, vocab)))?;
+        if !ids.is_empty() && ids.len() != tokens.len() {
+            return Err(r.err(format!("{} ids for {} tokens", ids.len(), tokens.len())));
         }
         Ok(NormalizedName { tokens, concepts, ids })
     }

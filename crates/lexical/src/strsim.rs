@@ -78,17 +78,30 @@ fn common_suffix(a: &[u8], b: &[u8]) -> usize {
 /// suffixes: `max(lcp, lcs) * 2 / (|a| + |b|)`, gated by
 /// [`AffixConfig::min_affix_len`] and capped at [`AffixConfig::max_score`].
 pub fn affix_similarity(a: &str, b: &str, cfg: &AffixConfig) -> f64 {
+    affix_rule(a, b, cfg).0
+}
+
+/// The affix rule, measuring the common prefix and suffix once: the
+/// [`affix_similarity`] score and the provenance that explains it. A
+/// score of 0 is [`TokenSimProvenance::NoMatch`], whichever gate
+/// produced it (empty text, short affixes, `max_score = 0`).
+fn affix_rule(a: &str, b: &str, cfg: &AffixConfig) -> (f64, TokenSimProvenance) {
     if a.is_empty() || b.is_empty() {
-        return 0.0;
+        return (0.0, TokenSimProvenance::NoMatch);
     }
     let lcp = common_prefix(a.as_bytes(), b.as_bytes());
     let lcs = common_suffix(a.as_bytes(), b.as_bytes());
     let best = lcp.max(lcs);
     if best < cfg.min_affix_len {
-        return 0.0;
+        return (0.0, TokenSimProvenance::NoMatch);
     }
-    let score = (2.0 * best as f64) / (a.len() + b.len()) as f64;
-    score.min(cfg.max_score)
+    let raw = (2.0 * best as f64) / (a.len() + b.len()) as f64;
+    let score = raw.min(cfg.max_score);
+    if score == 0.0 {
+        return (score, TokenSimProvenance::NoMatch);
+    }
+    let capped = raw > cfg.max_score;
+    (score, TokenSimProvenance::Affix { prefix_len: lcp as u32, suffix_len: lcs as u32, capped })
 }
 
 /// `sim(t1, t2)` on (similarity class, canonical text) pairs — the full
@@ -99,7 +112,8 @@ pub fn affix_similarity(a: &str, b: &str, cfg: &AffixConfig) -> f64 {
 /// Token-type discipline: `Number` and `Special` tokens only match
 /// exactly (the digits in `Street4`/`street4` must agree); a word never
 /// matches a number. Words go through the thesaurus (exact canonical
-/// match is 1.0), then the affix fallback.
+/// match is 1.0), then the affix fallback. The score is that of
+/// [`class_similarity_explained`], which owns the rule.
 pub fn class_similarity(
     c1: SimClass,
     a: &str,
@@ -108,19 +122,7 @@ pub fn class_similarity(
     thesaurus: &Thesaurus,
     cfg: &AffixConfig,
 ) -> f64 {
-    match (c1, c2) {
-        (SimClass::Number, SimClass::Number) | (SimClass::Special, SimClass::Special) if a == b => {
-            1.0
-        }
-        (SimClass::Word, SimClass::Word) => {
-            if let Some(s) = thesaurus.token_sim(a, b) {
-                s
-            } else {
-                affix_similarity(a, b, cfg)
-            }
-        }
-        _ => 0.0,
-    }
+    class_similarity_explained(c1, a, c2, b, thesaurus, cfg).0
 }
 
 /// `sim(t1, t2)` of the paper, on [`Token`]s: delegates to
@@ -132,7 +134,7 @@ pub fn token_similarity(t1: &Token, t2: &Token, thesaurus: &Thesaurus, cfg: &Aff
 
 /// Where one token-pair similarity score came from — the per-pair
 /// provenance the explain layer (`cupid-core`) surfaces. Every variant
-/// corresponds to exactly one arm of [`class_similarity`], so a
+/// corresponds to exactly one arm of [`class_similarity_explained`], so a
 /// `(score, provenance)` pair fully reconstructs the decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenSimProvenance {
@@ -157,10 +159,8 @@ pub enum TokenSimProvenance {
     NoMatch,
 }
 
-/// [`class_similarity`] with provenance: the identical score (bit for
-/// bit — both paths run the same arithmetic) plus which rule produced
-/// it. Kept separate from the hot path so explain requests pay for the
-/// extra bookkeeping and ordinary matching does not.
+/// `sim(t1, t2)` with provenance: the score [`class_similarity`]
+/// returns plus which rule produced it.
 pub fn class_similarity_explained(
     c1: SimClass,
     a: &str,
@@ -173,24 +173,10 @@ pub fn class_similarity_explained(
         (SimClass::Number, SimClass::Number) | (SimClass::Special, SimClass::Special) if a == b => {
             (1.0, TokenSimProvenance::ExactSymbol)
         }
-        (SimClass::Word, SimClass::Word) => {
-            if let Some(s) = thesaurus.token_sim(a, b) {
-                return (s, TokenSimProvenance::Thesaurus);
-            }
-            let score = affix_similarity(a, b, cfg);
-            if score == 0.0 {
-                return (0.0, TokenSimProvenance::NoMatch);
-            }
-            let lcp = common_prefix(a.as_bytes(), b.as_bytes());
-            let lcs = common_suffix(a.as_bytes(), b.as_bytes());
-            let raw = (2.0 * lcp.max(lcs) as f64) / (a.len() + b.len()) as f64;
-            let provenance = TokenSimProvenance::Affix {
-                prefix_len: lcp as u32,
-                suffix_len: lcs as u32,
-                capped: raw > cfg.max_score,
-            };
-            (score, provenance)
-        }
+        (SimClass::Word, SimClass::Word) => match thesaurus.token_sim(a, b) {
+            Some(s) => (s, TokenSimProvenance::Thesaurus),
+            None => affix_rule(a, b, cfg),
+        },
         _ => (0.0, TokenSimProvenance::NoMatch),
     }
 }
@@ -341,10 +327,13 @@ mod tests {
             (SimClass::Number, "4", SimClass::Word, "four"),
             (SimClass::Word, "", SimClass::Word, "abc"),
         ];
+        let zero = AffixConfig { max_score: 0.0, ..cfg };
         for (c1, a, c2, b) in cases {
-            let plain = class_similarity(c1, a, c2, b, &t, &cfg);
-            let (explained, _) = class_similarity_explained(c1, a, c2, b, &t, &cfg);
-            assert_eq!(plain.to_bits(), explained.to_bits(), "{a} vs {b}");
+            for cfg in [&cfg, &zero] {
+                let plain = class_similarity(c1, a, c2, b, &t, cfg);
+                let (explained, _) = class_similarity_explained(c1, a, c2, b, &t, cfg);
+                assert_eq!(plain.to_bits(), explained.to_bits(), "{a} vs {b}");
+            }
         }
         let prov = |a: &str, b: &str| {
             class_similarity_explained(SimClass::Word, a, SimClass::Word, b, &t, &cfg).1
@@ -369,6 +358,10 @@ mod tests {
             class_similarity_explained(SimClass::Number, "4", SimClass::Number, "4", &t, &cfg).1,
             TokenSimProvenance::ExactSymbol
         );
+        // A zero cap zeroes every affix score, and a zero score is no match.
+        let w = SimClass::Word;
+        let (score, prov) = class_similarity_explained(w, "postalcode", w, "zipcode", &t, &zero);
+        assert_eq!((score.to_bits(), prov), (0, TokenSimProvenance::NoMatch));
     }
 
     #[test]

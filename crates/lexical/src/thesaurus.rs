@@ -160,30 +160,21 @@ impl Thesaurus {
     /// mismatch invalidates the snapshot (DESIGN.md §8).
     pub fn fingerprint(&self) -> u64 {
         let mut w = cupid_model::WireWriter::new();
-        w.put_len(self.abbreviations.len());
-        for (short, exp) in &self.abbreviations {
+        w.put_list(&self.abbreviations, |w, (short, exp)| {
             w.put_str(short);
-            w.put_len(exp.len());
-            for word in exp {
-                w.put_str(word);
-            }
-        }
-        w.put_len(self.stopwords.len());
-        for s in &self.stopwords {
-            w.put_str(s);
-        }
-        w.put_len(self.concepts.len());
-        for (token, concept) in &self.concepts {
+            w.put_list(exp, |w, word| w.put_str(word));
+        });
+        w.put_list(&self.stopwords, |w, s| w.put_str(s));
+        w.put_list(&self.concepts, |w, (token, concept)| {
             w.put_str(token);
             w.put_str(concept);
-        }
+        });
         for table in [&self.synonyms, &self.hypernyms] {
-            w.put_len(table.len());
-            for ((a, b), coeff) in table {
+            w.put_list(table, |w, ((a, b), coeff)| {
                 w.put_str(a);
                 w.put_str(b);
                 w.put_f64(*coeff);
-            }
+            });
         }
         cupid_model::fnv1a(w.bytes())
     }
@@ -453,6 +444,7 @@ mod tests {
         assert_eq!(t.token_sim("person", "customer"), Some(0.8));
         assert_eq!(t.concept_of("cost"), Some("money"));
         assert!(t.is_stopword("of"));
+        assert_eq!(t.fingerprint(), 0xd044_0440_030e_daab, "every table's encoding is pinned");
     }
 
     #[test]

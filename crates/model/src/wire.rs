@@ -6,7 +6,9 @@
 //! vocabulary of primitives: little-endian `u8`/`u32`/`u64`, `f64` *by
 //! bit pattern* (snapshots must preserve similarity values exactly —
 //! the repository's bit-identity guarantee depends on it),
-//! length-prefixed UTF-8 strings, and `u32` element counts.
+//! length-prefixed UTF-8 strings, and length-prefixed lists (a `u32`
+//! count, then the items), written by [`WireWriter::put_list`] and read
+//! by [`WireReader::get_list`].
 //!
 //! The format is versioned at the container level (the repository
 //! snapshot carries a magic + version header and a trailing checksum;
@@ -117,6 +119,20 @@ impl WireWriter {
     pub fn put_bytes(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }
+
+    /// Write a length-prefixed list: the item count, then each item
+    /// through `put`. [`WireReader::get_list`] reads it back.
+    pub fn put_list<I>(&mut self, items: I, mut put: impl FnMut(&mut Self, I::Item))
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        self.put_len(items.len());
+        for item in items {
+            put(self, item);
+        }
+    }
 }
 
 /// Sequential decoder over a byte slice.
@@ -216,6 +232,23 @@ impl<'a> WireReader<'a> {
     /// Read `n` raw bytes.
     pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         self.take(n)
+    }
+
+    /// Read a list written by [`WireWriter::put_list`], each item
+    /// through `get`. This is where a wire count meets an allocation:
+    /// it reserves at most as many items as the bytes left could hold
+    /// and grows as items actually decode, so a count the input cannot
+    /// back costs an error, not its `count × size_of::<T>()` bytes.
+    pub fn get_list<T>(
+        &mut self,
+        mut get: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let n = self.get_len()?;
+        let mut out = Vec::with_capacity(n.min(self.remaining() / size_of::<T>().max(1)));
+        for _ in 0..n {
+            out.push(get(self)?);
+        }
+        Ok(out)
     }
 
     /// Assert the input is fully consumed.
@@ -579,23 +612,17 @@ pub fn broad_type_from_code(c: u8) -> Option<BroadType> {
 const NO_ID: u32 = u32::MAX;
 
 fn put_id_list(w: &mut WireWriter, ids: &[ElementId]) {
-    w.put_len(ids.len());
-    for id in ids {
-        w.put_u32(id.index() as u32);
-    }
+    w.put_list(ids, |w, id| w.put_u32(id.index() as u32));
 }
 
 fn get_id_list(r: &mut WireReader<'_>, len: usize) -> Result<Vec<ElementId>, WireError> {
-    let n = r.get_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
+    r.get_list(|r| {
         let v = r.get_u32()? as usize;
         if v >= len {
             return Err(r.err(format!("element id {v} out of bounds ({len} elements)")));
         }
-        out.push(ElementId::from_index(v));
-    }
-    Ok(out)
+        Ok(ElementId::from_index(v))
+    })
 }
 
 // --- Schema -----------------------------------------------------------
@@ -607,8 +634,7 @@ impl Schema {
     /// doubles as the input of [`Schema::content_hash`].
     pub fn write_wire(&self, w: &mut WireWriter) {
         w.put_str(&self.name);
-        w.put_len(self.elements.len());
-        for e in &self.elements {
+        w.put_list(&self.elements, |w, e| {
             w.put_str(&e.name);
             w.put_u8(element_kind_code(e.kind));
             w.put_u8(data_type_code(e.data_type));
@@ -620,7 +646,7 @@ impl Schema {
             if let Some(a) = &e.annotation {
                 w.put_str(a);
             }
-        }
+        });
         for edges in &self.edges {
             match edges.parent {
                 Some(p) => w.put_u32(p.index() as u32),
@@ -637,9 +663,7 @@ impl Schema {
     /// its invariants via [`Schema::validate`].
     pub fn read_wire(r: &mut WireReader<'_>) -> Result<Schema, WireError> {
         let name = r.get_str()?;
-        let n = r.get_len()?;
-        let mut elements = Vec::with_capacity(n);
-        for _ in 0..n {
+        let elements = r.get_list(|r| {
             let ename = r.get_str()?;
             let kind = element_kind_from_code(r.get_u8()?)
                 .ok_or_else(|| r.err("unknown element kind code"))?;
@@ -656,8 +680,9 @@ impl Schema {
             e.not_instantiated = flags & 0b010 != 0;
             e.is_key = flags & 0b100 != 0;
             e.annotation = annotation;
-            elements.push(e);
-        }
+            Ok(e)
+        })?;
+        let n = elements.len();
         let mut edges = Vec::with_capacity(n);
         for _ in 0..n {
             let parent = match r.get_u32()? {
@@ -714,13 +739,8 @@ impl SchemaTree {
                 Some(SyntheticKind::JoinView) => 1,
                 Some(SyntheticKind::View) => 2,
             });
-            w.put_len(node.parents.len());
-            for p in &node.parents {
-                w.put_u32(p.index() as u32);
-            }
-            w.put_len(node.children.len());
-            for c in &node.children {
-                w.put_u32(c.index() as u32);
+            for ids in [&node.parents, &node.children] {
+                w.put_list(ids, |w, id| w.put_u32(id.index() as u32));
             }
         }
     }
@@ -738,11 +758,10 @@ impl SchemaTree {
             return Err(r.err(format!("root {root} out of bounds ({n} nodes)")));
         }
         let mut tree = SchemaTree::new_empty(schema_name);
-        let node_id = |r: &WireReader<'_>, v: u32| -> Result<NodeId, WireError> {
-            if (v as usize) < n {
-                Ok(NodeId::from_index(v as usize))
-            } else {
-                Err(r.err(format!("node id {v} out of bounds ({n} nodes)")))
+        let node_id = |r: &mut WireReader<'_>| -> Result<NodeId, WireError> {
+            match r.get_u32()? {
+                v if (v as usize) < n => Ok(NodeId::from_index(v as usize)),
+                v => Err(r.err(format!("node id {v} out of bounds ({n} nodes)"))),
             }
         };
         for _ in 0..n {
@@ -759,18 +778,8 @@ impl SchemaTree {
                 2 => Some(SyntheticKind::View),
                 c => return Err(r.err(format!("unknown synthetic code {c}"))),
             };
-            let np = r.get_len()?;
-            let mut parents = Vec::with_capacity(np);
-            for _ in 0..np {
-                let v = r.get_u32()?;
-                parents.push(node_id(r, v)?);
-            }
-            let nc = r.get_len()?;
-            let mut children = Vec::with_capacity(nc);
-            for _ in 0..nc {
-                let v = r.get_u32()?;
-                children.push(node_id(r, v)?);
-            }
+            let parents = r.get_list(node_id)?;
+            let children = r.get_list(node_id)?;
             tree.push_node(TreeNode {
                 element,
                 name,

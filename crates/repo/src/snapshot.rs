@@ -84,19 +84,17 @@ pub(crate) fn encode(state: &SnapshotRefs<'_>, config_fp: u64, thesaurus_fp: u64
     w.put_u64(thesaurus_fp);
     state.table.write_wire(&mut w);
     state.store.write_wire(&mut w);
-    w.put_len(state.names.len());
-    for i in 0..state.names.len() {
+    w.put_list(0..state.names.len(), |w, i| {
         w.put_str(&state.names[i]);
         w.put_u64(state.hashes[i]);
-        state.sources[i].write_wire(&mut w);
-        state.prepared[i].write_wire(&mut w);
-    }
-    w.put_len(state.cache.len());
-    for (&(ha, hb), summary) in state.cache {
+        state.sources[i].write_wire(w);
+        state.prepared[i].write_wire(w);
+    });
+    w.put_list(state.cache, |w, (&(ha, hb), summary)| {
         w.put_u64(ha);
         w.put_u64(hb);
-        summary.write_wire(&mut w);
-    }
+        summary.write_wire(w);
+    });
     let checksum = fnv1a(w.bytes());
     w.put_u64(checksum);
     w.into_bytes()
@@ -151,19 +149,18 @@ pub(crate) fn decode(
 
     let mut parse = || -> Result<SnapshotState, cupid_model::WireError> {
         let table = TokenTable::read_wire(&mut r)?;
-        let store = SimStore::read_wire(&mut r)?;
         let vocab = table.len();
-        let n = r.get_len()?;
-        let mut names = Vec::with_capacity(n);
-        let mut hashes = Vec::with_capacity(n);
-        let mut sources = Vec::with_capacity(n);
-        let mut prepared = Vec::with_capacity(n);
-        for _ in 0..n {
+        let store = SimStore::read_wire(&mut r, vocab)?;
+        // One record per schema, split into the state's parallel lists
+        // as each decodes.
+        let (mut names, mut hashes, mut sources, mut prepared) = (vec![], vec![], vec![], vec![]);
+        r.get_list(|r| {
             names.push(r.get_str()?);
             hashes.push(r.get_u64()?);
-            sources.push(Schema::read_wire(&mut r)?);
-            prepared.push(PreparedSchema::read_wire(&mut r, vocab)?);
-        }
+            sources.push(Schema::read_wire(r)?);
+            prepared.push(PreparedSchema::read_wire(r, vocab)?);
+            Ok(())
+        })?;
         let nc = r.get_len()?;
         let mut cache = BTreeMap::new();
         for _ in 0..nc {

@@ -351,10 +351,7 @@ impl Request {
             Request::Save => REQ_SAVE,
             Request::Shutdown => REQ_SHUTDOWN,
             Request::Batch { items } => {
-                w.put_len(items.len());
-                for item in items {
-                    item.write_wire(&mut w);
-                }
+                w.put_list(items, |w, item| item.write_wire(w));
                 BATCH_REQUEST
             }
             Request::Mutate { request_id, op } => {
@@ -392,14 +389,7 @@ impl Request {
         let req = match kind {
             REQ_SAVE => Request::Save,
             REQ_SHUTDOWN => Request::Shutdown,
-            BATCH_REQUEST => {
-                let n = r.get_len()?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(BatchItem::read_wire(&mut r)?);
-                }
-                Request::Batch { items }
-            }
+            BATCH_REQUEST => Request::Batch { items: r.get_list(BatchItem::read_wire)? },
             MUTATE_REQUEST => {
                 let request_id = r.get_u64()?;
                 let op = match r.get_u8()? {
@@ -478,14 +468,8 @@ impl BatchOutcome {
             }
             Ok(BatchOutcome::TopKList { names, summaries }) => {
                 w.put_u8(ENTRY_TOP_K);
-                w.put_len(names.len());
-                for n in names {
-                    w.put_str(n);
-                }
-                w.put_len(summaries.len());
-                for s in summaries {
-                    s.write_wire(w);
-                }
+                w.put_list(names, |w, n| w.put_str(n));
+                w.put_list(summaries, |w, s| s.write_wire(w));
             }
             Ok(BatchOutcome::Stats(report)) => {
                 w.put_u8(ENTRY_STATS);
@@ -503,14 +487,8 @@ impl BatchOutcome {
                 summary: MatchSummary::read_wire(r)?,
             },
             ENTRY_TOP_K => {
-                let n = r.get_len()?;
-                let mut names = Vec::with_capacity(n);
-                for _ in 0..n {
-                    names.push(r.get_str()?);
-                }
-                let n = r.get_len()?;
-                let mut summaries = Vec::with_capacity(n);
-                for _ in 0..n {
+                let names = r.get_list(WireReader::get_str)?;
+                let summaries = r.get_list(|r| {
                     let summary = MatchSummary::read_wire(r)?;
                     // A client renders summary ids through the name
                     // table, so an id past it is a malformed listing.
@@ -521,8 +499,8 @@ impl BatchOutcome {
                             names.len()
                         )));
                     }
-                    summaries.push(summary);
-                }
+                    Ok(summary)
+                })?;
                 BatchOutcome::TopKList { names, summaries }
             }
             ENTRY_STATS => BatchOutcome::Stats(StatsReport::read_wire(r)?),
@@ -535,33 +513,23 @@ impl BatchOutcome {
 /// histograms and the per-(kind, stage) attribution histograms use the
 /// same shape).
 fn write_latencies(w: &mut WireWriter, latencies: &[KindLatency]) {
-    w.put_len(latencies.len());
-    for l in latencies {
+    w.put_list(latencies, |w, l| {
         w.put_str(&l.kind);
         w.put_u64(l.count);
         w.put_u64(l.total_ns);
-        w.put_len(l.buckets.len());
-        for &b in &l.buckets {
-            w.put_u64(b);
-        }
-    }
+        w.put_list(&l.buckets, |w, &b| w.put_u64(b));
+    });
 }
 
 fn read_latencies(r: &mut WireReader<'_>) -> Result<Vec<KindLatency>, WireError> {
-    let n = r.get_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let kind = r.get_str()?;
-        let count = r.get_u64()?;
-        let total_ns = r.get_u64()?;
-        let buckets_len = r.get_len()?;
-        let mut buckets = Vec::with_capacity(buckets_len);
-        for _ in 0..buckets_len {
-            buckets.push(r.get_u64()?);
-        }
-        out.push(KindLatency { kind, count, total_ns, buckets });
-    }
-    Ok(out)
+    r.get_list(|r| {
+        Ok(KindLatency {
+            kind: r.get_str()?,
+            count: r.get_u64()?,
+            total_ns: r.get_u64()?,
+            buckets: r.get_list(WireReader::get_u64)?,
+        })
+    })
 }
 
 impl TraceRecord {
@@ -570,10 +538,7 @@ impl TraceRecord {
         w.put_str(&self.kind);
         w.put_u64(self.total_ns);
         w.put_u64(self.finished_unix_ms);
-        w.put_len(self.stage_ns.len());
-        for &ns in &self.stage_ns {
-            w.put_u64(ns);
-        }
+        w.put_list(&self.stage_ns, |w, &ns| w.put_u64(ns));
     }
 
     fn read_wire(r: &mut WireReader<'_>) -> Result<TraceRecord, WireError> {
@@ -582,14 +547,7 @@ impl TraceRecord {
             kind: r.get_str()?,
             total_ns: r.get_u64()?,
             finished_unix_ms: r.get_u64()?,
-            stage_ns: {
-                let n = r.get_len()?;
-                let mut out = Vec::with_capacity(n);
-                for _ in 0..n {
-                    out.push(r.get_u64()?);
-                }
-                out
-            },
+            stage_ns: r.get_list(WireReader::get_u64)?,
         })
     }
 }
@@ -626,17 +584,11 @@ impl Response {
                 OVERLOADED_RESPONSE
             }
             Response::Batch { entries } => {
-                w.put_len(entries.len());
-                for entry in entries {
-                    BatchOutcome::write_entry(entry, &mut w);
-                }
+                w.put_list(entries, |w, entry| BatchOutcome::write_entry(entry, w));
                 BATCH_RESPONSE
             }
             Response::SlowLog { entries } => {
-                w.put_len(entries.len());
-                for entry in entries {
-                    entry.write_wire(&mut w);
-                }
+                w.put_list(entries, |w, entry| entry.write_wire(w));
                 SLOW_LOG_RESPONSE
             }
             Response::Explanation(explanation) => {
@@ -661,22 +613,8 @@ impl Response {
             OVERLOADED_RESPONSE => {
                 Response::Overloaded { max_inflight: r.get_u64()?, queue_deadline_ms: r.get_u64()? }
             }
-            BATCH_RESPONSE => {
-                let n = r.get_len()?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entries.push(BatchOutcome::read_entry(&mut r)?);
-                }
-                Response::Batch { entries }
-            }
-            SLOW_LOG_RESPONSE => {
-                let n = r.get_len()?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entries.push(TraceRecord::read_wire(&mut r)?);
-                }
-                Response::SlowLog { entries }
-            }
+            BATCH_RESPONSE => Response::Batch { entries: r.get_list(BatchOutcome::read_entry)? },
+            SLOW_LOG_RESPONSE => Response::SlowLog { entries: r.get_list(TraceRecord::read_wire)? },
             EXPLAIN_RESPONSE => Response::Explanation(PairExplanation::read_wire(&mut r)?),
             other => return Err(r.err(format!("unknown response kind {other:#04x}"))),
         };

@@ -11,6 +11,7 @@
 
 use cupid::core::CupidConfig;
 use cupid::lexical::{SimClass, SimStore, Thesaurus, TokenId, TokenSimCache, TokenTable};
+use cupid::model::{WireReader, WireWriter};
 use proptest::prelude::*;
 
 /// Words for randomized vocabularies: realistic schema tokens with
@@ -104,6 +105,37 @@ fn all_sims(
     (out, computed)
 }
 
+/// A decoded store's chunk directory is bounded by the triangle of
+/// pairs its table can index: a store filled up to the table's last
+/// pair round-trips, and a directory one chunk longer is rejected
+/// before anything is reserved for it.
+#[test]
+fn store_directory_is_bounded_by_the_table_triangle() {
+    // 128 tokens index 128·129/2 = 8,256 pairs: three 4,096-slot chunks.
+    let (table, ids) = vocabulary(128);
+    let thesaurus = Thesaurus::with_default_stopwords();
+    let affix = CupidConfig::default().affix;
+    let mut cache = TokenSimCache::new(&table, &thesaurus, &affix);
+    let last = ids[ids.len() - 1];
+    let want = cache.sim(last, last).to_bits();
+    let read = |bytes: &[u8]| SimStore::read_wire(&mut WireReader::new(bytes), table.len());
+
+    let mut w = WireWriter::new();
+    cache.into_store().write_wire(&mut w);
+    assert_eq!(&w.bytes()[..4], &3u32.to_le_bytes(), "the last pair lives in chunk 2");
+    let back = read(w.bytes()).expect("a store filled over the table decodes");
+    let mut cache = TokenSimCache::with_store(&table, &thesaurus, &affix, back);
+    assert_eq!(cache.sim(last, last).to_bits(), want);
+    assert_eq!(cache.distinct_pairs_computed(), 1, "the decoded value is a hit");
+
+    for (dir_len, fits) in [(3, true), (4, false)] {
+        let mut w = WireWriter::new();
+        w.put_len(dir_len);
+        w.put_len(0);
+        assert_eq!(read(w.bytes()).is_ok(), fits, "an empty {dir_len}-chunk directory");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -182,11 +214,11 @@ proptest! {
         let b = filled_store(&table, &thesaurus, &ids, &picks_b);
 
         let round_trip = |s: &SimStore| -> SimStore {
-            let mut w = cupid::model::WireWriter::new();
+            let mut w = WireWriter::new();
             s.write_wire(&mut w);
             let bytes = w.into_bytes();
-            let mut r = cupid::model::WireReader::new(&bytes);
-            let back = SimStore::read_wire(&mut r).unwrap();
+            let mut r = WireReader::new(&bytes);
+            let back = SimStore::read_wire(&mut r, table.len()).unwrap();
             r.finish().unwrap();
             back
         };
