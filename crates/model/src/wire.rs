@@ -295,6 +295,22 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+impl FrameError {
+    /// Did this frame error come from a socket deadline expiring (see
+    /// [`is_timeout`]), as opposed to a malformed frame or a hard
+    /// socket failure?
+    pub fn is_timeout(&self) -> bool {
+        matches!(self, FrameError::Io(e) if is_timeout(e))
+    }
+}
+
+/// Is this I/O error a socket read/write deadline expiring? Unix
+/// reports `WouldBlock` for a timed-out blocking socket, Windows
+/// `TimedOut`; std documents the pair for `set_read_timeout`.
+pub fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
+}
+
 impl From<std::io::Error> for FrameError {
     fn from(e: std::io::Error) -> Self {
         FrameError::Io(e)

@@ -279,7 +279,7 @@ mod tests {
                     *state ^= *state << 13;
                     *state ^= *state >> 7;
                     *state ^= *state << 17;
-                    *state % 3 == 0
+                    state.is_multiple_of(3)
                 })
                 .collect() // interned in ascending order, so already sorted
         };

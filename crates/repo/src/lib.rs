@@ -21,11 +21,15 @@
 //!   tokens ([`DiscoveryIndex`]) retrieves match candidates by cheap
 //!   token overlap, so corpus discovery can execute `N·k` pairs
 //!   instead of `N·(N−1)/2`.
-//! * **Single-writer locking** — opening a repository takes an
-//!   advisory lock file next to the snapshot for the lifetime of the
-//!   handle ([`RepoLock`]), so two processes can no longer clobber
-//!   each other's saves last-rename-wins; the loser gets a loud
-//!   [`RepoError::Locked`] naming the holder's pid.
+//! * **Single-writer locking** — opening a repository takes an OS
+//!   file lock on `<snapshot>.lock` for the lifetime of the handle
+//!   ([`RepoLock`]), so two handles, in one process or two, can no
+//!   longer clobber each other's saves last-rename-wins; the loser gets
+//!   a loud [`RepoError::Locked`] naming the pid the holder recorded in
+//!   the file (0 until it has). The OS releases the lock when the
+//!   handle drops or its process exits, so a crash leaves no held lock
+//!   behind; the file itself stays on disk. On a filesystem without
+//!   file locks, opening fails with [`RepoError::Io`].
 //! * **Write-ahead journal** — every mutation appends one checksummed
 //!   record to a sibling `<snapshot>.journal` file
 //!   ([`journal::Journal`], DESIGN.md §10); an fsynced append
@@ -145,7 +149,8 @@ pub enum RepoError {
     Locked {
         /// The lock file that is held.
         path: PathBuf,
-        /// The holder's pid, as recorded in the lock file.
+        /// The holder's pid, as recorded in the lock file (0 if the
+        /// holder has not written it yet).
         pid: u32,
     },
     /// A schema with this name is already in the repository.
@@ -322,13 +327,16 @@ impl<'a> Repository<'a> {
     /// is damaged (checksum mismatch, malformed bytes) is an error:
     /// silent data loss is worse than a loud one.
     ///
-    /// Opening acquires the snapshot's single-writer advisory lock
-    /// (`<snapshot>.lock`, holder pid inside) for the lifetime of the
-    /// handle; a second open of the same path — from this process or
-    /// another — fails with [`RepoError::Locked`] instead of letting
-    /// two `save`s clobber each other last-rename-wins. The lock is
-    /// released on drop, and a lock left by a crashed process is
-    /// reclaimed.
+    /// Opening takes the snapshot's single-writer lock, an OS file
+    /// lock on `<snapshot>.lock`, for the lifetime of the handle; a
+    /// second open of the same path — from this process or another —
+    /// fails with [`RepoError::Locked`] instead of letting two `save`s
+    /// clobber each other last-rename-wins. The OS releases the lock
+    /// when the handle drops or its process exits, so a crash never
+    /// wedges the repository. The lock file stays on disk with the last
+    /// holder's pid (0 until the holder has written it). On a
+    /// filesystem without file locks the open fails with
+    /// [`RepoError::Io`].
     ///
     /// After the snapshot loads, the write-ahead journal tail is
     /// replayed on top of it (DESIGN.md §10.3): a journal whose header

@@ -30,6 +30,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use cupid_model::wire::is_timeout;
+
 use crate::retry::splitmix64;
 
 /// Which way a frame is travelling through the proxy.
@@ -321,13 +323,7 @@ fn read_full(stream: &mut TcpStream, buf: &mut [u8], shared: &ProxyShared) -> Re
                 return if filled == 0 { ReadOutcome::Eof } else { ReadOutcome::Abort };
             }
             Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
+            Err(e) if is_timeout(&e) || e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return ReadOutcome::Abort,
         }
     }

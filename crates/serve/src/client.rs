@@ -206,7 +206,7 @@ impl ServeClient {
             }
         })();
         match result {
-            Err(ServeError::Frame(e)) if frame_timed_out(&e) => {
+            Err(ServeError::Frame(e)) if e.is_timeout() => {
                 // The stream may hold half a frame — desynchronized
                 // either way — but the *cause* is the deadline, and
                 // that's what callers and the retry loop branch on.
@@ -436,19 +436,6 @@ impl ServeClient {
             other => Err(Self::unexpected(other)),
         }
     }
-}
-
-/// Did this frame error come from the socket's read/write deadline
-/// expiring? Unix reports `WouldBlock` for a timed-out blocking
-/// socket, Windows `TimedOut` — std documents the pair.
-fn frame_timed_out(e: &cupid_model::FrameError) -> bool {
-    matches!(
-        e,
-        cupid_model::FrameError::Io(io) if matches!(
-            io.kind(),
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-        )
-    )
 }
 
 /// The summary a match read answered with.

@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use cupid_core::{CupidConfig, MatchSummary};
 use cupid_lexical::Thesaurus;
-use cupid_model::{write_frame, FrameError};
+use cupid_model::{wire::is_timeout, write_frame};
 use cupid_repo::{RepoError, Repository, SharedBatch};
 
 use crate::histogram::LatencyHistogram;
@@ -568,19 +568,6 @@ enum FrameWait {
     Failed,
 }
 
-/// Is this I/O error a read/write deadline expiry? Unix reports
-/// `WouldBlock` for a timed-out blocking socket, Windows `TimedOut` —
-/// check both (std documents this exact pair for `set_read_timeout`).
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
-}
-
-/// Did this frame error come from a deadline expiry (as opposed to a
-/// malformed frame or a hard socket failure)?
-fn is_deadline_cut(e: &FrameError) -> bool {
-    matches!(e, FrameError::Io(io) if is_timeout(io))
-}
-
 /// Park until the peer's next frame starts, under the idle deadline.
 /// `peek` leaves the byte for the frame reader, so this distinguishes
 /// "idle between frames" (cheap, tolerated up to `idle_timeout`) from
@@ -652,7 +639,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared<'_>) {
             Ok(Some(r)) => r,
             Ok(None) => return,
             Err(e) => {
-                if is_deadline_cut(&e) {
+                if e.is_timeout() {
                     // Mid-frame stall: the stream holds half a frame and
                     // cannot be resynchronized, and an error frame would
                     // interleave with whatever the peer eventually
@@ -730,7 +717,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared<'_>) {
             return;
         }
         if let Err(e) = wrote {
-            if is_deadline_cut(&e) {
+            if e.is_timeout() {
                 shared.deadline_cuts.fetch_add(1, Ordering::Relaxed);
                 shared.logger.warn(
                     "deadline_cut",
@@ -1079,7 +1066,7 @@ fn mutate(
     }
     let count = shared.mutations.fetch_add(1, Ordering::Relaxed) + 1;
     if let Some(every) = shared.options.autosave_every {
-        if every > 0 && count % every == 0 {
+        if every > 0 && count.is_multiple_of(every) {
             // The mutation itself already committed, so the client must
             // see success either way — reporting an error here would
             // make a retried add fail with "already in

@@ -8,12 +8,12 @@
 //!    process that opens a repository, adds the paper's Figure 1 and
 //!    Figure 2 schemas, fsyncs the journal (`sync_journal`, exactly
 //!    what the daemon's `--autosave 1` does per mutation), and then
-//!    exits abruptly — no snapshot save, destructors skipped, advisory
-//!    lock left on disk;
-//! 2. **recovery** — the parent reopens the same path: the dead
-//!    process's lock is reclaimed, the journal tail is replayed past
-//!    the (nonexistent) snapshot, and every acknowledged schema is
-//!    back, match-ready;
+//!    exits abruptly — no snapshot save, destructors skipped, its lock
+//!    file left on disk with its pid inside;
+//! 2. **recovery** — the parent reopens the same path: the OS released
+//!    the dead process's lock when it exited, so the open takes it, the
+//!    journal tail is replayed past the (nonexistent) snapshot, and
+//!    every acknowledged schema is back, match-ready;
 //! 3. **compaction** — one `save` folds the journal into a fresh
 //!    snapshot; the next open loads the snapshot alone and replays
 //!    nothing.
@@ -48,7 +48,8 @@ fn crash_child(snapshot: &Path) -> ! {
     }
     repo.sync_journal().expect("journal fsync");
     // Simulated crash: no `save`, no destructors — the snapshot file
-    // was never written and the single-writer lock stays behind.
+    // was never written and the lock file stays behind; exiting
+    // releases the lock itself.
     std::process::exit(0);
 }
 
@@ -70,7 +71,9 @@ fn main() {
         .expect("spawn crash child");
     assert!(status.success());
     let journal_bytes = std::fs::metadata(journal_path(&snapshot)).expect("journal file").len();
-    println!("crashed child left: no snapshot, a {journal_bytes}-byte journal, a stale lock");
+    println!(
+        "crashed child left: no snapshot, a {journal_bytes}-byte journal, an unheld lock file"
+    );
     assert!(!snapshot.exists());
 
     // 2. Recovery: reopen the same path.

@@ -17,9 +17,10 @@
 //! milliseconds — landing mid-mutation, mid-journal-append, or mid
 //! threshold-compaction depending on the round. Recovery happens by
 //! plain [`Repository::open_or_create`] on the same path, which also
-//! exercises dead-pid lock reclamation: the killed daemon leaves its
-//! advisory lock behind, and reopening must reclaim it rather than
-//! wedge.
+//! exercises the single-writer lock across processes: a live daemon
+//! child refuses a second opener and names its pid, and once it is
+//! killed the OS has released its lock, so reopening takes it even
+//! though the child's lock file, pid inside, stays behind.
 //!
 //! Acceptance per round:
 //!
@@ -38,7 +39,7 @@ use std::time::{Duration, Instant};
 use cupid::core::CupidConfig;
 use cupid::io::parse_sdl;
 use cupid::lexical::Thesaurus;
-use cupid::prelude::{Repository, ServeClient, ServeError, ServeOptions, Server};
+use cupid::prelude::{RepoError, Repository, ServeClient, ServeError, ServeOptions, Server};
 use cupid::repo::RepoLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -255,11 +256,11 @@ fn verify_recovery(
     let snapshot = dir.snapshot();
     assert!(
         RepoLock::lock_path(&snapshot).exists(),
-        "the killed daemon leaves its advisory lock behind"
+        "the killed daemon's lock file stays on disk; the OS released the lock"
     );
 
-    // Reopen on the same path: reclaims the dead pid's lock and replays
-    // the journal tail past the last snapshot.
+    // Reopen on the same path: the lock is free although its file names
+    // the dead pid, and the journal tail replays past the last snapshot.
     let mut recovered =
         Repository::open_or_create(&snapshot, config, th).expect("recovery after SIGKILL");
     let durability = recovered.durability();
@@ -339,6 +340,12 @@ fn idle_kill_round() {
         let op = gen_op(&mut rng, &mut live, &mut next_id);
         send(&mut client, &op).expect("no faults while the daemon is alive");
         acked.push(op);
+    }
+    // The daemon child holds the snapshot's lock, so an opener in this
+    // process is refused and told the child's pid.
+    match Repository::open_or_create(dir.snapshot(), &config, &th) {
+        Err(RepoError::Locked { pid, .. }) => assert_eq!(pid, child.id()),
+        other => panic!("expected Locked by the daemon child, got {other:?}"),
     }
     // Every response has been read, so nothing is in flight; SIGKILL.
     child.kill().unwrap();

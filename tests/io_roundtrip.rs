@@ -130,10 +130,10 @@ fn apply_op(b: &mut SchemaBuilder, stack: &mut Vec<ElementId>, typedefs: &[Eleme
         // open a nested structured element (bounded depth)
         0 if stack.len() < 5 => {
             let e = b.structured(parent, name, ElementKind::XmlElement);
-            if op % 11 == 0 {
+            if op.is_multiple_of(11) {
                 b.set_optional(e, true);
             }
-            if !typedefs.is_empty() && op % 5 == 0 {
+            if !typedefs.is_empty() && op.is_multiple_of(5) {
                 b.derive_from(e, typedefs[op % typedefs.len()]);
             }
             stack.push(e);
@@ -147,17 +147,17 @@ fn apply_op(b: &mut SchemaBuilder, stack: &mut Vec<ElementId>, typedefs: &[Eleme
         // atomic attribute
         2 | 3 => {
             let a = b.atomic(parent, name, ElementKind::XmlAttribute, dtype);
-            if op % 2 == 0 {
+            if op.is_multiple_of(2) {
                 b.set_optional(a, true);
             }
-            if op % 13 == 0 {
+            if op.is_multiple_of(13) {
                 b.set_key(a, true);
             }
         }
         // atomic element (the grammar extension)
         4 | 5 => {
             let e = b.atomic(parent, name, ElementKind::XmlElement, dtype);
-            if op % 3 == 0 {
+            if op.is_multiple_of(3) {
                 b.set_optional(e, true);
             }
         }

@@ -500,11 +500,11 @@ fn spawn_daemon_child(snap: &Path, addr_file: &Path) -> (std::process::Child, St
     }
 }
 
-/// SIGKILL under concurrent load, relaunch on the same path: the new
-/// daemon reclaims the dead process's lock, and every *acknowledged*
-/// mutation survives — with `--autosave 1`, a response is not written
-/// until its journal record is fsynced, so at most each writer's one
-/// unacknowledged request may be lost.
+/// SIGKILL under concurrent load, relaunch on the same path: the OS
+/// released the dead process's lock, so the new daemon takes it, and
+/// every *acknowledged* mutation survives — with `--autosave 1`, a
+/// response is not written until its journal record is fsynced, so at
+/// most each writer's one unacknowledged request may be lost.
 #[test]
 fn restart_under_load_loses_no_acked_mutation() {
     let tmp = TempSnap::new();
@@ -565,11 +565,12 @@ fn restart_under_load_loses_no_acked_mutation() {
     assert!(acked_total > 0, "some mutations must land before the kill");
     assert!(
         RepoLock::lock_path(&tmp.0).exists(),
-        "the killed daemon leaves its advisory lock behind"
+        "the killed daemon's lock file stays on disk; the OS released the lock"
     );
 
-    // Relaunch on the same path: the fresh daemon process reclaims the
-    // dead pid's lock and replays the journal.
+    // Relaunch on the same path: the fresh daemon process takes the
+    // lock its dead predecessor's file still names and replays the
+    // journal.
     let (mut child, addr) = spawn_daemon_child(&tmp.0, &addr_file);
     let mut client = ServeClient::connect(addr.as_str()).unwrap();
     let stats = client.stats().unwrap();

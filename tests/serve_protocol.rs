@@ -159,7 +159,7 @@ fn explanation_from(a: &str, b: &str, seed: u64) -> PairExplanation {
         2 => TokenSimProvenance::Affix {
             prefix_len: (mix.next() & 0xff) as u32,
             suffix_len: (mix.next() & 0xff) as u32,
-            capped: mix.next() % 2 == 0,
+            capped: mix.next().is_multiple_of(2),
         },
         _ => TokenSimProvenance::NoMatch,
     };
@@ -169,7 +169,7 @@ fn explanation_from(a: &str, b: &str, seed: u64) -> PairExplanation {
             target: NodeId::from_index(i + 2),
             source_path: mix.word().into(),
             target_path: mix.word().into(),
-            leaf: mix.next() % 2 == 0,
+            leaf: mix.next().is_multiple_of(2),
             wsim: f(&mut mix),
             ssim: f(&mut mix),
             lsim: f(&mut mix),
@@ -192,9 +192,9 @@ fn explanation_from(a: &str, b: &str, seed: u64) -> PairExplanation {
                 source_strong_links: (mix.next() % 1_000) as usize,
                 target_strong_links: (mix.next() % 1_000) as usize,
                 main_pass_wsim: f(&mut mix),
-                pruned: mix.next() % 2 == 0,
-                increased: mix.next() % 2 == 0,
-                decreased: mix.next() % 2 == 0,
+                pruned: mix.next().is_multiple_of(2),
+                increased: mix.next().is_multiple_of(2),
+                decreased: mix.next().is_multiple_of(2),
             },
         })
         .collect();
@@ -330,7 +330,7 @@ fn report_from(a: &str, n: u64) -> StatsReport {
         metrics_scrapes: n.rotate_left(13),
         vocab_bytes: n.wrapping_mul(57),
         explanations_served: n % 203,
-        last_fsync_error: if n % 2 == 0 {
+        last_fsync_error: if n.is_multiple_of(2) {
             String::new()
         } else {
             format!("{a}: injected fault {n:#x}")
