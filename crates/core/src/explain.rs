@@ -30,7 +30,7 @@ use cupid_lexical::{
 use cupid_model::{NodeId, WireError, WireReader, WireWriter};
 
 use crate::config::CupidConfig;
-use crate::linguistic::{ns_elements_ids, pair_lsim, PairLsim};
+use crate::linguistic::{element_ns, pair_lsim, PairLsim};
 use crate::mapping::{pair_mappings, MappingElement};
 use crate::session::PreparedSchema;
 use crate::treematch::Workspace;
@@ -366,8 +366,7 @@ fn explain_mapping(
     let mut name_similarity = 0.0;
     let mut token_pairs = Vec::new();
     if comparable && scale > 0.0 {
-        name_similarity =
-            ns_elements_ids(s1.ling.typed(i1), s2.ling.typed(i2), &cfg.token_weights, cache);
+        name_similarity = element_ns(&s1.ling, i1, &s2.ling, i2, &cfg.token_weights, cache);
         token_pairs = top_token_pairs(cfg, s1, s2, i1, i2, table, thesaurus, cache);
     }
 

@@ -21,8 +21,8 @@
 
 use cupid_lexical::strsim::{token_similarity, AffixConfig};
 use cupid_lexical::{
-    token_id_from_wire, NormalizedName, Normalizer, Thesaurus, Token, TokenId, TokenSimCache,
-    TokenTable, TokenType,
+    token_id_from_wire, NameId, NormalizedName, Normalizer, Thesaurus, Token, TokenId,
+    TokenSimCache, TokenTable, TokenType,
 };
 use cupid_model::{ElementId, Schema, WireError, WireReader, WireWriter};
 
@@ -181,6 +181,11 @@ impl TypedIds {
 
 /// [`ns_elements`] over precomputed per-type id slices: the identical
 /// weighted mean, with token-set similarities answered by the memo.
+///
+/// Symmetric bit for bit, so one name-memo slot serves a pair and its
+/// mirror: both orders run the same `sim` queries (the memo is a
+/// triangle) in the same order, `max` is exact, and IEEE addition
+/// commutes, so `sum1 + sum2` equals `sum2 + sum1`.
 pub fn ns_elements_ids(
     a: &TypedIds,
     b: &TypedIds,
@@ -208,6 +213,36 @@ pub fn ns_elements_ids(
     } else {
         0.0
     }
+}
+
+/// `ns` of element `i1` of `p1` and element `i2` of `p2` through the name
+/// memo ([`TokenSimCache::name_sim`]).
+pub(crate) fn element_ns(
+    p1: &SchemaLing,
+    i1: usize,
+    p2: &SchemaLing,
+    i2: usize,
+    weights: &TokenTypeWeights,
+    cache: &mut TokenSimCache<'_>,
+) -> f64 {
+    cache.name_sim(p1.name_ids[i1], p2.name_ids[i2], |cache| {
+        ns_elements_ids(&p1.typed[i1], &p2.typed[i2], weights, cache)
+    })
+}
+
+/// Intern each element's name key, its grouped token ids then the six
+/// group offsets, into `table`, building every key in one buffer.
+fn intern_names(typed: &[TypedIds], table: &mut TokenTable) -> Vec<NameId> {
+    let mut key = Vec::new();
+    typed
+        .iter()
+        .map(|t| {
+            key.clear();
+            key.extend(t.ids.iter().map(|id| id.index() as u32));
+            key.extend_from_slice(&t.starts);
+            table.intern_key(&key)
+        })
+        .collect()
 }
 
 /// Comparison-relevant (non-eliminated) interned ids of a name, in token
@@ -244,15 +279,17 @@ impl RawSchemaLing {
         RawSchemaLing { names, categories, comparable }
     }
 
-    /// Intern every name and category keyword into `table`, producing
-    /// the pair-ready [`SchemaLing`]. Interning order only assigns ids;
-    /// similarity values depend on `(class, text)` alone, so schemas
-    /// interned in any order produce bit-identical `lsim` tables.
+    /// Intern every name, name key and category keyword into `table`,
+    /// producing the pair-ready [`SchemaLing`]. Interning order only
+    /// assigns ids; similarity values depend on `(class, text)` alone,
+    /// so schemas interned in any order produce bit-identical `lsim`
+    /// tables.
     pub fn intern(mut self, table: &mut TokenTable) -> SchemaLing {
         for n in self.names.iter_mut() {
             table.intern_name(n);
         }
         let typed: Vec<TypedIds> = self.names.iter().map(TypedIds::of).collect();
+        let name_ids = intern_names(&typed, table);
         // Container keywords are clones of element names; concept and
         // data-type keywords are freshly built. Intern them all
         // unconditionally (idempotent, and ids from any other table
@@ -266,6 +303,7 @@ impl RawSchemaLing {
             names: self.names,
             categories: self.categories,
             typed,
+            name_ids,
             keyword_ids,
             comparable: self.comparable,
         }
@@ -285,6 +323,8 @@ pub struct SchemaLing {
     pub categories: SchemaCategories,
     /// Per-element interned ids grouped by token type.
     typed: Vec<TypedIds>,
+    /// Per-element name id, the name memo's key (interned on decode).
+    name_ids: Vec<NameId>,
     /// Per-category comparable keyword ids.
     keyword_ids: Vec<Vec<TokenId>>,
     /// Per-element: participates in linguistic matching (§8.2).
@@ -318,9 +358,15 @@ impl SchemaLing {
         self.comparable[i]
     }
 
+    /// Name id of element `i`.
+    pub fn name_id(&self, i: usize) -> NameId {
+        self.name_ids[i]
+    }
+
     /// Encode the complete precompute verbatim — names, categories,
-    /// per-type id slices, keyword ids, comparability flags. Nothing is
-    /// re-derived on decode, so a loaded `SchemaLing` drives
+    /// per-type id slices, keyword ids, comparability flags. Only name
+    /// ids, which key the name memo, are derived again on decode, so a
+    /// loaded `SchemaLing` drives
     /// [`pair_lsim`] through the exact same id slices (and therefore
     /// the exact same float operations) as the one that was saved —
     /// the heart of the snapshot bit-identity argument (DESIGN.md §8).
@@ -339,9 +385,13 @@ impl SchemaLing {
     }
 
     /// Decode a precompute written by [`SchemaLing::write_wire`]. Ids
-    /// are bounds-checked against `vocab`, the vocabulary size of the
-    /// snapshot's [`TokenTable`].
-    pub fn read_wire(r: &mut WireReader<'_>, vocab: usize) -> Result<SchemaLing, WireError> {
+    /// are bounds-checked against `table`, the snapshot's decoded
+    /// [`TokenTable`], and the element names are interned into it.
+    pub fn read_wire(
+        r: &mut WireReader<'_>,
+        table: &mut TokenTable,
+    ) -> Result<SchemaLing, WireError> {
+        let vocab = table.len();
         let names = r.get_list(|r| NormalizedName::read_wire(r, vocab))?;
         let n = names.len();
         let categories = SchemaCategories::read_wire(r, vocab)?;
@@ -369,7 +419,8 @@ impl SchemaLing {
         for _ in 0..n {
             comparable.push(r.get_bool()?);
         }
-        Ok(SchemaLing { names, categories, typed, keyword_ids, comparable })
+        let name_ids = intern_names(&typed, table);
+        Ok(SchemaLing { names, categories, typed, name_ids, keyword_ids, comparable })
     }
 }
 
@@ -447,7 +498,7 @@ pub fn pair_lsim(
                 continue;
             }
             compared += 1;
-            let ns = ns_elements_ids(&p1.typed[i1], &p2.typed[i2], &cfg.token_weights, cache);
+            let ns = element_ns(p1, i1, p2, i2, &cfg.token_weights, cache);
             lsim.set(ElementId::from_index(i1), ElementId::from_index(i2), ns * sc);
         }
     }

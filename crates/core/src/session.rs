@@ -102,13 +102,16 @@ impl PreparedSchema {
         self.ling.write_wire(w);
     }
 
-    /// Import a precompute written by [`PreparedSchema::write_wire`].
-    /// `vocab` is the vocabulary size of the session [`TokenTable`] the
-    /// snapshot was taken with; all interned ids are checked against it.
-    pub fn read_wire(r: &mut WireReader<'_>, vocab: usize) -> Result<PreparedSchema, WireError> {
+    /// Import a precompute written by [`PreparedSchema::write_wire`],
+    /// against the session [`TokenTable`] decoded from the same snapshot
+    /// ([`SchemaLing::read_wire`]).
+    pub fn read_wire(
+        r: &mut WireReader<'_>,
+        table: &mut TokenTable,
+    ) -> Result<PreparedSchema, WireError> {
         let name = r.get_str()?;
         let tree = SchemaTree::read_wire(r)?;
-        let ling = SchemaLing::read_wire(r, vocab)?;
+        let ling = SchemaLing::read_wire(r, table)?;
         // Cross-check the two halves: every tree node must point at a
         // linguistic entry, or pair execution (and the discovery index)
         // would index past `ling.names`.
@@ -247,8 +250,8 @@ pub struct SessionStats {
     /// Distinct interned tokens across the whole corpus (`|V|`).
     pub vocab_size: usize,
     /// Approximate heap bytes held by the session's [`TokenTable`]
-    /// (entry text + index keys + fixed overhead) — the interner's
-    /// memory footprint gauge.
+    /// (entry text, index keys and name keys plus fixed overhead) — the
+    /// interner's memory footprint gauge.
     pub vocab_bytes: usize,
     /// Distinct token pairs whose similarity is memoized in the session
     /// store — every further comparison anywhere in the corpus is a
@@ -257,7 +260,8 @@ pub struct SessionStats {
     /// Chunks the session's [`SimStore`] has allocated (32 KiB each;
     /// only touched regions of the triangular index space materialize).
     pub sim_chunks: usize,
-    /// Bytes committed by those chunks — the memo's memory footprint.
+    /// Bytes committed by the similarity memos: those chunks plus the
+    /// name memo's slots ([`TokenTable::name_memo_bytes`]).
     pub sim_bytes: usize,
 }
 
@@ -490,7 +494,7 @@ impl<'a> MatchSession<'a> {
             vocab_bytes: self.table.approx_bytes(),
             distinct_pairs_computed: self.store.distinct_pairs_computed(),
             sim_chunks: self.store.allocated_chunks(),
-            sim_bytes: self.store.allocated_bytes(),
+            sim_bytes: self.store.allocated_bytes() + self.table.name_memo_bytes(),
         }
     }
 
@@ -1037,18 +1041,22 @@ mod tests {
         let mut session = MatchSession::new(&cfg, &th).threads(1);
         let ids = session.add_corpus(&corpus).unwrap();
         let summary = session.match_pair(ids[0], ids[1]);
-        let vocab = session.stats().vocab_size;
 
         let prepared = session.schema(ids[0]);
         let mut w = WireWriter::new();
         prepared.write_wire(&mut w);
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
-        let back = PreparedSchema::read_wire(&mut r, vocab).unwrap();
+        let mut table = session.table().clone();
+        let back = PreparedSchema::read_wire(&mut r, &mut table).unwrap();
         r.finish().unwrap();
         assert_eq!(back.name, prepared.name);
         assert_eq!(back.tree.len(), prepared.tree.len());
         assert_eq!(back.ling.names, prepared.ling.names);
+        // A clone holds the same names, so decoding interns the same ids.
+        for i in 0..prepared.ling.len() {
+            assert_eq!(back.ling.name_id(i), prepared.ling.name_id(i));
+        }
 
         let mut w = WireWriter::new();
         summary.write_wire(&mut w);
@@ -1080,9 +1088,10 @@ mod tests {
         w.put_list(&schemas, |w, s| s.write_wire(w));
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
-        let table2 = cupid_lexical::TokenTable::read_wire(&mut r).unwrap();
+        let mut table2 = cupid_lexical::TokenTable::read_wire(&mut r).unwrap();
         let store2 = SimStore::read_wire(&mut r, table2.len()).unwrap();
-        let schemas2 = r.get_list(|r| PreparedSchema::read_wire(r, vocab)).unwrap();
+        let schemas2 = r.get_list(|r| PreparedSchema::read_wire(r, &mut table2)).unwrap();
+        assert_eq!(table2.len(), vocab);
         r.finish().unwrap();
 
         let mut session = MatchSession::from_parts(&cfg, &th, table2, store2, schemas2).threads(1);

@@ -21,12 +21,13 @@
 //! The paper deliberately avoids a 1:1 bipartite matching here (§6).
 //!
 //! A run keeps its state flat (DESIGN.md §11.3). Per-node lookups are
-//! read into vectors once per run. Leaf masks, required-leaf masks and
-//! the two strong-link tables are row-major bit matrices, one
-//! allocation each, so the test *"does leaf x link into subtree t?"* is
-//! a word-wise intersection of two row slices.
+//! read into vectors once per run. The leaf and required-leaf masks are
+//! the trees' own bit rows ([`SchemaTree::leaf_mask`]), and the two
+//! strong-link tables are row-major bit matrices, one allocation each,
+//! so the test *"does leaf x link into subtree t?"* is a word-wise
+//! intersection of two row slices.
 
-use cupid_model::{ElementId, NodeId, SchemaTree};
+use cupid_model::{DataType, ElementId, NodeId, SchemaTree};
 
 use crate::config::CupidConfig;
 use crate::linguistic::LsimTable;
@@ -65,6 +66,7 @@ pub struct TreeMatchResult {
 
 /// A row-major bit matrix in one allocation: row `i` is the word slice
 /// `words[i * stride..(i + 1) * stride]`.
+#[derive(Clone)]
 struct BitMatrix {
     stride: usize,
     words: Vec<u64>,
@@ -83,7 +85,7 @@ impl BitMatrix {
 
     #[inline]
     fn get(&self, i: usize, j: usize) -> bool {
-        (self.row(i)[j / 64] >> (j % 64)) & 1 == 1
+        bit(self.row(i), j)
     }
 
     #[inline]
@@ -97,7 +99,14 @@ impl BitMatrix {
     }
 }
 
+/// Bit `j` of a row.
+#[inline]
+fn bit(row: &[u64], j: usize) -> bool {
+    (row[j / 64] >> (j % 64)) & 1 == 1
+}
+
 /// The strong-link table and its transpose, kept in step.
+#[derive(Clone)]
 struct StrongLinks {
     /// Row x: target leaves y with a strong link from source leaf x.
     rows: BitMatrix,
@@ -112,6 +121,19 @@ impl StrongLinks {
         if self.rows.get(x, y) != strong {
             self.rows.flip(x, y);
             self.cols.flip(y, x);
+        }
+    }
+
+    /// Set the flags of word `wi` of source leaf `x`'s row to `strong`
+    /// under `mask`, flipping the transpose for changed bits only.
+    #[inline]
+    fn set_word(&mut self, x: usize, wi: usize, mask: u64, strong: u64) {
+        let word = &mut self.rows.words[x * self.rows.stride + wi];
+        let mut changed = (*word ^ strong) & mask;
+        *word ^= changed;
+        while changed != 0 {
+            self.cols.flip(wi * 64 + changed.trailing_zeros() as usize, x);
+            changed &= changed - 1;
         }
     }
 }
@@ -145,49 +167,55 @@ fn weighted(w: f64, ssim: f64, lsim: f64) -> f64 {
 }
 
 /// Per-node lookups of one tree, read once per run.
-struct NodeTables {
-    /// Leaf index of each node.
+struct NodeTables<'a> {
+    tree: &'a SchemaTree,
+    /// Leaf index of each node (`Some` exactly for leaves).
     leaf: Vec<Option<usize>>,
-    /// [`cupid_model::TreeNode::is_leaf`] of each node.
-    is_leaf: Vec<bool>,
     element: Vec<ElementId>,
     /// Leaves under each node, for the leaf-count ratio test.
     leaf_count: Vec<f64>,
-    /// Row per node: the leaves its `ssim` counts (depth-limited under
-    /// `leaf_depth_limit`).
-    masks: BitMatrix,
-    /// Row per node: its required leaves (§8.4 optionality).
-    required: BitMatrix,
+    /// Row per node: the leaves its `ssim` counts under a configured
+    /// `leaf_depth_limit`. Without one, the tree's own leaf masks.
+    limited: Option<BitMatrix>,
 }
 
-impl NodeTables {
-    fn new(tree: &SchemaTree, depth_limit: Option<u32>) -> Self {
+impl<'a> NodeTables<'a> {
+    fn new(tree: &'a SchemaTree, depth_limit: Option<u32>) -> Self {
         let ids = || (0..tree.len()).map(NodeId::from_index);
-        let mut masks = BitMatrix::new(tree.len(), tree.leaf_count());
-        let mut required = BitMatrix::new(tree.len(), tree.leaf_count());
-        for id in ids() {
-            let i = id.index();
-            match depth_limit {
-                None => tree.leaves(id).iter().for_each(|&l| masks.set(i, l as usize)),
-                // Leaves within k levels of the node (§8.4 "Pruning
-                // leaves"). Internal frontier nodes at depth k simply cut
-                // deeper leaves off.
-                Some(k) => tree
-                    .frontier_at_depth(id, k)
-                    .into_iter()
-                    .filter_map(|f| tree.leaf_index(f))
-                    .for_each(|l| masks.set(i, l as usize)),
+        // Leaves within k levels of each node (§8.4 "Pruning leaves").
+        // Internal frontier nodes at depth k simply cut deeper leaves off.
+        let limited = depth_limit.map(|k| {
+            let mut masks = BitMatrix::new(tree.len(), tree.leaf_count());
+            for id in ids() {
+                let frontier = tree.frontier_at_depth(id, k);
+                let leaves = frontier.into_iter().filter_map(|f| tree.leaf_index(f));
+                leaves.for_each(|l| masks.set(id.index(), l as usize));
             }
-            tree.required_leaves(id).iter().for_each(|&l| required.set(i, l as usize));
-        }
+            masks
+        });
         NodeTables {
+            tree,
             leaf: ids().map(|id| tree.leaf_index(id).map(|l| l as usize)).collect(),
-            is_leaf: ids().map(|id| tree.is_leaf(id)).collect(),
             element: ids().map(|id| tree.node(id).element).collect(),
             leaf_count: ids().map(|id| tree.leaves(id).len() as f64).collect(),
-            masks,
-            required,
+            limited,
         }
+    }
+
+    /// Row of node `i`: the leaves its `ssim` counts.
+    #[inline]
+    fn mask(&self, i: usize) -> &[u64] {
+        match &self.limited {
+            Some(masks) => masks.row(i),
+            None => self.tree.leaf_mask(NodeId::from_index(i)),
+        }
+    }
+
+    /// Whether leaf `x` is a required leaf of node `i` (§8.4
+    /// optionality).
+    #[inline]
+    fn required(&self, i: usize, x: usize) -> bool {
+        bit(self.tree.required_mask(NodeId::from_index(i)), x)
     }
 }
 
@@ -213,8 +241,8 @@ pub(crate) struct Workspace<'a> {
     t2: &'a SchemaTree,
     lsim: &'a LsimTable,
     cfg: &'a CupidConfig,
-    nodes1: NodeTables,
-    nodes2: NodeTables,
+    nodes1: NodeTables<'a>,
+    nodes2: NodeTables<'a>,
     /// `lsim` cached per leaf pair.
     leaf_lsim: SimMatrix,
     /// Mutable structural similarity per leaf pair.
@@ -223,7 +251,12 @@ pub(crate) struct Workspace<'a> {
     /// Main-pass weighted similarities.
     pub node_wsim: SimMatrix,
     pub stats: TreeMatchStats,
+    /// Scratch of [`scale_runs`].
+    runs: Vec<(usize, usize)>,
 }
+
+/// Number of [`DataType`]s.
+const DATA_TYPES: usize = DataType::Complex as usize + 1;
 
 impl<'a> Workspace<'a> {
     pub fn new(
@@ -245,15 +278,28 @@ impl<'a> Workspace<'a> {
             strong: StrongLinks { rows: BitMatrix::new(nl1, nl2), cols: BitMatrix::new(nl2, nl1) },
             node_wsim: SimMatrix::zeros(t1.len(), t2.len()),
             stats: TreeMatchStats::default(),
+            runs: Vec::new(),
         };
-        let leaves2: Vec<_> = (0..nl2).map(|y| t2.node(t2.leaf_node(y as u32))).collect();
+        let leaves2: Vec<(usize, DataType)> = (0..nl2)
+            .map(|y| t2.node(t2.leaf_node(y as u32)))
+            .map(|n| (n.element.index(), n.data_type))
+            .collect();
+        // `TypeCompatibility::compat` once per data-type pair of the run,
+        // on first use (NaN: not read yet).
+        let mut compat = [[f64::NAN; DATA_TYPES]; DATA_TYPES];
         let (w, th) = (cfg.w_struct_leaf, cfg.th_accept);
         for x in 0..nl1 {
             let nx = t1.node(t1.leaf_node(x as u32));
+            let lsim_in = lsim.matrix().row(nx.element.index());
+            let compat_row = &mut compat[nx.data_type as usize];
             let (lsim_row, ssim_row) = (ws.leaf_lsim.row_mut(x), ws.leaf_ssim.row_mut(x));
-            for (y, ny) in leaves2.iter().enumerate() {
-                lsim_row[y] = lsim.get(nx.element, ny.element);
-                ssim_row[y] = cfg.type_compat.compat(nx.data_type, ny.data_type);
+            for (y, &(e2, dt2)) in leaves2.iter().enumerate() {
+                let c = &mut compat_row[dt2 as usize];
+                if c.is_nan() {
+                    *c = cfg.type_compat.compat(nx.data_type, dt2);
+                }
+                lsim_row[y] = lsim_in[e2];
+                ssim_row[y] = *c;
                 ws.strong.set(x, y, weighted(w, ssim_row[y], lsim_row[y]) >= th);
             }
         }
@@ -269,30 +315,15 @@ impl<'a> Workspace<'a> {
         self.strong.set(x, y, wsim >= self.cfg.th_accept);
     }
 
-    /// `increase-/decrease-struct-similarity(leaves(s), leaves(t), f)`:
-    /// scale the structural similarity of every leaf pair under the two
-    /// nodes (clamped to `[0,1]`), walking row slices, and recompute the
-    /// strong flag of every cell touched.
-    ///
-    /// `wsim` is monotone in `leaf_ssim` (`w_struct_leaf ≥ 0`, and
-    /// rounding is monotone), so an increase (`factor ≥ 1`) can only turn
-    /// a weak link strong and a decrease can only turn a strong link
-    /// weak: recomputing a flag that cannot change leaves it as it was.
+    /// `increase-/decrease-struct-similarity(leaves(s), leaves(t), f)`
+    /// ([`scale_runs`]). Updates always use the *full* leaf sets of the
+    /// subtrees, even if `ssim` counting is depth-limited.
     fn scale_leaves(&mut self, s: usize, t: usize, factor: f64) {
-        // Updates always use the *full* leaf sets of the subtrees, even if
-        // ssim counting is depth-limited.
-        let (w, th) = (self.cfg.w_struct_leaf, self.cfg.th_accept);
-        let lt = self.t2.leaves(NodeId::from_index(t));
-        for &x in self.t1.leaves(NodeId::from_index(s)) {
-            let x = x as usize;
-            let (ssim_row, lsim_row) = (self.leaf_ssim.row_mut(x), self.leaf_lsim.row(x));
-            for &y in lt {
-                let y = y as usize;
-                let v = (ssim_row[y] * factor).clamp(0.0, 1.0);
-                ssim_row[y] = v;
-                self.strong.set(x, y, weighted(w, v, lsim_row[y]) >= th);
-            }
-        }
+        let node = NodeId::from_index;
+        let (ls, lt) = (self.t1.leaves(node(s)), self.t2.leaves(node(t)));
+        let (ssim, strong, runs) = (&mut self.leaf_ssim, &mut self.strong, &mut self.runs);
+        let f = (factor, self.cfg.w_struct_leaf, self.cfg.th_accept);
+        scale_runs(ssim, &self.leaf_lsim, strong, ls, lt, f, runs);
     }
 
     /// Leaf-count ratio pruning (§6): skip pairs whose subtree leaf counts
@@ -308,14 +339,14 @@ impl<'a> Workspace<'a> {
     /// Leaf and strong-link counts of a node pair: the operands of its
     /// structural similarity, and what an explanation reports.
     pub fn link_counts(&self, s: usize, t: usize) -> LinkCounts {
-        let (m1, m2) = (self.nodes1.masks.row(s), self.nodes2.masks.row(t));
+        let (m1, m2) = (self.nodes1.mask(s), self.nodes2.mask(t));
         let optionality = self.cfg.use_optionality;
         let mut c = LinkCounts::default();
         for x in ones(m1) {
             c.source_leaves += 1;
             if intersects(self.strong.rows.row(x), m2) {
                 c.source_links += 1;
-            } else if optionality && !self.nodes1.required.get(s, x) {
+            } else if optionality && !self.nodes1.required(s, x) {
                 c.dropped += 1;
             }
         }
@@ -323,7 +354,7 @@ impl<'a> Workspace<'a> {
             c.target_leaves += 1;
             if intersects(self.strong.cols.row(y), m1) {
                 c.target_links += 1;
-            } else if optionality && !self.nodes2.required.get(t, y) {
+            } else if optionality && !self.nodes2.required(t, y) {
                 c.dropped += 1;
             }
         }
@@ -341,7 +372,7 @@ impl<'a> Workspace<'a> {
     /// pruning skips it: `ssim` is the fraction of leaves with a strong
     /// link into the other subtree.
     fn node_score(&self, s: usize, t: usize) -> Option<(f64, f64)> {
-        let both_leaves = self.nodes1.is_leaf[s] && self.nodes2.is_leaf[t];
+        let both_leaves = self.nodes1.leaf[s].is_some() && self.nodes2.leaf[t].is_some();
         if !both_leaves && self.pruned(s, t) {
             return None;
         }
@@ -437,6 +468,48 @@ impl<'a> Workspace<'a> {
     pub fn result(&self) -> TreeMatchResult {
         let (ssim, wsim) = self.final_matrices();
         TreeMatchResult { leaf_ssim: self.leaf_ssim.clone(), ssim, wsim, stats: self.stats }
+    }
+}
+
+/// The row kernel of `increase-/decrease-struct-similarity` over the
+/// leaf pairs `sources × targets`. Each maximal run of consecutive
+/// target leaves (a plain subtree has one, a join view can have several)
+/// is a row slice: per source leaf, scale and clamp the `leaf_ssim`
+/// slice by `factor`, pack the strong flags `wsim ≥ th` one 64-bit word
+/// at a time, and write only the flags that change. Each cell keeps its
+/// float operations, so values and flags are the per-cell loop's bits.
+/// `runs` is scratch.
+fn scale_runs(
+    leaf_ssim: &mut SimMatrix,
+    leaf_lsim: &SimMatrix,
+    strong: &mut StrongLinks,
+    sources: &[u32],
+    targets: &[u32],
+    (factor, w, th): (f64, f64, f64),
+    runs: &mut Vec<(usize, usize)>,
+) {
+    runs.clear();
+    let run = |r: &[u32]| (r[0] as usize, r[r.len() - 1] as usize + 1);
+    runs.extend(targets.chunk_by(|&a, &b| b == a + 1).map(run));
+    for &x in sources {
+        let x = x as usize;
+        let (ssim_row, lsim_row) = (leaf_ssim.row_mut(x), leaf_lsim.row(x));
+        for &(start, end) in runs.iter() {
+            let mut lo = start;
+            while lo < end {
+                let hi = end.min((lo / 64 + 1) * 64);
+                let (ssim, lsim) = (&mut ssim_row[lo..hi], &lsim_row[lo..hi]);
+                let mut flags = 0u64;
+                for (b, (v, &l)) in ssim.iter_mut().zip(lsim).enumerate() {
+                    *v = (*v * factor).clamp(0.0, 1.0);
+                    flags |= u64::from(weighted(w, *v, l) >= th) << b;
+                }
+                let shift = lo % 64;
+                let mask = (u64::MAX >> (64 - (hi - lo))) << shift;
+                strong.set_word(x, lo / 64, mask, flags << shift);
+                lo = hi;
+            }
+        }
     }
 }
 
@@ -664,6 +737,67 @@ mod tests {
         assert!(s.rows.get(1, 69) && s.cols.get(69, 1));
         s.set(1, 69, false);
         assert!(!s.rows.get(1, 69) && !s.cols.get(69, 1));
+    }
+
+    /// The per-cell loop [`scale_runs`] replaced.
+    fn scale_cells(
+        (ssim, lsim, strong): (&mut SimMatrix, &SimMatrix, &mut StrongLinks),
+        (sources, targets): (&[u32], &[u32]),
+        (factor, w, th): (f64, f64, f64),
+    ) {
+        for (&x, &y) in sources.iter().flat_map(|x| targets.iter().map(move |y| (x, y))) {
+            let (x, y) = (x as usize, y as usize);
+            let v = (ssim.get(x, y) * factor).clamp(0.0, 1.0);
+            ssim.set(x, y, v);
+            strong.set(x, y, weighted(w, v, lsim.get(x, y)) >= th);
+        }
+    }
+
+    #[test]
+    fn row_kernel_matches_the_per_cell_reference() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (rows, cols, all) = (12, 200, 0..200u32);
+        let mut targets: Vec<Vec<u32>> = vec![
+            all.clone().collect(),                          // one run over every word
+            vec![5],                                        // a one-cell run
+            (60..70).collect(),                             // crosses a word boundary
+            (40..64).collect(),                             // ends at bit 63
+            vec![0, 1, 2, 63, 64, 100, 127, 128, 129, 199], // several runs
+            all.clone().filter(|y| y % 3 != 0).collect(),   // many short runs
+        ];
+        targets.extend((0..6).map(|_| all.clone().filter(|_| next() % 4 != 0).collect()));
+        let cfg = CupidConfig::default();
+        // c_inc, c_dec, c_dec = 0, and factors that clamp at 1 and at 0.
+        for factor in [cfg.c_inc, cfg.c_dec, 0.0, 3.0, -0.5] {
+            for (case, lt) in targets.iter().enumerate() {
+                let (mut ssim, mut lsim) =
+                    (SimMatrix::zeros(rows, cols), SimMatrix::zeros(rows, cols));
+                let (r, c) = (BitMatrix::new(rows, cols), BitMatrix::new(cols, rows));
+                let mut strong = StrongLinks { rows: r, cols: c };
+                for (x, y) in (0..rows).flat_map(|x| (0..cols).map(move |y| (x, y))) {
+                    ssim.set(x, y, (next() % 1001) as f64 / 1000.0);
+                    lsim.set(x, y, (next() % 1001) as f64 / 1000.0);
+                    strong.set(x, y, next() % 2 == 0);
+                }
+                let ls: Vec<u32> = (0..rows as u32).filter(|_| next() % 3 != 0).collect();
+                let f = (factor, cfg.w_struct_leaf, cfg.th_accept);
+                let (mut want_ssim, mut want_strong) = (ssim.clone(), strong.clone());
+                scale_cells((&mut want_ssim, &lsim, &mut want_strong), (&ls, lt), f);
+                scale_runs(&mut ssim, &lsim, &mut strong, &ls, lt, f, &mut Vec::new());
+                let bits =
+                    |m: &SimMatrix| m.iter().map(|(_, _, v)| v.to_bits()).collect::<Vec<_>>();
+                let what = format!("target set {case}, factor {factor}");
+                assert_eq!(bits(&ssim), bits(&want_ssim), "{what}");
+                assert_eq!(strong.rows.words, want_strong.rows.words, "{what}");
+                assert_eq!(strong.cols.words, want_strong.cols.words, "{what}");
+            }
+        }
     }
 
     #[test]

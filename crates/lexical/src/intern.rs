@@ -19,6 +19,9 @@
 //!   allocates in chunks on first touch, survives table growth, and is
 //!   detachable, so one memo can persist across every pair of a batch
 //!   session (DESIGN.md §7).
+//! * One level up, the table interns element names into [`NameId`]s and
+//!   keeps `ns` per name pair in a write-once slot table that every
+//!   cache fills through `&` ([`TokenSimCache::name_sim`]).
 //!
 //! The interned fast path is bit-identical to the direct string path —
 //! both call the same [`crate::strsim::class_similarity`] on the same
@@ -26,6 +29,7 @@
 //! randomized schemas and thesauri.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use cupid_model::{WireError, WireReader, WireWriter};
 
@@ -70,20 +74,91 @@ pub fn token_id_from_wire(
     }
 }
 
+/// Dense id of a distinct element-name key in a [`TokenTable`]
+/// ([`TokenTable::intern_key`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct NameId(u32);
+
+impl NameId {
+    /// The dense index of this id (0-based, contiguous per table).
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// Name ids at or past this bound are not memoized, which caps the name
+/// memo at the triangle of 1,024 names: 524,800 slots, 4.0 MiB.
+pub const NAME_BOUND: usize = 1024;
+
+/// Slots per chunk of a [`SlotTable`] (8 KiB).
+const SLOT_CHUNK: usize = 1024;
+
+/// Write-once `f64` slots shared through `&`: chunks of `AtomicU64`
+/// holding f64 bits, `NaN` meaning "not computed", allocated under
+/// `&mut`. Readers `load` and `store` with `Relaxed`: a slot publishes
+/// no other data, and it memoizes a pure function, so threads racing on
+/// it store the same bits.
+#[derive(Debug, Default)]
+struct SlotTable {
+    chunks: Vec<Box<[AtomicU64]>>,
+}
+
+impl SlotTable {
+    /// Allocate chunks until the triangle over `ids` ids (capped at
+    /// [`NAME_BOUND`]) has slots.
+    fn reserve(&mut self, ids: usize) {
+        let n = ids.min(NAME_BOUND);
+        while self.chunks.len() * SLOT_CHUNK < n * (n + 1) / 2 {
+            let nan = f64::NAN.to_bits();
+            self.chunks.push((0..SLOT_CHUNK).map(|_| AtomicU64::new(nan)).collect());
+        }
+    }
+
+    #[inline]
+    fn slot(&self, k: usize) -> &AtomicU64 {
+        &self.chunks[k / SLOT_CHUNK][k % SLOT_CHUNK]
+    }
+}
+
 /// Interner mapping `(similarity class, canonical token text)` to dense
 /// [`TokenId`]s.
 ///
 /// One table serves a whole match (both schemas plus category keywords),
 /// so the vocabulary is shared and a [`TokenSimCache`] over it covers
-/// every token comparison the linguistic phase will make. Future scale
-/// directions (sharded/batched matching) reuse one table across pairs.
-#[derive(Debug, Clone, Default)]
+/// every token comparison the linguistic phase will make. Batch sessions
+/// reuse one table across pairs.
+///
+/// The table also interns element-name keys into [`NameId`]s and owns
+/// the name memo ([`TokenSimCache::name_sim`]), so every cache over it
+/// must use one thesaurus, affix configuration and set of token weights.
+/// Names are derived state: the wire format omits them, and a decoded or
+/// cloned table starts with an empty memo.
+#[derive(Debug, Default)]
 pub struct TokenTable {
     /// Per-[`SimClass`] text → id index (split per class so lookups can
     /// borrow `&str` without building a composite key).
     index: [HashMap<String, u32>; 3],
     /// id → (class, text), in interning order.
     entries: Vec<(SimClass, String)>,
+    /// Name key → name id.
+    names: HashMap<Box<[u32]>, u32>,
+    /// `ns` per name pair over the triangular index `j·(j+1)/2 + i`.
+    name_sims: SlotTable,
+}
+
+impl Clone for TokenTable {
+    /// A copy of the interned tokens and names with an empty name memo.
+    fn clone(&self) -> Self {
+        let mut name_sims = SlotTable::default();
+        name_sims.reserve(self.names.len());
+        TokenTable {
+            index: self.index.clone(),
+            entries: self.entries.clone(),
+            names: self.names.clone(),
+            name_sims,
+        }
+    }
 }
 
 impl TokenTable {
@@ -103,18 +178,44 @@ impl TokenTable {
         self.entries.is_empty()
     }
 
-    /// Estimated heap bytes held by the table: entry texts and index
-    /// keys plus their fixed per-entry overheads. A deterministic
-    /// diagnostics gauge (served through the daemon's `Stats` frame and
-    /// `/metrics`), not an allocator audit — hash-map capacity slack is
-    /// not counted.
+    /// Estimated heap bytes held by the table: entry texts, index keys
+    /// and name keys plus their fixed per-entry overheads. A
+    /// deterministic diagnostics gauge (served through the daemon's
+    /// `Stats` frame and `/metrics`), not an allocator audit — hash-map
+    /// capacity slack is not counted.
     pub fn approx_bytes(&self) -> usize {
         let entry_fixed = std::mem::size_of::<(SimClass, String)>();
         let key_fixed = std::mem::size_of::<String>() + std::mem::size_of::<u32>();
+        let name_fixed = std::mem::size_of::<(Box<[u32]>, u32)>();
         let entries: usize = self.entries.iter().map(|(_, t)| t.len() + entry_fixed).sum();
         let index: usize =
             self.index.iter().flat_map(|m| m.keys()).map(|k| k.len() + key_fixed).sum();
-        entries + index
+        let names: usize =
+            self.names.keys().map(|k| std::mem::size_of_val(&**k) + name_fixed).sum();
+        entries + index + names
+    }
+
+    /// Intern an element name by a key that decides its `ns` against
+    /// every other name, so equal keys can share memo slots, and
+    /// allocate its slots.
+    pub fn intern_key(&mut self, key: &[u32]) -> NameId {
+        if let Some(&id) = self.names.get(key) {
+            return NameId(id);
+        }
+        let id = u32::try_from(self.names.len()).expect("names exceed u32");
+        self.names.insert(key.into(), id);
+        self.name_sims.reserve(self.names.len());
+        NameId(id)
+    }
+
+    /// Number of distinct interned names.
+    pub fn name_count(&self) -> usize {
+        self.names.len()
+    }
+
+    /// Bytes committed by the name memo's slots.
+    pub fn name_memo_bytes(&self) -> usize {
+        self.name_sims.chunks.len() * SLOT_CHUNK * std::mem::size_of::<AtomicU64>()
     }
 
     /// Intern a `(class, text)` pair, returning its dense id.
@@ -174,7 +275,7 @@ impl TokenTable {
             .map(|(i, (c, t))| (TokenId::from_raw(i as u32), *c, t.as_str()))
     }
 
-    /// Encode the table: every entry in id order.
+    /// Encode the table: every entry in id order (names are not written).
     pub fn write_wire(&self, w: &mut WireWriter) {
         w.put_list(&self.entries, |w, (c, t)| {
             w.put_u8(c.index() as u8);
@@ -425,6 +526,26 @@ impl<'a> TokenSimCache<'a> {
         let (cb, tb) = &self.table.entries[j];
         let v = class_similarity(*ca, ta, *cb, tb, self.thesaurus, &self.affix);
         self.store.set(k, v);
+        v
+    }
+
+    /// `ns` of two names through the table's name memo: a hit is one
+    /// relaxed load; a miss, or a name at or past [`NAME_BOUND`], runs
+    /// `ns`. `(a, b)` and `(b, a)` share a slot, so `ns` must be
+    /// symmetric bit for bit.
+    #[inline]
+    pub fn name_sim(&mut self, a: NameId, b: NameId, ns: impl FnOnce(&mut Self) -> f64) -> f64 {
+        let (i, j) = if a.0 <= b.0 { (a.index(), b.index()) } else { (b.index(), a.index()) };
+        if j >= NAME_BOUND {
+            return ns(self);
+        }
+        let slot = self.table.name_sims.slot(j * (j + 1) / 2 + i);
+        let v = f64::from_bits(slot.load(Relaxed));
+        if v.is_nan() {
+            let v = ns(self);
+            slot.store(v.to_bits(), Relaxed);
+            return v;
+        }
         v
     }
 

@@ -36,7 +36,9 @@ pub mod thesaurus;
 pub mod token;
 pub mod tokenizer;
 
-pub use intern::{token_id_from_wire, SimStore, TokenId, TokenSimCache, TokenTable};
+pub use intern::{
+    token_id_from_wire, NameId, SimStore, TokenId, TokenSimCache, TokenTable, NAME_BOUND,
+};
 pub use normalize::{NormalizedName, Normalizer};
 pub use stem::stem;
 pub use strsim::{class_similarity_explained, token_similarity, TokenSimProvenance};

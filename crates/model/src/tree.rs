@@ -93,6 +93,10 @@ pub struct SchemaTree {
     /// Per node: sorted leaf indices reachable via at least one path with
     /// no optional node strictly below the node (§8.4 "Optionality").
     required_leaves: Vec<Vec<u32>>,
+    /// Row per node: `leaves` as bits, `leaf_count / 64` words rounded up.
+    leaf_masks: Vec<u64>,
+    /// Row per node: `required_leaves` as bits.
+    required_masks: Vec<u64>,
     /// leaf index → node id.
     leaf_nodes: Vec<NodeId>,
     /// node id → leaf index (dense; u32::MAX when not a leaf).
@@ -149,6 +153,19 @@ impl SchemaTree {
     /// Leaf indices under `id` reachable through required-only paths.
     pub fn required_leaves(&self, id: NodeId) -> &[u32] {
         &self.required_leaves[id.index()]
+    }
+
+    /// [`SchemaTree::leaves`] of `id` as a bit row: bit `l % 64` of word
+    /// `l / 64` is set for each leaf index `l`.
+    pub fn leaf_mask(&self, id: NodeId) -> &[u64] {
+        let s = self.leaf_count().div_ceil(64);
+        &self.leaf_masks[id.index() * s..(id.index() + 1) * s]
+    }
+
+    /// [`SchemaTree::required_leaves`] of `id` as a bit row.
+    pub fn required_mask(&self, id: NodeId) -> &[u64] {
+        let s = self.leaf_count().div_ceil(64);
+        &self.required_masks[id.index() * s..(id.index() + 1) * s]
     }
 
     /// Total number of leaves.
@@ -235,6 +252,8 @@ impl SchemaTree {
             post_order: Vec::new(),
             leaves: Vec::new(),
             required_leaves: Vec::new(),
+            leaf_masks: Vec::new(),
+            required_masks: Vec::new(),
             leaf_nodes: Vec::new(),
             leaf_index: Vec::new(),
             depth: Vec::new(),
@@ -319,6 +338,16 @@ impl SchemaTree {
                 self.required_leaves[i] = req;
             }
         }
+        let stride = self.leaf_nodes.len().div_ceil(64);
+        let rows = |sets: &[Vec<u32>]| {
+            let mut words = vec![0u64; n * stride];
+            for (row, set) in words.chunks_exact_mut(stride.max(1)).zip(sets) {
+                set.iter().for_each(|&l| row[l as usize / 64] |= 1 << (l % 64));
+            }
+            words
+        };
+        self.leaf_masks = rows(&self.leaves);
+        self.required_masks = rows(&self.required_leaves);
 
         // depth + paths via primary parents (BFS from root over first-parent
         // relation; reification parents never become primary)

@@ -148,9 +148,10 @@ pub(crate) fn decode(
     }
 
     let mut parse = || -> Result<SnapshotState, cupid_model::WireError> {
-        let table = TokenTable::read_wire(&mut r)?;
-        let vocab = table.len();
-        let store = SimStore::read_wire(&mut r, vocab)?;
+        // Decoding each prepared schema interns its element names into
+        // the table: the name memo is derived state, not on the wire.
+        let mut table = TokenTable::read_wire(&mut r)?;
+        let store = SimStore::read_wire(&mut r, table.len())?;
         // One record per schema, split into the state's parallel lists
         // as each decodes.
         let (mut names, mut hashes, mut sources, mut prepared) = (vec![], vec![], vec![], vec![]);
@@ -158,7 +159,7 @@ pub(crate) fn decode(
             names.push(r.get_str()?);
             hashes.push(r.get_u64()?);
             sources.push(Schema::read_wire(r)?);
-            prepared.push(PreparedSchema::read_wire(r, vocab)?);
+            prepared.push(PreparedSchema::read_wire(r, &mut table)?);
             Ok(())
         })?;
         let nc = r.get_len()?;

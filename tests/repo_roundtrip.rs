@@ -224,6 +224,34 @@ fn save_prunes_unreachable_cache_entries() {
     let _ = size_before;
 }
 
+/// Name ids are derived state: decoding a snapshot interns every
+/// prepared element's name again. The reopened table holds the same name
+/// keys and the same memo slots, and pairs executed against it equal the
+/// ones executed before the save.
+#[test]
+fn reopened_repository_interns_every_decoded_name() {
+    let tmp = TempSnap::new();
+    let schemas = corpus(31, 12);
+    let thesaurus = generate(&SyntheticConfig::sized(12, 31)).thesaurus;
+    let config = CupidConfig::default();
+    let (want, saved) = {
+        let mut repo = Repository::open_or_create(&tmp.0, &config, &thesaurus).unwrap();
+        repo.add_corpus(&schemas).unwrap();
+        // Saved before matching, so the reopened repository must execute
+        // every pair.
+        repo.save().unwrap();
+        let saved = repo.stats().session;
+        (repo.match_all_pairs(), saved)
+    };
+    let mut warm = Repository::open_or_create(&tmp.0, &config, &thesaurus).unwrap();
+    let loaded = warm.stats().session;
+    assert!(saved.sim_bytes > 0, "names were interned");
+    assert_eq!((loaded.vocab_bytes, loaded.sim_bytes), (saved.vocab_bytes, saved.sim_bytes));
+    let got = warm.match_all_pairs();
+    assert_eq!(warm.pairs_executed(), 6);
+    assert_eq!(got, want, "the first match after reopening equals the one before");
+}
+
 /// The snapshot container's bytes, pinned. A fixed seeded corpus, saved
 /// after `match_all_pairs` at 1 and at 2 threads, hashes (FNV-1a) to one
 /// recorded digest, so a change in how summaries hold their data in

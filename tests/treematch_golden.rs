@@ -33,7 +33,7 @@ use cupid::corpus::synthetic::{generate, SyntheticConfig};
 use cupid::corpus::{cidx_excel, fig1, fig2, star_rdb, thesauri};
 use cupid::eval::configs;
 use cupid::lexical::Thesaurus;
-use cupid::model::{expand, fnv1a, Schema, WireWriter};
+use cupid::model::{expand, fnv1a, Schema, SchemaTree, WireReader, WireWriter};
 
 /// Recorded digests per pair, one per corner in [`CORNERS`] order.
 #[rustfmt::skip]
@@ -246,4 +246,39 @@ fn treematch_output_matches_recorded_digests() {
 #[test]
 fn pair_pipeline_output_matches_recorded_digests() {
     check("Pair pipeline", EXPECTED_PIPELINE, pipeline_digest);
+}
+
+/// The indices of a bit row's set bits, ascending.
+fn bits(row: &[u64]) -> Vec<u32> {
+    (0..64 * row.len() as u32).filter(|&l| row[l as usize / 64] >> (l % 64) & 1 == 1).collect()
+}
+
+/// The trees own TreeMatch's leaf masks: for every node of the paper's
+/// eight schemas (join views included) and of the synthetic pairs,
+/// `leaf_mask` and `required_mask` hold exactly `leaves` and
+/// `required_leaves`, and decoding a tree rebuilds them.
+#[test]
+fn tree_masks_hold_the_leaf_sets() {
+    let check = |what: &str, tree: &SchemaTree| {
+        for (id, _) in tree.iter() {
+            assert_eq!(tree.leaf_mask(id).len(), tree.leaf_count().div_ceil(64), "{what} {id}");
+            assert_eq!(bits(tree.leaf_mask(id)), tree.leaves(id), "{what} {id}");
+            assert_eq!(bits(tree.required_mask(id)), tree.required_leaves(id), "{what} {id}");
+        }
+    };
+    for case in cases() {
+        for schema in [&case.source, &case.target] {
+            let tree = expand(schema, &case.base.expand).unwrap();
+            let what = format!("{}: {}", case.name, schema.name());
+            check(&what, &tree);
+            let mut w = WireWriter::new();
+            tree.write_wire(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = WireReader::new(&bytes);
+            let back = SchemaTree::read_wire(&mut r).unwrap();
+            r.finish().unwrap();
+            assert_eq!(back.len(), tree.len());
+            check(&format!("decoded {what}"), &back);
+        }
+    }
 }
