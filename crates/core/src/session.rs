@@ -308,11 +308,11 @@ impl<'a> MatchSession<'a> {
     }
 
     /// Set the worker-thread count for sharded pair execution (and for
-    /// parallel per-schema prepare). `1` keeps everything on the calling
-    /// thread, where the session memo is shared perfectly across all
-    /// pairs; `n > 1` shards the worklist, each shard working on a clone
-    /// of the warm memo that is merged back afterwards. The thread count
-    /// never affects results, only wall-clock time.
+    /// parallel per-schema prepare). `n > 1` shards the worklist, each
+    /// shard working on its own copy of the warm memo; `1` keeps the
+    /// work on the calling thread, which still copies the memo once and
+    /// merges it back. The thread count never affects results, only
+    /// wall-clock time.
     pub fn threads(mut self, n: usize) -> Self {
         self.set_threads(n);
         self
@@ -498,42 +498,37 @@ impl<'a> MatchSession<'a> {
         }
     }
 
-    /// Match one prepared pair on the calling thread, reusing (and
-    /// further warming) the session's persistent similarity memo.
+    /// [`SessionStats::pairs_matched`], without the rest of the stats.
+    pub fn pairs_matched(&self) -> usize {
+        self.pairs_matched
+    }
+
+    /// Match one prepared pair, reusing (and further warming) the
+    /// session's persistent similarity memo.
     pub fn match_pair(&mut self, source: SchemaId, target: SchemaId) -> MatchSummary {
         self.match_pairs(&[(source, target)]).remove(0)
     }
 
     /// Match a worklist of prepared pairs through a **shared** (`&self`)
     /// handle — the read half of the session's read/write split
-    /// (DESIGN.md §9).
-    ///
-    /// Pair execution is a pure function of frozen inputs, so it needs
-    /// no exclusive access: this method runs the whole worklist through
-    /// **one** clone of the warm similarity memo on the calling thread
-    /// and returns the summaries in worklist order together with that
-    /// warmed clone. Results are bit-identical to
-    /// [`MatchSession::match_pair`]; the only difference is bookkeeping
-    /// — the session's own memo and `pairs_matched` counter are
-    /// untouched until the caller hands the warmed store back through
-    /// [`MatchSession::absorb`] (or drops it, which only costs future
-    /// recomputation).
-    ///
-    /// This is what lets a daemon answer match requests from many
-    /// threads under a read lock, serializing only the cheap merge. A
-    /// caller serving an N-pair discovery request pays one memo clone
-    /// and one merge instead of N of each.
+    /// (DESIGN.md §9). Pair execution is a pure function of frozen
+    /// inputs, so it needs no exclusive access: the summaries come back
+    /// in worklist order with the warmed memo, and the session's own
+    /// memo and `pairs_matched` counter are untouched until the caller
+    /// hands the store back through [`MatchSession::absorb`] (or drops
+    /// it, which only costs future recomputation). This is what lets a
+    /// daemon answer match requests from many threads under a read
+    /// lock, serializing only the cheap merge.
     pub fn match_pairs_shared(
         &self,
         worklist: &[(SchemaId, SchemaId)],
     ) -> (Vec<MatchSummary>, SimStore) {
-        self.execute(self.store.clone(), worklist, execute_pair)
+        self.execute(worklist, execute_pair)
     }
 
-    /// Absorb the results of [`MatchSession::match_pairs_shared`] calls:
-    /// merge a warmed store clone back into the session memo and credit
-    /// `pairs` executions to the session counters. The write half of the
-    /// read/write split — call it under exclusive access.
+    /// Absorb a shared execution: merge its warmed memo back into the
+    /// session memo and credit `pairs` executions. The write half of the
+    /// read/write split — every `&mut` entry point ends here.
     pub fn absorb(&mut self, store: SimStore, pairs: usize) {
         self.store.merge(store);
         self.pairs_matched += pairs;
@@ -547,7 +542,9 @@ impl<'a> MatchSession<'a> {
     /// captured scores are bit-identical to what
     /// [`MatchSession::match_pair`] reports.
     pub fn explain_pair(&mut self, source: SchemaId, target: SchemaId) -> PairExplanation {
-        self.execute_in_place(&[(source, target)], explain).remove(0)
+        let (explanation, store) = self.explain_pair_shared(source, target);
+        self.absorb(store, 0);
+        explanation
     }
 
     /// The shared (`&self`) form of [`MatchSession::explain_pair`],
@@ -559,7 +556,7 @@ impl<'a> MatchSession<'a> {
         source: SchemaId,
         target: SchemaId,
     ) -> (PairExplanation, SimStore) {
-        let (mut explained, store) = self.execute(self.store.clone(), &[(source, target)], explain);
+        let (mut explained, store) = self.execute(&[(source, target)], explain);
         (explained.remove(0), store)
     }
 
@@ -568,77 +565,62 @@ impl<'a> MatchSession<'a> {
     /// batch-equivalence suite (bit-identical to
     /// [`crate::linguistic::analyze`] on the same schemas).
     pub fn lsim_of(&mut self, source: SchemaId, target: SchemaId) -> LsimTable {
-        self.execute_in_place(&[(source, target)], |this, a, b, cache| {
+        let (mut lsim, store) = self.execute(&[(source, target)], |this, a, b, cache| {
             pair_lsim(&this.schemas[a.0].ling, &this.schemas[b.0].ling, this.config, cache).lsim
-        })
-        .remove(0)
+        });
+        self.absorb(store, 0);
+        lsim.remove(0)
     }
 
     /// Match an explicit worklist of prepared pairs, sharded across the
-    /// session's worker threads. Summaries come back in worklist order;
-    /// results are bit-identical for every thread count (DESIGN.md §7:
-    /// each pair is a pure function of frozen inputs, and cache state
-    /// only decides *when* a token-pair similarity is computed, never
-    /// *what* it is).
+    /// session's worker threads, and absorb the run. Summaries come back
+    /// in worklist order; results are bit-identical for every thread
+    /// count (DESIGN.md §7: each pair is a pure function of frozen
+    /// inputs, and cache state only decides *when* a token-pair
+    /// similarity is computed, never *what* it is).
     pub fn match_pairs(&mut self, worklist: &[(SchemaId, SchemaId)]) -> Vec<MatchSummary> {
-        self.pairs_matched += worklist.len();
-        let threads = self.threads.min(worklist.len());
-        if threads <= 1 {
-            return self.execute_in_place(worklist, execute_pair);
-        }
-        let mut store = std::mem::take(&mut self.store);
-        let chunk = worklist.len().div_ceil(threads);
-        let this = &*self;
-        let mut summaries: Vec<MatchSummary> = Vec::with_capacity(worklist.len());
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = worklist
-                .chunks(chunk)
-                .map(|shard| {
-                    // Every shard starts from a clone of the warm session
-                    // memo: prior work is shared, only newly discovered
-                    // token pairs can be duplicated across shards.
-                    let shard_store = store.clone();
-                    scope.spawn(move || this.execute(shard_store, shard, execute_pair))
-                })
-                .collect();
-            for worker in workers {
-                let (out, shard_store) = worker.join().expect("match worker panicked");
-                summaries.extend(out);
-                store.merge(shard_store);
-            }
-        });
-        self.store = store;
+        let (summaries, store) = self.match_pairs_shared(worklist);
+        self.absorb(store, worklist.len());
         summaries
     }
 
-    /// The pair executor behind every entry point: run `step` over a
-    /// worklist on the calling thread, through one memo cache over
-    /// `store`, and return the results in worklist order with the
-    /// warmed store. Callers only choose the store — the session's own
-    /// ([`MatchSession::execute_in_place`]) or a clone of it.
-    fn execute<T>(
+    /// The pair executor behind every entry point: run `step` over
+    /// `min(threads, len)` contiguous shards of the worklist, each
+    /// through one memo cache over its own copy of the warm memo (prior
+    /// work is shared; only newly found token pairs can be computed by
+    /// two shards), and return the results in worklist order with the
+    /// shards' stores merged into the first one's — merging into an
+    /// empty store would add a counting pass over every chunk.
+    fn execute<T: Send>(
         &self,
-        store: SimStore,
         worklist: &[(SchemaId, SchemaId)],
-        step: impl Fn(&Self, SchemaId, SchemaId, &mut TokenSimCache<'_>) -> T,
+        step: impl Fn(&Self, SchemaId, SchemaId, &mut TokenSimCache<'_>) -> T + Sync,
     ) -> (Vec<T>, SimStore) {
-        let mut cache =
-            TokenSimCache::with_store(&self.table, self.thesaurus, &self.config.affix, store);
-        let out = worklist.iter().map(|&(a, b)| step(self, a, b, &mut cache)).collect();
-        (out, cache.into_store())
-    }
-
-    /// [`MatchSession::execute`] over the session's own memo: take it,
-    /// run, and put the warmed memo back.
-    fn execute_in_place<T>(
-        &mut self,
-        worklist: &[(SchemaId, SchemaId)],
-        step: impl Fn(&Self, SchemaId, SchemaId, &mut TokenSimCache<'_>) -> T,
-    ) -> Vec<T> {
-        let store = std::mem::take(&mut self.store);
-        let (out, store) = self.execute(store, worklist, step);
-        self.store = store;
-        out
+        let run = |shard: &[(SchemaId, SchemaId)]| {
+            let store = self.store.clone();
+            let mut cache =
+                TokenSimCache::with_store(&self.table, self.thesaurus, &self.config.affix, store);
+            let out: Vec<T> = shard.iter().map(|&(a, b)| step(self, a, b, &mut cache)).collect();
+            (out, cache.into_store())
+        };
+        let threads = self.threads.min(worklist.len());
+        if threads <= 1 {
+            return run(worklist);
+        }
+        let chunk = worklist.len().div_ceil(threads);
+        std::thread::scope(|scope| {
+            let run = &run;
+            let workers: Vec<_> =
+                worklist.chunks(chunk).map(|shard| scope.spawn(move || run(shard))).collect();
+            let mut workers = workers.into_iter().map(|w| w.join().expect("match worker panicked"));
+            let (mut out, mut store) = workers.next().expect("at least two shards");
+            out.reserve(worklist.len() - out.len());
+            for (shard_out, shard_store) in workers {
+                out.extend(shard_out);
+                store.merge(shard_store);
+            }
+            (out, store)
+        })
     }
 
     /// Match every unordered schema pair `(i, j)` with `i < j`, in
@@ -646,12 +628,8 @@ impl<'a> MatchSession<'a> {
     /// workload.
     pub fn match_all_pairs(&mut self) -> Vec<MatchSummary> {
         let n = self.schemas.len();
-        let mut worklist = Vec::with_capacity(n * n.saturating_sub(1) / 2);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                worklist.push((SchemaId(i), SchemaId(j)));
-            }
-        }
+        let worklist: Vec<_> =
+            (0..n).flat_map(|i| (i + 1..n).map(move |j| (SchemaId(i), SchemaId(j)))).collect();
         self.match_pairs(&worklist)
     }
 }
@@ -864,17 +842,29 @@ mod tests {
         let th = thesaurus();
         let corpus = corpus();
         // The memo counters cover the shard merge: shards may compute a
-        // token pair twice, but the merged memo holds each pair once.
-        let run = |threads: usize| {
+        // token pair twice, but the merged memo holds each pair once. The
+        // shared path, absorbed, must leave the session in the same state.
+        let run = |threads: usize, shared: bool| {
             let mut session = MatchSession::new(&cfg, &th).threads(threads);
             session.add_corpus(&corpus).unwrap();
-            let summaries = session.match_all_pairs();
+            let summaries = if shared {
+                let n = session.len();
+                let worklist: Vec<_> = (0..n)
+                    .flat_map(|i| (i + 1..n).map(move |j| (SchemaId(i), SchemaId(j))))
+                    .collect();
+                let (summaries, store) = session.match_pairs_shared(&worklist);
+                session.absorb(store, worklist.len());
+                summaries
+            } else {
+                session.match_all_pairs()
+            };
             let stats = session.stats();
-            (summaries, stats.distinct_pairs_computed, stats.sim_chunks)
+            (summaries, stats.pairs_matched, stats.distinct_pairs_computed, stats.sim_chunks)
         };
-        let sequential = run(1);
-        for threads in [2, 3, 8] {
-            assert_eq!(run(threads), sequential, "threads = {threads}");
+        let sequential = run(1, false);
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(run(threads, true), sequential, "shared, threads = {threads}");
+            assert_eq!(run(threads, false), sequential, "threads = {threads}");
         }
     }
 

@@ -386,8 +386,13 @@ pub fn expand(schema: &Schema, opts: &ExpandOptions) -> Result<SchemaTree, Model
     };
     tree.root = root_node;
     tree.finalize();
+    // Reification only ever adds nodes, so an unchanged size means the
+    // derived state just built is still current.
+    let before = tree.len();
     joinview::reify(schema, &mut tree, opts);
-    tree.finalize();
+    if tree.len() > before {
+        tree.finalize();
+    }
     Ok(tree)
 }
 

@@ -243,32 +243,28 @@ pub struct DurabilityStats {
     pub replay_discarded: Option<String>,
 }
 
-/// A worklist executed through the shared (`&self`) read path, ready to
-/// publish with [`Repository::absorb`]: the summaries, **one** warmed
-/// similarity-memo clone shared by the whole worklist, and each pair's
-/// content-hash cache key captured at execution time (immune to
-/// re-indexing by interleaved mutations). Batching matters: an N-pair
-/// discovery request costs one memo clone and one merge, not N.
-#[derive(Debug)]
+/// Pairs executed through the shared (`&self`) read path, ready to
+/// serve with [`Repository::answer`] and publish with
+/// [`Repository::absorb`]: each summary keyed by its pair's content
+/// hashes as captured at execution time (immune to re-indexing by
+/// interleaved mutations), the warmed copy of the similarity memo, and
+/// the number of executions, which is one per key.
+#[derive(Debug, Default)]
 pub struct SharedBatch {
-    entries: Vec<((u64, u64), MatchSummary)>,
+    summaries: BTreeMap<(u64, u64), MatchSummary>,
     store: SimStore,
+    executed: usize,
 }
 
 impl SharedBatch {
-    /// The executed summaries, in worklist order.
-    pub fn summaries(&self) -> impl Iterator<Item = &MatchSummary> {
-        self.entries.iter().map(|(_, s)| s)
-    }
-
     /// Number of pairs executed in this batch.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.executed
     }
 
     /// True if the batch executed nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.executed == 0
     }
 }
 
@@ -291,7 +287,6 @@ pub struct Repository<'a> {
     hashes: Vec<u64>,
     /// (source hash, target hash) → summary, as executed.
     pair_cache: BTreeMap<(u64, u64), MatchSummary>,
-    pairs_executed: usize,
     dirty: bool,
     loaded: bool,
     recovered_stale: Option<String>,
@@ -396,7 +391,6 @@ impl<'a> Repository<'a> {
             sources: Vec::new(),
             hashes: Vec::new(),
             pair_cache: BTreeMap::new(),
-            pairs_executed: 0,
             dirty: false,
             loaded: state.is_some(),
             recovered_stale,
@@ -509,7 +503,7 @@ impl<'a> Repository<'a> {
 
     /// Full pair executions since this handle was opened.
     pub fn pairs_executed(&self) -> usize {
-        self.pairs_executed
+        self.session.pairs_matched()
     }
 
     /// Aggregate counters.
@@ -517,7 +511,7 @@ impl<'a> Repository<'a> {
         RepositoryStats {
             schemas: self.names.len(),
             cached_pairs: self.pair_cache.len(),
-            pairs_executed: self.pairs_executed,
+            pairs_executed: self.session.pairs_matched(),
             session: self.session.stats(),
         }
     }
@@ -721,27 +715,17 @@ impl<'a> Repository<'a> {
         Ok(schema)
     }
 
-    /// Execute the uncached subset of a worklist, fill the cache, and
-    /// serve every listed pair from it, in worklist order.
+    /// Resolve, answer in worklist order, publish.
     fn serve_pairs(&mut self, pairs: &[(usize, usize)]) -> Vec<MatchSummary> {
-        let mut need: BTreeSet<(u64, u64)> = BTreeSet::new();
-        let mut worklist: Vec<(SchemaId, SchemaId)> = Vec::new();
-        for &(i, j) in pairs {
-            let key = (self.hashes[i], self.hashes[j]);
-            if !self.pair_cache.contains_key(&key) && need.insert(key) {
-                worklist.push((SchemaId::from_index(i), SchemaId::from_index(j)));
-            }
-        }
-        if !worklist.is_empty() {
-            let summaries = self.session.match_pairs(&worklist);
-            self.pairs_executed += worklist.len();
-            self.dirty = true;
-            for s in summaries {
-                let key = (self.hashes[s.source.index()], self.hashes[s.target.index()]);
-                self.pair_cache.insert(key, s);
-            }
-        }
-        pairs.iter().map(|&(i, j)| self.cached_pair_at(i, j).expect("pair cached")).collect()
+        let batch = self.resolve(pairs);
+        let summaries = pairs.iter().map(|&(i, j)| self.answer(&batch, i, j)).collect();
+        self.absorb(batch);
+        summaries
+    }
+
+    /// The pair cache's key for repository indices `(i, j)`.
+    fn key(&self, i: usize, j: usize) -> (u64, u64) {
+        (self.hashes[i], self.hashes[j])
     }
 
     /// Match every unordered schema pair, serving cached pairs from the
@@ -750,12 +734,7 @@ impl<'a> Repository<'a> {
     /// [`MatchSession::match_all_pairs`] — and bit-identical to it.
     pub fn match_all_pairs(&mut self) -> Vec<MatchSummary> {
         let n = self.names.len();
-        let mut pairs = Vec::with_capacity(n * n.saturating_sub(1) / 2);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                pairs.push((i, j));
-            }
-        }
+        let pairs: Vec<_> = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))).collect();
         self.serve_pairs(&pairs)
     }
 
@@ -770,13 +749,38 @@ impl<'a> Repository<'a> {
     /// through a shared (`&self`) handle — the pure read path of the
     /// daemon's read/write split (DESIGN.md §9). `None` if the pair has
     /// not been executed under the current content hashes. Panics if
-    /// an index is out of bounds. The copy is re-anchored to `(i, j)` (the
-    /// rest is a pure function of schema content) and shares the cached
-    /// paths: three `Vec` copies and reference-count bumps, no path bytes.
+    /// an index is out of bounds. The copy is re-anchored to `(i, j)` and
+    /// shares the cached paths.
     pub fn cached_pair_at(&self, i: usize, j: usize) -> Option<MatchSummary> {
-        let (source, target) = (SchemaId::from_index(i), SchemaId::from_index(j));
-        let cached = self.pair_cache.get(&(self.hashes[i], self.hashes[j]))?;
-        Some(MatchSummary { source, target, ..cached.clone() })
+        self.pair_cache.get(&self.key(i, j)).map(|cached| anchored(cached, i, j))
+    }
+
+    /// The read resolver (DESIGN.md §9.3): execute each pair of a
+    /// worklist (by repository indices) that the cache cannot answer,
+    /// once per content-hash key, through
+    /// [`Repository::execute_pairs_shared`]. When every pair is cached
+    /// the batch is empty and no memo is copied. Panics if an index is
+    /// out of bounds.
+    pub fn resolve(&self, pairs: &[(usize, usize)]) -> SharedBatch {
+        let uncached: Vec<(usize, usize)> = pairs
+            .iter()
+            .copied()
+            .filter(|&(i, j)| !self.pair_cache.contains_key(&self.key(i, j)))
+            .collect();
+        if uncached.is_empty() {
+            return SharedBatch::default();
+        }
+        self.execute_pairs_shared(&uncached)
+    }
+
+    /// The summary of the pair at repository indices `(i, j)` from the
+    /// cache, or else from `batch`, re-anchored like
+    /// [`Repository::cached_pair_at`]. Panics unless `batch` came from a
+    /// [`Repository::resolve`] naming the pair under the current hashes.
+    pub fn answer(&self, batch: &SharedBatch, i: usize, j: usize) -> MatchSummary {
+        let key = self.key(i, j);
+        let summary = self.pair_cache.get(&key).or_else(|| batch.summaries.get(&key));
+        anchored(summary.expect("pair resolved"), i, j)
     }
 
     /// Explain one named pair: per-mapping score provenance (lsim/ssim/
@@ -786,9 +790,9 @@ impl<'a> Repository<'a> {
     /// the scores are bit-identical to what the summary reports, and
     /// every explanation recomposes to its `wsim` bit-exactly.
     pub fn explain(&mut self, source: &str, target: &str) -> Result<PairExplanation, RepoError> {
-        let i = self.index_of(source)?;
-        let j = self.index_of(target)?;
-        Ok(self.session.explain_pair(SchemaId::from_index(i), SchemaId::from_index(j)))
+        let (explanation, store) = self.explain_shared(source, target)?;
+        self.absorb_store(store);
+        Ok(explanation)
     }
 
     /// The shared (`&self`) form of [`Repository::explain`], mirroring
@@ -813,26 +817,24 @@ impl<'a> Repository<'a> {
         self.session.absorb(store, 0);
     }
 
-    /// Execute a worklist of pairs (by repository indices) over **one**
-    /// clone of the warm session memo, without mutating the repository
+    /// Execute a worklist of pairs (by repository indices), cached or
+    /// not, once per content-hash key, without mutating the repository
     /// ([`MatchSession::match_pairs_shared`]). The returned
     /// [`SharedBatch`] records each pair's content-hash cache key *as
     /// of this call*, so publishing it later through
     /// [`Repository::absorb`] stays correct even if an interleaved
-    /// mutation re-indexed or replaced schemas in between. Panics if an
-    /// index is out of bounds.
+    /// mutation re-indexed or replaced schemas in between. Even an empty
+    /// worklist copies the memo. Panics if an index is out of bounds.
     pub fn execute_pairs_shared(&self, pairs: &[(usize, usize)]) -> SharedBatch {
-        let worklist: Vec<(SchemaId, SchemaId)> = pairs
+        let mut seen = BTreeSet::new();
+        let (keys, worklist): (Vec<_>, Vec<_>) = pairs
             .iter()
-            .map(|&(i, j)| (SchemaId::from_index(i), SchemaId::from_index(j)))
-            .collect();
+            .map(|&(i, j)| (self.key(i, j), (SchemaId::from_index(i), SchemaId::from_index(j))))
+            .filter(|&(key, _)| seen.insert(key))
+            .unzip();
         let (summaries, store) = self.session.match_pairs_shared(&worklist);
-        let entries = pairs
-            .iter()
-            .zip(summaries)
-            .map(|(&(i, j), s)| ((self.hashes[i], self.hashes[j]), s))
-            .collect();
-        SharedBatch { entries, store }
+        let executed = worklist.len();
+        SharedBatch { summaries: keys.into_iter().zip(summaries).collect(), store, executed }
     }
 
     /// Absorb a batch from the shared path: insert each summary into
@@ -845,15 +847,11 @@ impl<'a> Repository<'a> {
     /// were meanwhile replaced or removed parks under a dead key that
     /// the next [`Repository::save`] prunes.
     pub fn absorb(&mut self, batch: SharedBatch) {
-        if batch.entries.is_empty() {
+        if batch.is_empty() {
             return;
         }
-        let executed = batch.entries.len();
-        for (key, summary) in batch.entries {
-            self.pair_cache.insert(key, summary);
-        }
-        self.session.absorb(batch.store, executed);
-        self.pairs_executed += executed;
+        self.session.absorb(batch.store, batch.executed);
+        self.pair_cache.extend(batch.summaries);
         self.dirty = true;
     }
 
@@ -999,6 +997,17 @@ impl<'a> Repository<'a> {
         let name = schema.name().to_string();
         self.add(&schema)?;
         Ok(name)
+    }
+}
+
+/// A summary re-anchored to repository indices `(i, j)` (the rest is a
+/// pure function of schema content), sharing its paths: three `Vec`
+/// copies and reference-count bumps, no path bytes.
+fn anchored(summary: &MatchSummary, i: usize, j: usize) -> MatchSummary {
+    MatchSummary {
+        source: SchemaId::from_index(i),
+        target: SchemaId::from_index(j),
+        ..summary.clone()
     }
 }
 
@@ -1247,22 +1256,28 @@ mod tests {
         let mut repo = Repository::open_or_create(&tmp.0, &config, &th).unwrap();
         repo.add_corpus(&corpus()).unwrap();
         let (s0, s1) = (repo.index_of("S0").unwrap(), repo.index_of("S1").unwrap());
-        // Uncached: the shared path executes over a memo clone...
+        // Uncached: a worklist naming the pair twice executes it once,
+        // over a memo copy...
         assert!(repo.cached_pair_at(s0, s1).is_none(), "uncached pair must execute");
-        let batch = repo.execute_pairs_shared(&[(s0, s1)]);
-        assert_eq!(batch.len(), 1);
-        let shared = batch.summaries().next().unwrap().clone();
+        let batch = repo.resolve(&[(s0, s1), (s0, s1)]);
+        assert_eq!(batch.len(), 1, "one execution per content-hash key");
+        // ...the batch answers it before anything is published...
+        let shared = repo.answer(&batch, s0, s1);
         assert_eq!(repo.pairs_executed(), 0, "shared execution is not yet absorbed");
         assert!(repo.cached_pair_at(s0, s1).is_none());
         // ...absorbing publishes it...
         repo.absorb(batch);
         assert_eq!(repo.pairs_executed(), 1);
         assert_eq!(repo.cached_pair_at(s0, s1).as_ref(), Some(&shared));
+        // ...after which the cache answers: resolving a cached pair
+        // executes nothing and returns an empty batch...
+        let cached = repo.resolve(&[(s0, s1)]);
+        assert!(cached.is_empty(), "a cached pair resolves to an empty batch");
+        assert_eq!(repo.answer(&cached, s0, s1), shared);
         // ...and the exclusive path serves the identical summary.
         assert_eq!(repo.match_pair("S0", "S1").unwrap(), shared);
-        // A cached pair serves directly through the shared path too.
-        assert_eq!(repo.cached_pair_at(s0, s1), Some(shared));
-        // A whole worklist executes over one memo clone, and an
+        assert_eq!(repo.pairs_executed(), 1);
+        // A whole worklist executes over one memo copy, and an
         // execution published after its schema was replaced parks
         // under the old (now dead) key instead of corrupting the cache.
         let stale = repo.execute_pairs_shared(&[(2, 3), (1, 2)]);

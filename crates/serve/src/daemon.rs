@@ -16,20 +16,23 @@
 //! is how shutdown unblocks workers parked in `read` on idle peers.
 //!
 //! **One read path.** Every read is an entry of a [`Request::Batch`]
-//! and goes through one resolver (`serve_reads`): a lone read is a
-//! one-entry worklist.
+//! (a lone read is a one-entry worklist), and every read goes through
+//! the repository's read resolver, as in-process reads do: the daemon
+//! names and frames, [`Repository::resolve`] executes,
+//! [`Repository::answer`] serves, [`Repository::absorb`] publishes.
 //!
 //! **Read/write split.** The repository sits behind one [`RwLock`].
 //! Reads whose pairs are already cached run concurrently under the
 //! read lock. An uncached pair also executes under the *read* lock:
 //! pair execution is a pure function of frozen prepared state, so the
-//! worker runs the whole uncached worklist over **one** clone of the
-//! warm similarity memo ([`Repository::execute_pairs_shared`]) and
-//! only the cheap absorb — publishing the summaries into the cache and
-//! merging the warmed memo clone — takes the write lock. Mutations
-//! (every one a [`Request::Mutate`]) and `Save` serialize through the
-//! write lock, giving the single-writer discipline the repository's
-//! on-disk lock already enforces across processes.
+//! resolver runs a request's uncached pairs over **one** copy of the
+//! warm similarity memo, on the connection's own thread (connections
+//! are the daemon's parallelism), and only the cheap absorb —
+//! publishing the summaries into the cache and merging the warmed
+//! memo — takes the write lock. Mutations (every one a
+//! [`Request::Mutate`]) and `Save` serialize through the write lock,
+//! giving the single-writer discipline the repository's on-disk lock
+//! already enforces across processes.
 //!
 //! Responses are bit-identical to direct in-process calls on the same
 //! corpus — the integration suite drives N concurrent clients against
@@ -39,15 +42,16 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use cupid_core::{CupidConfig, MatchSummary};
+use cupid_core::CupidConfig;
 use cupid_lexical::Thesaurus;
 use cupid_model::{wire::is_timeout, write_frame};
-use cupid_repo::{RepoError, Repository, SharedBatch};
+use cupid_repo::{RepoError, Repository};
 
 use crate::histogram::LatencyHistogram;
 use crate::log::{Level, Logger};
@@ -324,8 +328,11 @@ impl<'a> Server<'a> {
             context: "listener address".into(),
             message: e.to_string(),
         })?;
+        // Connections are the daemon's parallelism: a request's uncached
+        // pairs run on its own connection's thread, unsharded.
         let mut repo = Repository::open_or_create(repo_path.as_ref(), config, thesaurus)
-            .map_err(ServeError::Repo)?;
+            .map_err(ServeError::Repo)?
+            .threads(1);
         repo.set_compact_after(options.compact_after);
         let path = repo.path().to_path_buf();
         let slow_log = SlowLog::new(options.slow_log_capacity, options.slow_threshold);
@@ -818,27 +825,19 @@ fn handle_request(request: &Request, shared: &Shared<'_>, trace: &mut RequestTra
             }
         }),
         Request::Batch { items } => Response::Batch { entries: serve_reads(items, shared, trace) },
-        Request::Save => {
-            let wait = trace.start(Stage::LockWaitWrite);
-            let mut guard = shared.repo.write().unwrap_or_else(|e| e.into_inner());
-            wait.stop(trace);
-            let exec = trace.start(Stage::ExecUncached);
-            let saved = guard.save();
-            exec.stop(trace);
-            if let Err(e) = saved {
+        Request::Save => match write_locked(shared, trace, |repo| repo.save()) {
+            Ok(()) => Response::Saved {
+                bytes: std::fs::metadata(&shared.path).map(|m| m.len()).unwrap_or(0),
+            },
+            Err(e) => {
                 shared.logger.error("save_failed", &[("err", &e.to_string())]);
-                return Response::Error { message: e.to_string() };
+                Response::Error { message: e.to_string() }
             }
-            let bytes = std::fs::metadata(&shared.path).map(|m| m.len()).unwrap_or(0);
-            Response::Saved { bytes }
-        }
+        },
         Request::SlowLog => Response::SlowLog { entries: shared.slow_log.snapshot() },
         Request::Explain { source, target } => {
-            // Same read/write split as an uncached read: the
-            // re-execution runs under the read lock over a clone of the
-            // warm token-similarity memo, and only merging the warmed
-            // clone back takes the write lock. Explanations never touch
-            // the pair cache — they are diagnostics, not matches.
+            // Same read/write split as an uncached read, but explanations
+            // never touch the pair cache: they are diagnostics, not matches.
             let wait = trace.start(Stage::LockWaitRead);
             let guard = shared.repo.read().unwrap_or_else(|e| e.into_inner());
             wait.stop(trace);
@@ -851,11 +850,7 @@ fn handle_request(request: &Request, shared: &Shared<'_>, trace: &mut RequestTra
                 Err(e) => return Response::Error { message: e.to_string() },
             };
             debug_assert!(explanation.recomposes_exactly());
-            let wait = trace.start(Stage::LockWaitWrite);
-            let mut guard = shared.repo.write().unwrap_or_else(|e| e.into_inner());
-            wait.stop(trace);
-            guard.absorb_store(store);
-            drop(guard);
+            write_locked(shared, trace, |repo| repo.absorb_store(store));
             shared.explanations.fetch_add(1, Ordering::Relaxed);
             Response::Explanation(explanation)
         }
@@ -900,40 +895,12 @@ fn stats_report(guard: &Repository<'_>, shared: &Shared<'_>) -> StatsReport {
     }
 }
 
-/// A read after the resolve pass: either already answerable, or
-/// waiting on a slot in the shared pair worklist.
-enum Pending {
-    /// Resolved without pair execution (cached pair, stats, or a
-    /// per-entry error).
-    Ready(Result<BatchOutcome, String>),
-    /// An uncached `MatchPair` whose summary is `worklist[work]`.
-    Pair { source: String, target: String, work: usize },
-    /// A `TopK` listing with `None` holes to be filled from the
-    /// worklist (`slots` maps hole position → worklist index).
-    TopK { names: Vec<String>, summaries: Vec<Option<MatchSummary>>, slots: Vec<(usize, usize)> },
-}
-
-/// Add a pair to the worklist once, returning its index — entries
-/// repeating a pair (or a `TopK` overlapping a `MatchPair`) share one
-/// execution.
-fn enqueue(
-    worklist: &mut Vec<(usize, usize)>,
-    dedup: &mut BTreeMap<(usize, usize), usize>,
-    pair: (usize, usize),
-) -> usize {
-    *dedup.entry(pair).or_insert_with(|| {
-        worklist.push(pair);
-        worklist.len() - 1
-    })
-}
-
 /// Serve a worklist of reads — a batch, or one lone read — under
-/// **one** read-lock acquisition: resolve every entry against the same
-/// corpus snapshot, run the deduplicated uncached pairs over one warm
-/// memo clone ([`Repository::execute_pairs_shared`]), publish with one
-/// `absorb`, then splice the summaries back into per-entry outcomes. A
-/// bad entry (unknown schema name) fails alone with the repository's
-/// error, and every other entry completes.
+/// **one** read guard: map each entry to its pairs or its error,
+/// [`Repository::resolve`] all the pairs at once, build every outcome
+/// with [`Repository::answer`], and [`Repository::absorb`] once the
+/// guard is dropped. A bad entry (unknown schema name) fails alone with
+/// the repository's error, and every other entry completes.
 fn serve_reads(
     items: &[BatchItem],
     shared: &Shared<'_>,
@@ -942,90 +909,56 @@ fn serve_reads(
     let wait = trace.start(Stage::LockWaitRead);
     let guard = shared.repo.read().unwrap_or_else(|e| e.into_inner());
     wait.stop(trace);
-    let mut worklist: Vec<(usize, usize)> = Vec::new();
-    let mut dedup: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    let mut pending: Vec<Pending> = Vec::with_capacity(items.len());
-    for item in items {
-        let entry = match item {
-            BatchItem::MatchPair { source, target } => {
+    // Every entry's pairs, as one span of a flat worklist.
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    let spans: Vec<Result<Range<usize>, String>> = items
+        .iter()
+        .map(|item| {
+            let start = pairs.len();
+            match item {
                 // The source resolves first, so an entry naming two
                 // unknown schemas reports the source.
-                match guard.index_of(source).and_then(|i| Ok((i, guard.index_of(target)?))) {
-                    Err(e) => Pending::Ready(Err(e.to_string())),
-                    Ok((i, j)) => match guard.cached_pair_at(i, j) {
-                        Some(summary) => Pending::Ready(Ok(BatchOutcome::Matched {
-                            source: source.clone(),
-                            target: target.clone(),
-                            summary,
-                        })),
-                        None => Pending::Pair {
-                            source: source.clone(),
-                            target: target.clone(),
-                            work: enqueue(&mut worklist, &mut dedup, (i, j)),
-                        },
-                    },
+                BatchItem::MatchPair { source, target } => {
+                    let i = guard.index_of(source).map_err(|e| e.to_string())?;
+                    pairs.push((i, guard.index_of(target).map_err(|e| e.to_string())?));
                 }
-            }
-            BatchItem::TopK { k } => {
-                let names = guard.names().to_vec();
-                let pairs = guard.discovery_index().top_k_pairs(*k as usize);
-                let mut summaries: Vec<Option<MatchSummary>> = Vec::with_capacity(pairs.len());
-                let mut slots = Vec::new();
-                for &(i, j) in &pairs {
-                    match guard.cached_pair_at(i, j) {
-                        Some(s) => summaries.push(Some(s)),
-                        None => {
-                            slots.push((
-                                summaries.len(),
-                                enqueue(&mut worklist, &mut dedup, (i, j)),
-                            ));
-                            summaries.push(None);
-                        }
-                    }
+                BatchItem::TopK { k } => {
+                    pairs.extend(guard.discovery_index().top_k_pairs(*k as usize));
                 }
-                Pending::TopK { names, summaries, slots }
+                BatchItem::Stats => {}
             }
-            BatchItem::Stats => {
-                Pending::Ready(Ok(BatchOutcome::Stats(stats_report(&guard, shared))))
-            }
-        };
-        pending.push(entry);
-    }
+            Ok(start..pairs.len())
+        })
+        .collect();
     let exec = trace.start(Stage::ExecUncached);
-    let batch = (!worklist.is_empty()).then(|| guard.execute_pairs_shared(&worklist));
-    drop(guard);
-    if batch.is_some() {
+    let batch = guard.resolve(&pairs);
+    if !batch.is_empty() {
         exec.stop(trace);
     }
-    let executed: Vec<MatchSummary> = match batch {
-        Some(batch) => {
-            let summaries = batch.summaries().cloned().collect();
-            absorb(shared, batch, trace);
-            summaries
-        }
-        None => Vec::new(),
-    };
-    pending
-        .into_iter()
-        .map(|p| match p {
-            Pending::Ready(entry) => entry,
-            Pending::Pair { source, target, work } => {
-                Ok(BatchOutcome::Matched { source, target, summary: executed[work].clone() })
-            }
-            Pending::TopK { names, mut summaries, slots } => {
-                for (slot, work) in slots {
-                    summaries[slot] = Some(executed[work].clone());
-                }
-                Ok(BatchOutcome::TopKList {
-                    names,
-                    summaries: summaries
-                        .into_iter()
-                        .map(|s| s.expect("every slot filled"))
-                        .collect(),
-                })
-            }
+    let entries = items
+        .iter()
+        .zip(spans)
+        .map(|(item, span)| {
+            let mut answers = pairs[span?].iter().map(|&(i, j)| guard.answer(&batch, i, j));
+            Ok(match item {
+                BatchItem::MatchPair { source, target } => BatchOutcome::Matched {
+                    source: source.clone(),
+                    target: target.clone(),
+                    summary: answers.next().expect("one pair per match entry"),
+                },
+                BatchItem::TopK { .. } => BatchOutcome::TopKList {
+                    names: guard.names().to_vec(),
+                    summaries: answers.collect(),
+                },
+                BatchItem::Stats => BatchOutcome::Stats(stats_report(&guard, shared)),
+            })
         })
-        .collect()
+        .collect();
+    drop(guard);
+    if !batch.is_empty() {
+        write_locked(shared, trace, |repo| repo.absorb(batch));
+    }
+    entries
 }
 
 /// Run a schema mutation under the write lock, then apply the autosave
@@ -1092,17 +1025,21 @@ fn mutate(
     response
 }
 
-/// Publish shared-path execution results under the write lock. The
-/// lock wait is attributed to the trace's write-wait stage, the absorb
-/// itself to uncached execution — it is the publication half of the
-/// shared execution path.
-fn absorb(shared: &Shared<'_>, batch: SharedBatch, trace: &mut RequestTrace) {
+/// Run `op` under the repository write lock, timing the wait as
+/// `lock_wait_write` and `op` as `exec_uncached`: saves, and the
+/// publication of a read batch or an explanation's memo.
+fn write_locked<T>(
+    shared: &Shared<'_>,
+    trace: &mut RequestTrace,
+    op: impl FnOnce(&mut Repository<'_>) -> T,
+) -> T {
     let wait = trace.start(Stage::LockWaitWrite);
     let mut guard = shared.repo.write().unwrap_or_else(|e| e.into_inner());
     wait.stop(trace);
     let exec = trace.start(Stage::ExecUncached);
-    guard.absorb(batch);
+    let out = op(&mut guard);
     exec.stop(trace);
+    out
 }
 
 #[cfg(test)]

@@ -242,6 +242,9 @@ fn batched_requests_match_unary_bit_for_bit() {
         items.push(BatchItem::Stats);
         let entries = client.batch(items).unwrap();
         assert_eq!(entries.len(), want_pairs.len() + 3);
+        // The top-k entry's pairs all repeat match entries: each
+        // distinct pair executed once for the whole frame.
+        assert_eq!(client.stats().unwrap().pairs_executed, want_pairs.len() as u64);
 
         let mut want_iter = want_pairs.iter();
         for (pos, entry) in entries.iter().take(want_pairs.len() + 1).enumerate() {
