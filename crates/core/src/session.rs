@@ -350,43 +350,13 @@ impl<'a> MatchSession<'a> {
     /// of the batch is added, so a retry after fixing the corpus cannot
     /// create duplicates.
     pub fn add_corpus(&mut self, schemas: &[Schema]) -> Result<Vec<SchemaId>, ModelError> {
-        let threads = self.threads.min(schemas.len()).max(1);
-        let config = self.config;
-        let thesaurus = self.thesaurus;
-        let mut raw: Vec<Option<Result<(SchemaTree, RawSchemaLing), ModelError>>> = Vec::new();
-        if threads <= 1 {
-            for s in schemas {
-                raw.push(Some(prepare_raw(s, config, thesaurus)));
-            }
-        } else {
-            raw.resize_with(schemas.len(), || None);
-            let chunk = schemas.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = schemas
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(|(w, shard)| {
-                        scope.spawn(move || {
-                            let prepared: Vec<_> =
-                                shard.iter().map(|s| prepare_raw(s, config, thesaurus)).collect();
-                            (w * chunk, prepared)
-                        })
-                    })
-                    .collect();
-                for worker in workers {
-                    let (base, prepared) = worker.join().expect("prepare worker panicked");
-                    for (i, p) in prepared.into_iter().enumerate() {
-                        raw[base + i] = Some(p);
-                    }
-                }
-            });
-        }
+        let (config, thesaurus) = (self.config, self.thesaurus);
+        let shards = sharded(self.threads, schemas, |shard| {
+            shard.iter().map(|s| prepare_raw(s, config, thesaurus)).collect::<Vec<_>>()
+        });
         // Surface any preparation error before mutating the session, so
         // a failed batch leaves no partial state behind.
-        let mut prepared = Vec::with_capacity(schemas.len());
-        for r in raw {
-            prepared.push(r.expect("every schema prepared")?);
-        }
+        let prepared: Vec<_> = shards.into_iter().flatten().collect::<Result<_, _>>()?;
         let mut ids = Vec::with_capacity(schemas.len());
         for (s, (tree, raw)) in schemas.iter().zip(prepared) {
             ids.push(self.push_prepared(s.name().to_string(), tree, raw));
@@ -584,43 +554,33 @@ impl<'a> MatchSession<'a> {
         summaries
     }
 
-    /// The pair executor behind every entry point: run `step` over
-    /// `min(threads, len)` contiguous shards of the worklist, each
-    /// through one memo cache over its own copy of the warm memo (prior
-    /// work is shared; only newly found token pairs can be computed by
-    /// two shards), and return the results in worklist order with the
-    /// shards' stores merged into the first one's — merging into an
-    /// empty store would add a counting pass over every chunk.
+    /// The pair executor behind every entry point: run `step` over the
+    /// [`sharded`] worklist, each shard through one memo cache over its
+    /// own copy of the warm memo (prior work is shared; only newly found
+    /// token pairs can be computed by two shards), and return the
+    /// results in worklist order with the shards' stores merged into the
+    /// first one's — merging into an empty store would add a counting
+    /// pass over every chunk. An empty worklist still copies the memo.
     fn execute<T: Send>(
         &self,
         worklist: &[(SchemaId, SchemaId)],
         step: impl Fn(&Self, SchemaId, SchemaId, &mut TokenSimCache<'_>) -> T + Sync,
     ) -> (Vec<T>, SimStore) {
-        let run = |shard: &[(SchemaId, SchemaId)]| {
+        let mut shards = sharded(self.threads, worklist, |shard| {
             let store = self.store.clone();
             let mut cache =
                 TokenSimCache::with_store(&self.table, self.thesaurus, &self.config.affix, store);
             let out: Vec<T> = shard.iter().map(|&(a, b)| step(self, a, b, &mut cache)).collect();
             (out, cache.into_store())
-        };
-        let threads = self.threads.min(worklist.len());
-        if threads <= 1 {
-            return run(worklist);
-        }
-        let chunk = worklist.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let run = &run;
-            let workers: Vec<_> =
-                worklist.chunks(chunk).map(|shard| scope.spawn(move || run(shard))).collect();
-            let mut workers = workers.into_iter().map(|w| w.join().expect("match worker panicked"));
-            let (mut out, mut store) = workers.next().expect("at least two shards");
-            out.reserve(worklist.len() - out.len());
-            for (shard_out, shard_store) in workers {
-                out.extend(shard_out);
-                store.merge(shard_store);
-            }
-            (out, store)
         })
+        .into_iter();
+        let (mut out, mut store) = shards.next().expect("at least one shard");
+        out.reserve(worklist.len() - out.len());
+        for (shard_out, shard_store) in shards {
+            out.extend(shard_out);
+            store.merge(shard_store);
+        }
+        (out, store)
     }
 
     /// Match every unordered schema pair `(i, j)` with `i < j`, in
@@ -632,6 +592,27 @@ impl<'a> MatchSession<'a> {
             (0..n).flat_map(|i| (i + 1..n).map(move |j| (SchemaId(i), SchemaId(j)))).collect();
         self.match_pairs(&worklist)
     }
+}
+
+/// Run `run` over `min(threads, len)` contiguous chunks of `items` on
+/// scoped OS threads and return its results in chunk order. One chunk —
+/// an empty `items` included — runs on the calling thread.
+fn sharded<I: Sync, T: Send>(
+    threads: usize,
+    items: &[I],
+    run: impl Fn(&[I]) -> T + Sync,
+) -> Vec<T> {
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        return vec![run(items)];
+    }
+    let chunk = items.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        let run = &run;
+        let workers: Vec<_> =
+            items.chunks(chunk).map(|shard| scope.spawn(move || run(shard))).collect();
+        workers.into_iter().map(|w| w.join().expect("shard worker panicked")).collect()
+    })
 }
 
 /// Per-schema raw preparation (the parallel-safe half of `add_corpus`).

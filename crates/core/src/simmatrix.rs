@@ -66,51 +66,6 @@ impl SimMatrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Maximum entry in row `i` with its column, `None` for empty rows.
-    ///
-    /// The sweep is a branchless select chain — the update predicate is
-    /// `!(best >= v)`, the exact condition of the old `match` fold, so
-    /// first-index-on-ties and NaN handling (a NaN `best` loses to
-    /// anything, a NaN `v` never wins over a non-NaN `best`) are
-    /// bit-for-bit preserved while the loop body stays free of
-    /// unpredictable branches.
-    // The negated comparison is the point: `partial_cmp` would change
-    // which side NaN falls on.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    #[inline]
-    pub fn row_max(&self, i: usize) -> Option<(usize, f64)> {
-        let (&first, rest) = self.row(i).split_first()?;
-        let mut best_j = 0usize;
-        let mut best_v = first;
-        for (off, &v) in rest.iter().enumerate() {
-            let take = !(best_v >= v);
-            best_j = if take { off + 1 } else { best_j };
-            best_v = if take { v } else { best_v };
-        }
-        Some((best_j, best_v))
-    }
-
-    /// Maximum entry in column `j` with its row, `None` for empty columns.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    #[inline]
-    pub fn col_max(&self, j: usize) -> Option<(usize, f64)> {
-        if self.rows == 0 || self.cols == 0 {
-            return None;
-        }
-        // Walk rows as slices (one strided load per row) instead of
-        // recomputing `i * cols + j` bounds-checked per cell; same
-        // branchless `!(best >= v)` select chain as [`SimMatrix::row_max`].
-        let mut best_i = 0usize;
-        let mut best_v = self.data[j];
-        for (i, row) in self.data.chunks_exact(self.cols).enumerate().skip(1) {
-            let v = row[j];
-            let take = !(best_v >= v);
-            best_i = if take { i } else { best_i };
-            best_v = if take { v } else { best_v };
-        }
-        Some((best_i, best_v))
-    }
-
     /// Iterate over all `(i, j, value)` entries.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         let cols = self.cols;
@@ -139,67 +94,6 @@ mod tests {
         m.scale_clamped(1, 2, 10.0);
         assert_eq!(m.get(1, 2), 1.0); // clamped
         assert_eq!(m.get(0, 0), 0.0);
-    }
-
-    #[test]
-    fn row_and_col_max_prefer_first_on_ties() {
-        let mut m = SimMatrix::zeros(2, 3);
-        m.set(0, 1, 0.7);
-        m.set(0, 2, 0.7);
-        assert_eq!(m.row_max(0), Some((1, 0.7)));
-        m.set(1, 1, 0.7);
-        assert_eq!(m.col_max(1), Some((0, 0.7)));
-    }
-
-    /// The pre-restructuring scalar fold `row_max`/`col_max` were
-    /// defined by: update `best` whenever `!(best >= v)`.
-    fn reference_max(values: impl Iterator<Item = f64>) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, v) in values.enumerate() {
-            match best {
-                Some((_, bv)) if bv >= v => {}
-                _ => best = Some((i, v)),
-            }
-        }
-        best
-    }
-
-    #[test]
-    fn max_sweeps_match_scalar_reference_including_nan() {
-        // Deterministic mix of ordinary values, ties, NaN and -0.0 —
-        // the branchless sweep must agree with the scalar fold on
-        // index *and* bit pattern everywhere.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            match state % 8 {
-                0 => f64::NAN,
-                1 => -0.0,
-                2 => 0.0,
-                3 => 0.7, // frequent value → ties
-                _ => (state % 1000) as f64 / 1000.0,
-            }
-        };
-        for (rows, cols) in [(1, 1), (3, 5), (7, 4), (16, 16)] {
-            let mut m = SimMatrix::zeros(rows, cols);
-            for i in 0..rows {
-                for j in 0..cols {
-                    m.set(i, j, next());
-                }
-            }
-            for i in 0..rows {
-                let got = m.row_max(i);
-                let want = reference_max(m.row(i).iter().copied());
-                assert_eq!(got.map(|(j, v)| (j, v.to_bits())), want.map(|(j, v)| (j, v.to_bits())));
-            }
-            for j in 0..cols {
-                let got = m.col_max(j);
-                let want = reference_max((0..rows).map(|i| m.get(i, j)));
-                assert_eq!(got.map(|(i, v)| (i, v.to_bits())), want.map(|(i, v)| (i, v.to_bits())));
-            }
-        }
     }
 
     #[test]

@@ -405,16 +405,16 @@ fn frame_checksum(kind: u8, payload: &[u8]) -> u64 {
     fnv1a_extend(fnv1a_extend(FNV_OFFSET_BASIS, &[kind]), payload)
 }
 
-// --- journal record kinds ---------------------------------------------
+// --- frame kinds ------------------------------------------------------
 //
-// The repository's write-ahead mutation journal (`cupid-repo`,
-// DESIGN.md §10) reuses the frame container above for its on-disk
-// records; these are the frame kind bytes it writes. They live here —
-// next to the daemon protocol's kind-space conventions — because kind
-// codes are append-only workspace-wide: new records get new numbers,
-// existing numbers never change meaning, and no two subsystems may
-// collide on a kind a stray file could be mistaken for. The `0x4_`
-// block is disjoint from the daemon protocol's `0x0_`/`0x8_` kinds.
+// Kind codes are append-only workspace-wide: new records get new
+// numbers, existing numbers never change meaning, and no two subsystems
+// may collide on a kind a stray file could be mistaken for. The
+// daemon protocol (`cupid-serve`'s `protocol` module, DESIGN.md §9.2)
+// owns the `0x0_` (request) and `0x8_` (response) blocks and declares
+// its kinds there. The repository's write-ahead mutation journal
+// (`cupid-repo`, DESIGN.md §10) reuses the frame container above for
+// its on-disk records, in the `0x4_` block below.
 
 /// Journal header record: version, config/thesaurus fingerprints, and
 /// the id of the snapshot the journal extends.
@@ -426,67 +426,6 @@ pub const JOURNAL_ADD: u8 = 0x41;
 pub const JOURNAL_REPLACE: u8 = 0x42;
 /// Journal record: a schema was removed (payload: its name).
 pub const JOURNAL_REMOVE: u8 = 0x43;
-
-// --- daemon batch frame kinds -----------------------------------------
-//
-// The daemon's batched wire path (`cupid-serve`, DESIGN.md §11) ships a
-// whole worklist of read-side requests in one checksummed frame and
-// answers with per-entry statuses in one frame back. The kind codes
-// live here with the rest of the workspace kind-space bookkeeping:
-// 0x09 extends the request block (0x01..=0x08), 0x8A extends the
-// response block (0x81..=0x89), and both stay disjoint from the
-// journal's 0x4_ block. In the request block, 0x01..=0x03 (the id-less
-// add/replace/remove) are retired and reserved: every mutation is a
-// `MUTATE_REQUEST`. So are 0x04..=0x06 and their answers 0x84..=0x86,
-// which carried one read each: a lone read is a one-entry batch.
-
-/// Batched request frame: a worklist of MatchPair/TopK/Stats entries.
-pub const BATCH_REQUEST: u8 = 0x09;
-/// Batched response frame: one status (result or error) per entry.
-pub const BATCH_RESPONSE: u8 = 0x8A;
-
-// --- daemon robustness frame kinds -------------------------------------
-//
-// The hostile-network layer (`cupid-serve`, DESIGN.md §12) adds two
-// kinds: mutations carrying a client-assigned request id (so a retry
-// after a lost acknowledgment deduplicates daemon-side instead of
-// double-applying), and the typed overload-shed response the admission
-// controller answers with when the in-flight cap is full.
-
-/// Mutation request frame carrying a client-assigned request id for
-/// daemon-side retry deduplication (add/replace/remove payloads) — the
-/// only frame a mutation travels in.
-pub const MUTATE_REQUEST: u8 = 0x0A;
-/// Admission-control shed: the daemon refused the request because its
-/// in-flight cap stayed full past the queue deadline. Retryable.
-pub const OVERLOADED_RESPONSE: u8 = 0x8B;
-
-// --- daemon observability frame kinds ----------------------------------
-//
-// The tracing layer (`cupid-serve`, DESIGN.md §13) adds one exchange:
-// a query for the daemon's slow-log ring — the bounded buffer holding
-// the slowest requests seen so far, each with its full per-stage
-// latency breakdown — so a tail outlier can be explained post hoc.
-
-/// Slow-log query frame: no payload; answers with the ring contents.
-pub const SLOW_LOG_REQUEST: u8 = 0x0B;
-/// Slow-log response frame: the slowest-N request traces, stage
-/// breakdowns included, slowest first.
-pub const SLOW_LOG_RESPONSE: u8 = 0x8C;
-
-// --- match explainability frame kinds -----------------------------------
-//
-// The explainability layer (`cupid-serve`, DESIGN.md §14) adds one
-// exchange: a query for one pair's per-mapping score provenance — the
-// lsim/ssim/wsim breakdown at the final weights, top contributing token
-// pairs with provenance, structural context, and threshold decisions.
-// Every served explanation recomposes to its reported `wsim` bit-exactly.
-
-/// Explain query frame: source and target schema names; answers with
-/// per-mapping score provenance for the pair.
-pub const EXPLAIN_REQUEST: u8 = 0x0C;
-/// Explain response frame: a `PairExplanation` payload.
-pub const EXPLAIN_RESPONSE: u8 = 0x8D;
 
 const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

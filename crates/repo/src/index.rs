@@ -91,24 +91,9 @@ impl DiscoveryIndex {
         self.tokens.is_empty()
     }
 
-    /// Number of distinct tokens in the index.
-    pub fn distinct_tokens(&self) -> usize {
-        self.postings.len()
-    }
-
-    /// Dice overlap of two schemas' leaf token sets:
-    /// `2·|A ∩ B| / (|A| + |B|)` (0 when both are empty).
-    pub fn overlap(&self, a: usize, b: usize) -> f64 {
-        let (ta, tb) = (&self.tokens[a], &self.tokens[b]);
-        let denom = ta.len() + tb.len();
-        if denom == 0 {
-            return 0.0;
-        }
-        2.0 * intersection(ta, tb) as f64 / denom as f64
-    }
-
     /// The top-k candidate schemas for a query schema, scored by
-    /// overlap, descending (ties broken by ascending schema index so
+    /// Dice overlap of the leaf token sets, `2·|A ∩ B| / (|A| + |B|)`,
+    /// descending (ties broken by ascending schema index so
     /// retrieval is deterministic). The query itself is excluded.
     /// One sweep over the query's posting lists — `O(Σ posting length)`,
     /// independent of the number of non-overlapping schemas.
@@ -168,25 +153,6 @@ impl DiscoveryIndex {
     }
 }
 
-/// `|A ∩ B|` of two sorted, deduplicated id slices. The classic
-/// three-way-`match` merge is a pipeline of unpredictable branches; on
-/// sets with interleaved ids every step mispredicts. This form advances
-/// each cursor by a comparison *flag* and counts equality the same way
-/// — three flag computations per step, no branch on the comparison
-/// outcome (the loop bound is the only branch), which the optimizer
-/// lowers to straight-line flag arithmetic. Equivalence to the scalar
-/// merge is proven in the test module.
-fn intersection(a: &[TokenId], b: &[TokenId]) -> usize {
-    let (mut i, mut j, mut inter) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
-        inter += usize::from(x == y);
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
-    }
-    inter
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,12 +187,12 @@ mod tests {
         ];
         let idx = index_of(&corpus);
         assert_eq!(idx.len(), 3);
-        assert!(idx.overlap(0, 1) > 0.5, "A and B share most tokens");
-        assert_eq!(idx.overlap(0, 2), 0.0, "A and C share nothing");
-        assert_eq!(idx.overlap(0, 1), idx.overlap(1, 0), "overlap is symmetric");
         let cands = idx.candidates(0, 2);
-        assert_eq!(cands[0].schema, 1);
         assert_eq!(cands.len(), 1, "zero-overlap schemas are never candidates");
+        assert_eq!(cands[0].schema, 1);
+        assert!(cands[0].score > 0.5, "A and B share most tokens");
+        let back = idx.candidates(1, 2);
+        assert_eq!(back, [Candidate { schema: 0, score: cands[0].score }], "overlap is symmetric");
     }
 
     #[test]
@@ -247,49 +213,6 @@ mod tests {
         for w in pairs.windows(2) {
             assert!(w[0] < w[1]);
         }
-    }
-
-    #[test]
-    fn branchless_intersection_matches_scalar_merge() {
-        use cupid_lexical::{SimClass, TokenTable};
-        // The pre-restructuring three-way-`match` merge.
-        fn reference(a: &[TokenId], b: &[TokenId]) -> usize {
-            let (mut i, mut j, mut inter) = (0usize, 0usize, 0usize);
-            while i < a.len() && j < b.len() {
-                match a[i].cmp(&b[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        inter += 1;
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            inter
-        }
-        let mut table = TokenTable::new();
-        let ids: Vec<TokenId> =
-            (0..64).map(|n| table.intern(SimClass::Word, &format!("tok{n}"))).collect();
-        let mut state = 0x243f6a8885a308d3u64;
-        let subset = |state: &mut u64| -> Vec<TokenId> {
-            ids.iter()
-                .copied()
-                .filter(|_| {
-                    *state ^= *state << 13;
-                    *state ^= *state >> 7;
-                    *state ^= *state << 17;
-                    state.is_multiple_of(3)
-                })
-                .collect() // interned in ascending order, so already sorted
-        };
-        for _ in 0..50 {
-            let a = subset(&mut state);
-            let b = subset(&mut state);
-            assert_eq!(intersection(&a, &b), reference(&a, &b), "{a:?} ∩ {b:?}");
-        }
-        assert_eq!(intersection(&[], &ids), 0);
-        assert_eq!(intersection(&ids, &ids), ids.len());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   loud [`cupid_model::FrameError::Io`] instead of parking the client
 //!   thread forever.
 //! * **Batching** — [`ServeClient::batch`] ships a worklist of
-//!   match/top-k/stats requests in one frame
+//!   match/top-k/stats/explain/slow-log reads in one frame
 //!   ([`crate::protocol::Request::Batch`]); the daemon executes it
 //!   under one read-lock acquisition and one memo clone. Each entry
 //!   carries its own status, so one bad entry fails alone. A unary read
@@ -404,19 +404,19 @@ impl ServeClient {
     /// Every mapping in the answer recomposes to its reported `wsim`
     /// bit-exactly.
     pub fn explain(&mut self, source: &str, target: &str) -> Result<PairExplanation, ServeError> {
-        let request = Request::Explain { source: source.to_string(), target: target.to_string() };
-        match self.call(&request)? {
-            Response::Explanation(explanation) => Ok(explanation),
-            other => Err(Self::unexpected(other)),
+        let item = BatchItem::Explain { source: source.to_string(), target: target.to_string() };
+        match self.read(item)? {
+            BatchOutcome::Explained(explanation) => Ok(explanation),
+            other => Err(unexpected_outcome(other)),
         }
     }
 
     /// The daemon's slow-log ring: its slowest retained request traces,
     /// slowest first, each with a full per-stage breakdown.
     pub fn slow_log(&mut self) -> Result<Vec<TraceRecord>, ServeError> {
-        match self.call(&Request::SlowLog)? {
-            Response::SlowLog { entries } => Ok(entries),
-            other => Err(Self::unexpected(other)),
+        match self.read(BatchItem::SlowLog)? {
+            BatchOutcome::SlowLog(traces) => Ok(traces),
+            other => Err(unexpected_outcome(other)),
         }
     }
 

@@ -16,10 +16,13 @@
 //! is how shutdown unblocks workers parked in `read` on idle peers.
 //!
 //! **One read path.** Every read is an entry of a [`Request::Batch`]
-//! (a lone read is a one-entry worklist), and every read goes through
-//! the repository's read resolver, as in-process reads do: the daemon
-//! names and frames, [`Repository::resolve`] executes,
-//! [`Repository::answer`] serves, [`Repository::absorb`] publishes.
+//! (a lone read is a one-entry worklist), and `serve_reads` answers
+//! every one. Match and top-k entries go through the repository's read
+//! resolver, as in-process reads do: the daemon names and frames,
+//! [`Repository::resolve`] executes, [`Repository::answer`] serves,
+//! [`Repository::absorb`] publishes. An explain entry re-executes its
+//! pair with [`Repository::explain_shared`] under the same read guard
+//! and publishes its memo with [`Repository::absorb_store`].
 //!
 //! **Read/write split.** The repository sits behind one [`RwLock`].
 //! Reads whose pairs are already cached run concurrently under the
@@ -78,12 +81,12 @@ fn latency_kind(request: &Request) -> usize {
             [BatchItem::MatchPair { .. }] => 1,
             [BatchItem::TopK { .. }] => 2,
             [BatchItem::Stats] => 3,
+            [BatchItem::SlowLog] => 7,
+            [BatchItem::Explain { .. }] => 8,
             _ => 5,
         },
         Request::Save => 4,
         Request::Shutdown => 6,
-        Request::SlowLog => 7,
-        Request::Explain { .. } => 8,
     }
 }
 
@@ -138,7 +141,7 @@ pub struct ServeOptions {
     /// `deadline_cuts`. `None` disables the per-frame deadline.
     pub frame_deadline: Option<Duration>,
     /// Slow-log ring capacity: how many of the slowest traces the
-    /// daemon retains for the `SlowLog` frame. Zero disables the ring
+    /// daemon retains for `SlowLog` reads. Zero disables the ring
     /// (the over-threshold counter still ticks).
     pub slow_log_capacity: usize,
     /// Requests at least this slow are counted and offered to the
@@ -834,26 +837,6 @@ fn handle_request(request: &Request, shared: &Shared<'_>, trace: &mut RequestTra
                 Response::Error { message: e.to_string() }
             }
         },
-        Request::SlowLog => Response::SlowLog { entries: shared.slow_log.snapshot() },
-        Request::Explain { source, target } => {
-            // Same read/write split as an uncached read, but explanations
-            // never touch the pair cache: they are diagnostics, not matches.
-            let wait = trace.start(Stage::LockWaitRead);
-            let guard = shared.repo.read().unwrap_or_else(|e| e.into_inner());
-            wait.stop(trace);
-            let exec = trace.start(Stage::ExecUncached);
-            let explained = guard.explain_shared(source, target);
-            drop(guard);
-            exec.stop(trace);
-            let (explanation, store) = match explained {
-                Ok(e) => e,
-                Err(e) => return Response::Error { message: e.to_string() },
-            };
-            debug_assert!(explanation.recomposes_exactly());
-            write_locked(shared, trace, |repo| repo.absorb_store(store));
-            shared.explanations.fetch_add(1, Ordering::Relaxed);
-            Response::Explanation(explanation)
-        }
         Request::Shutdown => Response::ShuttingDown,
     }
 }
@@ -899,8 +882,11 @@ fn stats_report(guard: &Repository<'_>, shared: &Shared<'_>) -> StatsReport {
 /// **one** read guard: map each entry to its pairs or its error,
 /// [`Repository::resolve`] all the pairs at once, build every outcome
 /// with [`Repository::answer`], and [`Repository::absorb`] once the
-/// guard is dropped. A bad entry (unknown schema name) fails alone with
-/// the repository's error, and every other entry completes.
+/// guard is dropped. An explain entry names no pairs: it re-executes
+/// its pair over a memo copy ([`Repository::explain_shared`]) and never
+/// touches the pair cache; its memo is published in the same write as
+/// the batch. A bad entry (unknown schema name) fails alone with the
+/// repository's error, and every other entry completes.
 fn serve_reads(
     items: &[BatchItem],
     shared: &Shared<'_>,
@@ -925,7 +911,7 @@ fn serve_reads(
                 BatchItem::TopK { k } => {
                     pairs.extend(guard.discovery_index().top_k_pairs(*k as usize));
                 }
-                BatchItem::Stats => {}
+                BatchItem::Stats | BatchItem::Explain { .. } | BatchItem::SlowLog => {}
             }
             Ok(start..pairs.len())
         })
@@ -935,6 +921,8 @@ fn serve_reads(
     if !batch.is_empty() {
         exec.stop(trace);
     }
+    // Explanations' warmed memo copies, published with the batch.
+    let mut stores = Vec::new();
     let entries = items
         .iter()
         .zip(spans)
@@ -951,12 +939,29 @@ fn serve_reads(
                     summaries: answers.collect(),
                 },
                 BatchItem::Stats => BatchOutcome::Stats(stats_report(&guard, shared)),
+                BatchItem::Explain { source, target } => {
+                    let exec = trace.start(Stage::ExecUncached);
+                    let explained = guard.explain_shared(source, target);
+                    exec.stop(trace);
+                    let (explanation, store) = explained.map_err(|e| e.to_string())?;
+                    debug_assert!(explanation.recomposes_exactly());
+                    stores.push(store);
+                    BatchOutcome::Explained(explanation)
+                }
+                BatchItem::SlowLog => BatchOutcome::SlowLog(shared.slow_log.snapshot()),
             })
         })
         .collect();
     drop(guard);
-    if !batch.is_empty() {
-        write_locked(shared, trace, |repo| repo.absorb(batch));
+    if !batch.is_empty() || !stores.is_empty() {
+        let explained = stores.len() as u64;
+        write_locked(shared, trace, |repo| {
+            repo.absorb(batch);
+            for store in stores {
+                repo.absorb_store(store);
+            }
+        });
+        shared.explanations.fetch_add(explained, Ordering::Relaxed);
     }
     entries
 }
@@ -1049,6 +1054,7 @@ mod tests {
     #[test]
     fn one_entry_batches_are_timed_and_admitted_like_lone_reads() {
         let pair = || BatchItem::MatchPair { source: "A".into(), target: "B".into() };
+        let explain = || BatchItem::Explain { source: "A".into(), target: "B".into() };
         let batch = |items| Request::Batch { items };
         for (request, want_kind, want_bypass) in [
             (batch(vec![pair()]), "match_pair", false),
@@ -1057,10 +1063,11 @@ mod tests {
             (batch(Vec::new()), "batch", false),
             (batch(vec![pair(), pair()]), "batch", false),
             (batch(vec![BatchItem::Stats, BatchItem::Stats]), "batch", false),
+            (batch(vec![BatchItem::SlowLog]), "slow_log", false),
+            (batch(vec![explain()]), "explain", false),
+            (batch(vec![explain(), BatchItem::SlowLog]), "batch", false),
             (Request::Shutdown, "shutdown", true),
             (Request::Save, "save", false),
-            (Request::SlowLog, "slow_log", false),
-            (Request::Explain { source: "A".into(), target: "B".into() }, "explain", false),
             (
                 Request::Mutate { request_id: 1, op: MutationOp::Remove { name: "A".into() } },
                 "mutate",

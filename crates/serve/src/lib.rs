@@ -22,11 +22,11 @@
 //!   serialize through the writer.
 //! * **[`protocol`]** — a length-prefixed, checksummed binary protocol
 //!   over [`cupid_model::wire`] frames. Every read is a [`BatchItem`]
-//!   (`MatchPair`, `TopK` discovery, `Stats`) in a [`Request::Batch`]
-//!   frame, alone or many to a frame; every mutation is a
-//!   [`Request::Mutate`] (SDL payloads, incremental re-match
-//!   underneath, a request id for retry deduplication); plus `Save`,
-//!   `Shutdown`, `SlowLog` and `Explain`.
+//!   (`MatchPair`, `TopK` discovery, `Stats`, `Explain`, `SlowLog`) in
+//!   a [`Request::Batch`] frame, alone or many to a frame; every
+//!   mutation is a [`Request::Mutate`] (SDL payloads, incremental
+//!   re-match underneath, a request id for retry deduplication); plus
+//!   `Save` and `Shutdown`.
 //! * **[`ServeClient`]** — the blocking client library the CLI, the
 //!   tests, the ledger and the example all drive the daemon with, with
 //!   connect/read timeouts via [`ClientBuilder`] and transport-error

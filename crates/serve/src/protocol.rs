@@ -5,20 +5,23 @@
 //! message discriminator, the payload is the message body in the
 //! workspace's hand-rolled wire format ([`WireWriter`]/[`WireReader`]
 //! — little-endian integers, `f64` by bits, length-prefixed UTF-8).
-//! Requests use kinds `0x07..=0x0C`; responses set the high bit
-//! (`0x81..=0x8D`), so a stray response on a request stream (or vice
-//! versa) is rejected as an unknown kind rather than mis-decoded.
-//! Kinds `0x01..=0x06` and `0x84..=0x86` carried id-less mutations and
-//! lone reads; they are retired and stay reserved, never reused.
+//! This module declares the daemon's whole kind space. Requests use
+//! kinds `0x07..=0x0A`; responses set the high bit (`0x81..=0x8B`), so
+//! a stray response on a request stream (or vice versa) is rejected as
+//! an unknown kind rather than mis-decoded. Kinds `0x01..=0x06`,
+//! `0x0B`, `0x0C`, `0x84..=0x86`, `0x8C` and `0x8D` carried id-less
+//! mutations and reads of their own; they are retired and stay
+//! reserved, never reused.
 //!
 //! Every read is a [`BatchItem`] and every read result a
 //! [`BatchOutcome`]. The batch kinds (`0x09`/`0x8A`, DESIGN.md §11)
 //! carry a worklist of them — tagged entries in, per-entry
 //! outcome-or-error statuses out — so one frame round-trip amortizes
-//! across many requests. A lone read is a one-entry batch. Every
-//! mutation is a [`Request::Mutate`] (`0x0A`), stamped with a request
-//! id for retry deduplication (DESIGN.md §12); `0x8B` is the admission
-//! controller's typed overload shed.
+//! across many requests. A lone read, an explanation or a slow-log
+//! query included, is a one-entry batch. Every mutation is a
+//! [`Request::Mutate`] (`0x0A`), stamped with a request id for retry
+//! deduplication (DESIGN.md §12); `0x8B` is the admission controller's
+//! typed overload shed.
 //!
 //! Schema payloads travel as SDL text (`cupid-io`'s schema description
 //! language), the reproduction's native review/exchange format — the
@@ -35,10 +38,6 @@
 use std::io::{Read, Write};
 
 use cupid_core::{MatchSummary, PairExplanation};
-use cupid_model::wire::{
-    BATCH_REQUEST, BATCH_RESPONSE, EXPLAIN_REQUEST, EXPLAIN_RESPONSE, MUTATE_REQUEST,
-    OVERLOADED_RESPONSE, SLOW_LOG_REQUEST, SLOW_LOG_RESPONSE,
-};
 use cupid_model::{read_frame, write_frame, FrameError, WireError, WireReader, WireWriter};
 
 use crate::histogram::KindLatency;
@@ -71,21 +70,6 @@ pub enum Request {
         request_id: u64,
         /// The mutation itself.
         op: MutationOp,
-    },
-    /// Query the daemon's slow-log ring (DESIGN.md §13.2): the
-    /// slowest-N requests seen so far, each carried whole with its
-    /// per-stage latency breakdown, slowest first.
-    SlowLog,
-    /// Explain one stored pair by name (DESIGN.md §14): per-mapping
-    /// score provenance — the lsim/ssim/wsim breakdown, top token
-    /// pairs with their similarity sources, and the structural context
-    /// behind each kept mapping. Never consults or fills the pair
-    /// cache; the match hot path is untouched.
-    Explain {
-        /// Source schema name.
-        source: String,
-        /// Target schema name.
-        target: String,
     },
 }
 
@@ -130,6 +114,21 @@ pub enum BatchItem {
     },
     /// Repository and session counters.
     Stats,
+    /// Explain one stored pair by name (DESIGN.md §14): per-mapping
+    /// score provenance — the lsim/ssim/wsim breakdown, top token
+    /// pairs with their similarity sources, and the structural context
+    /// behind each kept mapping. Never consults or fills the pair
+    /// cache; the match hot path is untouched.
+    Explain {
+        /// Source schema name.
+        source: String,
+        /// Target schema name.
+        target: String,
+    },
+    /// The daemon's slow-log ring (DESIGN.md §13.2): the slowest-N
+    /// requests seen so far, each carried whole with its per-stage
+    /// latency breakdown, slowest first.
+    SlowLog,
 }
 
 /// The successful result of one [`BatchItem`], in a batch entry.
@@ -155,6 +154,13 @@ pub enum BatchOutcome {
     },
     /// [`BatchItem::Stats`] result.
     Stats(StatsReport),
+    /// [`BatchItem::Explain`] result: per-mapping score provenance for
+    /// the pair. Every mapping's explanation recomposes to its reported
+    /// `wsim` bit-exactly ([`PairExplanation::recomposes_exactly`]).
+    Explained(PairExplanation),
+    /// [`BatchItem::SlowLog`] result: the ring contents, slowest first,
+    /// each with its full stage breakdown.
+    SlowLog(Vec<TraceRecord>),
 }
 
 /// Declares [`StatsReport`]: its `u64` counters in wire order, each
@@ -298,43 +304,40 @@ pub enum Response {
         /// Per-entry statuses, in worklist order.
         entries: Vec<Result<BatchOutcome, String>>,
     },
-    /// The result of a [`Request::SlowLog`]: the ring contents,
-    /// slowest first.
-    SlowLog {
-        /// The slowest requests the daemon has retained, each with its
-        /// full stage breakdown.
-        entries: Vec<TraceRecord>,
-    },
-    /// The result of a [`Request::Explain`]: per-mapping score
-    /// provenance for the pair. Every mapping's explanation recomposes
-    /// to its reported `wsim` bit-exactly
-    /// ([`PairExplanation::recomposes_exactly`]).
-    Explanation(PairExplanation),
 }
 
-// Frame kind codes. Append-only, like every enum code in the wire
+// Frame kind codes: the daemon's whole kind space, which
+// `cupid_model::wire` reserves (`0x0_` requests, `0x8_` responses; the
+// journal writes `0x4_`). Append-only, like every enum code in the wire
 // format: new messages get new numbers, existing numbers never change
 // meaning. Retired kinds decode as unknown ones and are never reused:
 // 0x01..=0x03 carried the id-less add/replace/remove requests before
-// every mutation became a `Mutate`, and 0x04..=0x06 (answered in
+// every mutation became a `Mutate`; 0x04..=0x06 (answered in
 // 0x84..=0x86) carried one read each before a lone read became a
-// one-entry batch.
+// one-entry batch; and 0x0B/0x0C (answered in 0x8C/0x8D) carried the
+// slow-log query and explain before they became batch entries.
 const REQ_SAVE: u8 = 0x07;
 const REQ_SHUTDOWN: u8 = 0x08;
+/// Batch request frame kind: a worklist of [`BatchItem`]s.
+pub const BATCH_REQUEST: u8 = 0x09;
+const REQ_MUTATE: u8 = 0x0A;
 const RESP_ADDED: u8 = 0x81;
 const RESP_REPLACED: u8 = 0x82;
 const RESP_REMOVED: u8 = 0x83;
 const RESP_SAVED: u8 = 0x87;
 const RESP_SHUTTING_DOWN: u8 = 0x88;
 const RESP_ERROR: u8 = 0x89;
-// Batch frame kinds live in `cupid_model::wire` with the rest of the
-// workspace kind-space bookkeeping (0x09 request / 0x8A response).
+/// Batch response frame kind: one status per worklist entry.
+pub const BATCH_RESPONSE: u8 = 0x8A;
+const RESP_OVERLOADED: u8 = 0x8B;
 
 // Inner tag bytes of batch worklist entries and their statuses
 // (same append-only discipline as frame kinds).
 const ITEM_MATCH_PAIR: u8 = 0x01;
 const ITEM_TOP_K: u8 = 0x02;
 const ITEM_STATS: u8 = 0x03;
+const ITEM_EXPLAIN: u8 = 0x04;
+const ITEM_SLOW_LOG: u8 = 0x05;
 const MUTATE_ADD: u8 = 0x01;
 const MUTATE_REPLACE: u8 = 0x02;
 const MUTATE_REMOVE: u8 = 0x03;
@@ -342,6 +345,8 @@ const ENTRY_ERR: u8 = 0x00;
 const ENTRY_MATCHED: u8 = 0x01;
 const ENTRY_TOP_K: u8 = 0x02;
 const ENTRY_STATS: u8 = 0x03;
+const ENTRY_EXPLAINED: u8 = 0x04;
+const ENTRY_SLOW_LOG: u8 = 0x05;
 
 impl Request {
     /// Encode into (frame kind, payload bytes).
@@ -370,13 +375,7 @@ impl Request {
                         w.put_str(name);
                     }
                 }
-                MUTATE_REQUEST
-            }
-            Request::SlowLog => SLOW_LOG_REQUEST,
-            Request::Explain { source, target } => {
-                w.put_str(source);
-                w.put_str(target);
-                EXPLAIN_REQUEST
+                REQ_MUTATE
             }
         };
         (kind, w.into_bytes())
@@ -390,7 +389,7 @@ impl Request {
             REQ_SAVE => Request::Save,
             REQ_SHUTDOWN => Request::Shutdown,
             BATCH_REQUEST => Request::Batch { items: r.get_list(BatchItem::read_wire)? },
-            MUTATE_REQUEST => {
+            REQ_MUTATE => {
                 let request_id = r.get_u64()?;
                 let op = match r.get_u8()? {
                     MUTATE_ADD => MutationOp::Add { sdl: r.get_str()? },
@@ -400,8 +399,6 @@ impl Request {
                 };
                 Request::Mutate { request_id, op }
             }
-            SLOW_LOG_REQUEST => Request::SlowLog,
-            EXPLAIN_REQUEST => Request::Explain { source: r.get_str()?, target: r.get_str()? },
             other => return Err(r.err(format!("unknown request kind {other:#04x}"))),
         };
         r.finish()?;
@@ -439,6 +436,12 @@ impl BatchItem {
                 w.put_u32(*k);
             }
             BatchItem::Stats => w.put_u8(ITEM_STATS),
+            BatchItem::Explain { source, target } => {
+                w.put_u8(ITEM_EXPLAIN);
+                w.put_str(source);
+                w.put_str(target);
+            }
+            BatchItem::SlowLog => w.put_u8(ITEM_SLOW_LOG),
         }
     }
 
@@ -447,6 +450,8 @@ impl BatchItem {
             ITEM_MATCH_PAIR => BatchItem::MatchPair { source: r.get_str()?, target: r.get_str()? },
             ITEM_TOP_K => BatchItem::TopK { k: r.get_u32()? },
             ITEM_STATS => BatchItem::Stats,
+            ITEM_EXPLAIN => BatchItem::Explain { source: r.get_str()?, target: r.get_str()? },
+            ITEM_SLOW_LOG => BatchItem::SlowLog,
             other => return Err(r.err(format!("unknown batch item tag {other:#04x}"))),
         })
     }
@@ -474,6 +479,14 @@ impl BatchOutcome {
             Ok(BatchOutcome::Stats(report)) => {
                 w.put_u8(ENTRY_STATS);
                 report.write_wire(w);
+            }
+            Ok(BatchOutcome::Explained(explanation)) => {
+                w.put_u8(ENTRY_EXPLAINED);
+                explanation.write_wire(w);
+            }
+            Ok(BatchOutcome::SlowLog(traces)) => {
+                w.put_u8(ENTRY_SLOW_LOG);
+                w.put_list(traces, |w, trace| trace.write_wire(w));
             }
         }
     }
@@ -504,6 +517,8 @@ impl BatchOutcome {
                 BatchOutcome::TopKList { names, summaries }
             }
             ENTRY_STATS => BatchOutcome::Stats(StatsReport::read_wire(r)?),
+            ENTRY_EXPLAINED => BatchOutcome::Explained(PairExplanation::read_wire(r)?),
+            ENTRY_SLOW_LOG => BatchOutcome::SlowLog(r.get_list(TraceRecord::read_wire)?),
             other => return Err(r.err(format!("unknown batch entry tag {other:#04x}"))),
         }))
     }
@@ -581,19 +596,11 @@ impl Response {
             Response::Overloaded { max_inflight, queue_deadline_ms } => {
                 w.put_u64(*max_inflight);
                 w.put_u64(*queue_deadline_ms);
-                OVERLOADED_RESPONSE
+                RESP_OVERLOADED
             }
             Response::Batch { entries } => {
                 w.put_list(entries, |w, entry| BatchOutcome::write_entry(entry, w));
                 BATCH_RESPONSE
-            }
-            Response::SlowLog { entries } => {
-                w.put_list(entries, |w, entry| entry.write_wire(w));
-                SLOW_LOG_RESPONSE
-            }
-            Response::Explanation(explanation) => {
-                explanation.write_wire(&mut w);
-                EXPLAIN_RESPONSE
             }
         };
         (kind, w.into_bytes())
@@ -610,12 +617,10 @@ impl Response {
             RESP_SAVED => Response::Saved { bytes: r.get_u64()? },
             RESP_SHUTTING_DOWN => Response::ShuttingDown,
             RESP_ERROR => Response::Error { message: r.get_str()? },
-            OVERLOADED_RESPONSE => {
+            RESP_OVERLOADED => {
                 Response::Overloaded { max_inflight: r.get_u64()?, queue_deadline_ms: r.get_u64()? }
             }
             BATCH_RESPONSE => Response::Batch { entries: r.get_list(BatchOutcome::read_entry)? },
-            SLOW_LOG_RESPONSE => Response::SlowLog { entries: r.get_list(TraceRecord::read_wire)? },
-            EXPLAIN_RESPONSE => Response::Explanation(PairExplanation::read_wire(&mut r)?),
             other => return Err(r.err(format!("unknown response kind {other:#04x}"))),
         };
         r.finish()?;
@@ -706,13 +711,15 @@ mod tests {
 
     #[test]
     fn explain_frames_round_trip() {
-        let req = Request::Explain { source: "PO".into(), target: "Order".into() };
+        let explain = BatchItem::Explain { source: "PO".into(), target: "Order".into() };
+        let req = Request::Batch { items: vec![explain] };
         let (kind, payload) = req.encode();
         assert_eq!(Request::decode(kind, &payload).unwrap(), req);
         // Request kind on a response stream must not decode.
         assert!(Response::decode(kind, &payload).is_err());
 
-        let want = Response::Explanation(sample_explanation());
+        let want =
+            Response::Batch { entries: vec![Ok(BatchOutcome::Explained(sample_explanation()))] };
         let (kind, payload) = want.encode();
         assert_eq!(Response::decode(kind, &payload).unwrap(), want);
         assert!(Request::decode(kind, &payload).is_err());
@@ -746,8 +753,10 @@ mod tests {
             },
             Request::Mutate { request_id: 0, op: MutationOp::Replace { sdl: String::new() } },
             Request::Mutate { request_id: u64::MAX, op: MutationOp::Remove { name: "S".into() } },
-            Request::SlowLog,
-            Request::Explain { source: "PO".into(), target: "Order".into() },
+            Request::Batch { items: vec![BatchItem::SlowLog] },
+            Request::Batch {
+                items: vec![BatchItem::Explain { source: "PO".into(), target: "Order".into() }],
+            },
         ];
         let mut buf = Vec::new();
         for req in &requests {
@@ -842,28 +851,27 @@ mod tests {
 
     #[test]
     fn slow_log_response_round_trips() {
-        let want = Response::SlowLog {
-            entries: vec![
-                TraceRecord {
-                    trace_id: 42,
-                    kind: "batch".into(),
-                    total_ns: 2_000_000,
-                    finished_unix_ms: 1_754_000_000_000,
-                    stage_ns: vec![0, 1_000, 0, 0, 1_900_000, 0, 50_000, 49_000],
-                },
-                TraceRecord {
-                    trace_id: 7,
-                    kind: "match_pair".into(),
-                    total_ns: 1_200_000,
-                    finished_unix_ms: 0,
-                    stage_ns: Vec::new(),
-                },
-            ],
-        };
+        let one = |traces| Response::Batch { entries: vec![Ok(BatchOutcome::SlowLog(traces))] };
+        let want = one(vec![
+            TraceRecord {
+                trace_id: 42,
+                kind: "batch".into(),
+                total_ns: 2_000_000,
+                finished_unix_ms: 1_754_000_000_000,
+                stage_ns: vec![0, 1_000, 0, 0, 1_900_000, 0, 50_000, 49_000],
+            },
+            TraceRecord {
+                trace_id: 7,
+                kind: "match_pair".into(),
+                total_ns: 1_200_000,
+                finished_unix_ms: 0,
+                stage_ns: Vec::new(),
+            },
+        ]);
         let (kind, payload) = want.encode();
         assert_eq!(Response::decode(kind, &payload).unwrap(), want);
         // Empty ring round-trips too.
-        let empty = Response::SlowLog { entries: Vec::new() };
+        let empty = one(Vec::new());
         let (kind, payload) = empty.encode();
         assert_eq!(Response::decode(kind, &payload).unwrap(), empty);
         // Trailing bytes are rejected, like every frame.

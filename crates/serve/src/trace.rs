@@ -10,9 +10,9 @@
 //! read/write, match execution split cached/uncached, response encode,
 //! socket write).
 //! Traces aggregate into per-(request kind, stage)
-//! [`LatencyHistogram`]s ([`StageRecorder`]) served through the `Stats`
-//! frame, and the slowest requests land whole in a bounded [`SlowLog`]
-//! ring served through the `SlowLog` frame — so a single 4 ms p999
+//! [`LatencyHistogram`]s ([`StageRecorder`]) served by `Stats` reads,
+//! and the slowest requests land whole in a bounded [`SlowLog`] ring
+//! served by `SlowLog` reads — so a single 4 ms p999
 //! outlier is explained post hoc by its own stage breakdown instead of
 //! being averaged away.
 //!
@@ -195,8 +195,8 @@ impl<const KINDS: usize> Default for StageRecorder<KINDS> {
 }
 
 /// One slow request, frozen for post-hoc inspection: identity, shape
-/// and the full stage breakdown. This is what the `SlowLog` frame
-/// ships, so it lives here rather than in the protocol module.
+/// and the full stage breakdown. This is what a `SlowLog` read
+/// answers with, so it lives here rather than in the protocol module.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
     /// The request's trace id (matches the daemon's log lines).

@@ -723,6 +723,34 @@ fn explanations_recompose_and_leave_match_output_untouched() {
         assert_eq!(stats.explanations_served, 2);
         assert_eq!(stats.cached_pairs as usize, want_pairs.len());
 
+        // Explain and slow log are batch entries like any read: in a
+        // mixed batch each entry answers as its lone read does, and an
+        // unknown name fails its entry alone.
+        let ((source, target), want_summary) = &want_pairs[0];
+        assert_eq!((source.as_str(), target.as_str()), ("PO", "Order"));
+        let entries = client
+            .batch(vec![
+                BatchItem::Explain { source: "PO".into(), target: "Order".into() },
+                BatchItem::MatchPair { source: "PO".into(), target: "Order".into() },
+                BatchItem::Explain { source: "PO".into(), target: "Nope".into() },
+                BatchItem::SlowLog,
+            ])
+            .unwrap();
+        assert_eq!(entries.len(), 4);
+        assert_eq!(entries[0], Ok(BatchOutcome::Explained(want_explained.clone())));
+        match &entries[1] {
+            Ok(BatchOutcome::Matched { summary, .. }) => assert_eq!(summary, want_summary),
+            other => panic!("expected the PO~Order summary, got {other:?}"),
+        }
+        match &entries[2] {
+            Err(message) => assert!(message.contains("`Nope`"), "got `{message}`"),
+            other => panic!("an unknown name must fail its entry, got {other:?}"),
+        }
+        assert!(matches!(entries[3], Ok(BatchOutcome::SlowLog(_))), "got {:?}", entries[3]);
+        let after = client.stats().unwrap();
+        assert_eq!(after.explanations_served, stats.explanations_served + 1);
+        assert_eq!(after.pairs_executed, stats.pairs_executed, "every pair was cached");
+
         client.shutdown().unwrap();
     });
 }

@@ -121,8 +121,8 @@ fn summary_bits_eq(a: &MatchSummary, b: &MatchSummary) -> bool {
         && a.total_pairs == b.total_pairs
 }
 
-/// Read outcomes compare equal iff their summaries' similarity bits
-/// agree, everything else by `==`.
+/// Read outcomes compare equal iff their summaries' and explanations'
+/// similarity bits agree, everything else by `==`.
 fn outcome_bits_eq(a: &BatchOutcome, b: &BatchOutcome) -> bool {
     match (a, b) {
         (
@@ -137,6 +137,7 @@ fn outcome_bits_eq(a: &BatchOutcome, b: &BatchOutcome) -> bool {
                 && asums.len() == bsums.len()
                 && asums.iter().zip(bsums).all(|(x, y)| summary_bits_eq(x, y))
         }
+        (BatchOutcome::Explained(x), BatchOutcome::Explained(y)) => explanation_bits_eq(x, y),
         (a, b) => a == b,
     }
 }
@@ -280,8 +281,10 @@ fn requests(sdl: &str, a: &str, b: &str, k: u32) -> Vec<Request> {
             op: MutationOp::Replace { sdl: sdl.to_string() },
         },
         Request::Mutate { request_id: k as u64, op: MutationOp::Remove { name: a.to_string() } },
-        Request::SlowLog,
-        Request::Explain { source: a.to_string(), target: b.to_string() },
+        Request::Batch { items: vec![BatchItem::SlowLog] },
+        Request::Batch {
+            items: vec![BatchItem::Explain { source: a.to_string(), target: b.to_string() }],
+        },
     ]
 }
 
@@ -398,15 +401,30 @@ fn responses(a: &str, b: &str, summary: &MatchSummary, n: u64) -> Vec<Response> 
         Response::Batch { entries: batch_entries(&names, a, b, summary, &report_from(a, n)) },
         Response::Batch { entries: Vec::new() },
         Response::Overloaded { max_inflight: n % 4096, queue_deadline_ms: n.rotate_left(7) },
-        Response::SlowLog { entries: vec![trace_record(a, n), trace_record(b, n.wrapping_add(1))] },
-        Response::SlowLog { entries: Vec::new() },
-        Response::Explanation(explanation_from(a, b, n)),
-        Response::Explanation(explanation_from(b, a, n.wrapping_add(7))),
+        one(BatchOutcome::SlowLog(vec![trace_record(a, n), trace_record(b, n.wrapping_add(1))])),
+        one(BatchOutcome::SlowLog(Vec::new())),
+        one(BatchOutcome::Explained(explanation_from(a, b, n))),
+        one(BatchOutcome::Explained(explanation_from(b, a, n.wrapping_add(7)))),
     ]
 }
 
 /// The seed behind every fixture of the golden-frame table.
 const GOLDEN_SEED: u64 = 0x5eed_0bad_cafe_f00d;
+
+/// An explain and a slow-log read, built from the fixtures of the
+/// retired `0x0C` and `0x0B` frames.
+fn diagnostic_items() -> Vec<BatchItem> {
+    vec![BatchItem::Explain { source: "PO".into(), target: "Order".into() }, BatchItem::SlowLog]
+}
+
+/// Their outcomes, built from the fixtures of the retired `0x8D` and
+/// `0x8C` frames.
+fn diagnostic_outcomes() -> Vec<BatchOutcome> {
+    vec![
+        BatchOutcome::Explained(explanation_from("PO", "Order", GOLDEN_SEED)),
+        BatchOutcome::SlowLog(vec![trace_record("batch", GOLDEN_SEED), trace_record("top_k", 3)]),
+    ]
+}
 
 /// One fixed message of every request kind the daemon accepts.
 fn golden_requests() -> Vec<(&'static str, Request)> {
@@ -434,14 +452,13 @@ fn golden_requests() -> Vec<(&'static str, Request)> {
             "batch",
             Request::Batch {
                 items: vec![
-                    BatchItem::MatchPair { source: a.clone(), target: b.clone() },
+                    BatchItem::MatchPair { source: a, target: b },
                     BatchItem::TopK { k: 2 },
                     BatchItem::Stats,
                 ],
             },
         ),
-        ("slow_log", Request::SlowLog),
-        ("explain", Request::Explain { source: a, target: b }),
+        ("batch_diagnostics", Request::Batch { items: diagnostic_items() }),
     ]
 }
 
@@ -467,12 +484,9 @@ fn golden_responses() -> Vec<(&'static str, Response)> {
             },
         ),
         (
-            "slow_log",
-            Response::SlowLog {
-                entries: vec![trace_record("batch", GOLDEN_SEED), trace_record("top_k", 3)],
-            },
+            "batch_diagnostics",
+            Response::Batch { entries: diagnostic_outcomes().into_iter().map(Ok).collect() },
         ),
-        ("explanation", Response::Explanation(explanation_from(&a, &b, GOLDEN_SEED))),
     ]
 }
 
@@ -487,8 +501,7 @@ const GOLDEN_FRAMES: &[(&str, u8, u64)] = &[
     ("save", 0x07, 0xcbf29ce484222325),
     ("shutdown", 0x08, 0xcbf29ce484222325),
     ("batch", 0x09, 0x97c3a92f94d3f604),
-    ("slow_log", 0x0b, 0xcbf29ce484222325),
-    ("explain", 0x0c, 0x4865286100afdbcd),
+    ("batch_diagnostics", 0x09, 0x662424f9d6feb40c),
     ("added", 0x81, 0x91b52a60060c0a9e),
     ("replaced", 0x82, 0x91b52a60060c0a9e),
     ("removed", 0x83, 0x4b6d00304abf7938),
@@ -497,8 +510,7 @@ const GOLDEN_FRAMES: &[(&str, u8, u64)] = &[
     ("error", 0x89, 0x6ce4dd5b88a64071),
     ("overloaded", 0x8b, 0x0bcb2bb4308877e1),
     ("batch", 0x8a, 0x09f90518aa120c58),
-    ("slow_log", 0x8c, 0xff8e1868a6f0e25d),
-    ("explanation", 0x8d, 0xddce47408c609b1b),
+    ("batch_diagnostics", 0x8a, 0x733c142c0a9ad70a),
 ];
 
 #[test]
@@ -520,14 +532,39 @@ fn frame_bytes_match_the_recorded_table() {
     }
 }
 
+/// FNV-1a of the payloads the retired explain (`0x0C`), slow-log
+/// (`0x0B`), explanation (`0x8D`) and slow-log response (`0x8C`) frames
+/// carried for the fixtures of `diagnostic_items` and
+/// `diagnostic_outcomes`, as the golden table recorded them.
+const RETIRED_PAYLOADS: [u64; 4] =
+    [0x4865286100afdbcd, 0xcbf29ce484222325, 0xddce47408c609b1b, 0xff8e1868a6f0e25d];
+
+/// An explain or slow-log entry's body is, byte for byte, the payload
+/// its retired frame carried.
+#[test]
+fn diagnostic_entry_bodies_are_the_retired_payloads() {
+    // A one-entry batch payload is a `u32` count, the entry's tag byte,
+    // then its body.
+    let body = |(_, payload): (u8, Vec<u8>)| fnv1a(&payload[5..]);
+    let requests = diagnostic_items()
+        .into_iter()
+        .map(|item| body(Request::Batch { items: vec![item] }.encode()));
+    let responses = diagnostic_outcomes()
+        .into_iter()
+        .map(|outcome| body(Response::Batch { entries: vec![Ok(outcome)] }.encode()));
+    let actual: Vec<u64> = requests.chain(responses).collect();
+    assert_eq!(actual, RETIRED_PAYLOADS);
+}
+
 /// Kinds 0x01..=0x03 carried id-less add/replace/remove requests, and
-/// 0x04..=0x06 (answered in 0x84..=0x86) one read each. They are
-/// retired: every mutation is a `Mutate` and every read a batch entry,
-/// and the old kinds decode as unknown ones, on the wire and in a live
-/// daemon.
+/// 0x04..=0x06 (answered in 0x84..=0x86) one read each, as did 0x0B and
+/// 0x0C (answered in 0x8C and 0x8D) for the slow log and explain. They
+/// are retired: every mutation is a `Mutate` and every read a batch
+/// entry, and the old kinds decode as unknown ones, on the wire and in
+/// a live daemon.
 #[test]
 fn retired_kinds_are_unknown() {
-    const RETIRED_REQUESTS: [u8; 6] = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06];
+    const RETIRED_REQUESTS: [u8; 8] = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x0B, 0x0C];
     let mut body = WireWriter::new();
     body.put_str("schema S\n  attr A : int\n");
     let payload = body.into_bytes();
@@ -536,7 +573,7 @@ fn retired_kinds_are_unknown() {
         let want = format!("unknown request kind {kind:#04x}");
         assert!(err.to_string().contains(&want), "`{err}` should name kind {kind:#04x}");
     }
-    for kind in [0x84u8, 0x85, 0x86] {
+    for kind in [0x84u8, 0x85, 0x86, 0x8C, 0x8D] {
         let err = Response::decode(kind, &payload).expect_err("retired kind must not decode");
         let want = format!("unknown response kind {kind:#04x}");
         assert!(err.to_string().contains(&want), "`{err}` should name kind {kind:#04x}");
@@ -639,9 +676,6 @@ proptest! {
                             (x, y) => prop_assert_eq!(x, y),
                         }
                     }
-                }
-                (Response::Explanation(g), Response::Explanation(w)) => {
-                    prop_assert!(explanation_bits_eq(g, w), "explanation bits diverged");
                 }
                 (got, want) => prop_assert_eq!(got, want),
             }

@@ -15,11 +15,10 @@
 
 use cupid::core::CupidConfig;
 use cupid::lexical::Thesaurus;
-use cupid::model::wire::{BATCH_REQUEST, BATCH_RESPONSE};
 use cupid::model::{fnv1a, WireWriter};
 use cupid::prelude::Repository;
 use cupid::repo::RepoError;
-use cupid::serve::protocol::{Request, Response};
+use cupid::serve::protocol::{Request, Response, BATCH_REQUEST, BATCH_RESPONSE};
 
 /// Size of each crafted input.
 const INPUT: usize = 8 << 20;
