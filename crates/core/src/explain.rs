@@ -12,9 +12,8 @@
 //! that admitted the mapping.
 //!
 //! Explanations are produced by a **separate entry point**
-//! ([`crate::MatchSession::explain_pair`] /
-//! [`explain_pair_shared`](crate::MatchSession::explain_pair_shared));
-//! the zero-explain hot path is untouched. The explanation reads what
+//! ([`crate::MatchSession::explain_pair`]); the zero-explain hot path is
+//! untouched. The explanation reads what
 //! the engine computed — `pair_lsim`'s category scale, the TreeMatch
 //! workspace after its main pass, the match's own mapping policy — and
 //! computes only the top token pairs itself. The central invariant,
@@ -592,7 +591,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_explain_is_identical_and_leaves_session_untouched() {
+    fn repeated_explain_is_identical_and_counts_no_match() {
         let cfg = crate::CupidConfig::default();
         let th = thesaurus();
         let corpus = corpus();
@@ -600,11 +599,9 @@ mod tests {
         let ids = session.add_corpus(&corpus).unwrap();
         let want = session.explain_pair(ids[0], ids[1]);
         let computed = session.stats().distinct_pairs_computed;
-        let (shared, store) = session.explain_pair_shared(ids[0], ids[1]);
-        assert_eq!(shared, want);
-        assert_eq!(session.stats().distinct_pairs_computed, computed);
-        session.absorb(store, 0);
-        assert_eq!(session.stats().distinct_pairs_computed, computed);
+        assert_eq!(session.explain_pair(ids[0], ids[1]), want);
+        assert_eq!(session.stats().distinct_pairs_computed, computed, "the warm memo answers");
+        assert_eq!(session.stats().pairs_matched, 0, "an explanation is not a match");
     }
 
     #[test]

@@ -21,7 +21,6 @@ use cupid_model::{NodeId, SchemaTree};
 
 use crate::config::CupidConfig;
 use crate::linguistic::LsimTable;
-use crate::simmatrix::SimMatrix;
 use crate::treematch::TreeMatchResult;
 
 /// Mapping cardinality policy.
@@ -90,14 +89,13 @@ fn nodes_where(tree: &SchemaTree, leaf: bool) -> Vec<NodeId> {
     tree.iter().filter(|(_, n)| n.is_leaf() == leaf).map(|(id, _)| id).collect()
 }
 
-/// Select mappings among the given candidate node sets from a similarity
-/// matrix, honoring the cardinality policy.
+/// Select mappings among the given candidate node sets from the
+/// TreeMatch result's `wsim`, honoring the cardinality policy.
 fn select(
     t1: &SchemaTree,
     t2: &SchemaTree,
     res: &TreeMatchResult,
     lsim: &LsimTable,
-    wsim: &SimMatrix,
     sources: &[NodeId],
     targets: &[NodeId],
     cfg: &CupidConfig,
@@ -107,6 +105,7 @@ fn select(
     // broken by *context consistency*: prefer the source whose parent is
     // more similar to the target's parent — the similarity the ancestors
     // accumulated is exactly Cupid's context evidence.
+    let wsim = &res.wsim;
     let parent_wsim = |s: NodeId, t: NodeId| -> f64 {
         match (t1.node(s).parents.first(), t2.node(t).parents.first()) {
             (Some(&ps), Some(&pt)) => wsim.get(ps.index(), pt.index()),
@@ -190,7 +189,7 @@ pub fn leaf_mappings(
 ) -> Vec<MappingElement> {
     let sources = nodes_where(t1, true);
     let targets = nodes_where(t2, true);
-    select(t1, t2, res, lsim, &res.wsim, &sources, &targets, cfg, cardinality)
+    select(t1, t2, res, lsim, &sources, &targets, cfg, cardinality)
 }
 
 /// Non-leaf mapping generation (§7): uses the recomputed similarities of
@@ -205,7 +204,7 @@ pub fn nonleaf_mappings(
 ) -> Vec<MappingElement> {
     let sources = nodes_where(t1, false);
     let targets = nodes_where(t2, false);
-    select(t1, t2, res, lsim, &res.wsim, &sources, &targets, cfg, cardinality)
+    select(t1, t2, res, lsim, &sources, &targets, cfg, cardinality)
 }
 
 /// The mapping policy of every pair the matcher runs: `(leaf, non-leaf)`

@@ -6,8 +6,9 @@
 //! one growable token-similarity memo persists across every pair, so a
 //! distinct token pair is computed once per *corpus* instead of once per
 //! *match*. Pair worklists are sharded across OS threads with
-//! [`std::thread::scope`]; results are bit-identical to running the same
-//! pairs as independent [`crate::Cupid::match_schemas`] calls, which
+//! [`std::thread::scope`], every shard filling the one memo in place;
+//! results are bit-identical to running the same pairs as independent
+//! [`crate::Cupid::match_schemas`] calls, which
 //! `tests/batch_equivalence.rs` proves under 1, 2 and 4 threads.
 //!
 //! Batch results are lightweight [`MatchSummary`] values (mappings +
@@ -42,6 +43,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 use cupid_lexical::{SimStore, Thesaurus, TokenSimCache, TokenTable};
@@ -274,7 +276,9 @@ pub struct SessionStats {
 /// [`match_pairs`](MatchSession::match_pairs) or
 /// [`match_all_pairs`](MatchSession::match_all_pairs). Results are
 /// bit-identical to independent [`crate::Cupid::match_schemas`] calls
-/// regardless of the thread count.
+/// regardless of the thread count. Preparing schemas takes `&mut self`;
+/// every match and explanation takes `&self`, filling the one memo in
+/// place, so many threads can match over one session at once.
 #[derive(Debug)]
 pub struct MatchSession<'a> {
     config: &'a CupidConfig,
@@ -284,7 +288,7 @@ pub struct MatchSession<'a> {
     schemas: Vec<PreparedSchema>,
     threads: usize,
     top_k: usize,
-    pairs_matched: usize,
+    pairs_matched: AtomicUsize,
 }
 
 impl<'a> MatchSession<'a> {
@@ -303,16 +307,15 @@ impl<'a> MatchSession<'a> {
             schemas: Vec::new(),
             threads,
             top_k: 10,
-            pairs_matched: 0,
+            pairs_matched: AtomicUsize::new(0),
         }
     }
 
     /// Set the worker-thread count for sharded pair execution (and for
-    /// parallel per-schema prepare). `n > 1` shards the worklist, each
-    /// shard working on its own copy of the warm memo; `1` keeps the
-    /// work on the calling thread, which still copies the memo once and
-    /// merges it back. The thread count never affects results, only
-    /// wall-clock time.
+    /// parallel per-schema prepare). `n > 1` shards the worklist, every
+    /// shard filling the session's one memo in place; `1` keeps the work
+    /// on the calling thread. The thread count never affects results,
+    /// only wall-clock time.
     pub fn threads(mut self, n: usize) -> Self {
         self.set_threads(n);
         self
@@ -365,9 +368,18 @@ impl<'a> MatchSession<'a> {
     }
 
     fn push_prepared(&mut self, name: String, tree: SchemaTree, raw: RawSchemaLing) -> SchemaId {
-        let ling = raw.intern(&mut self.table);
+        let ling = self.intern(raw);
         self.schemas.push(PreparedSchema { name, tree, ling });
         SchemaId(self.schemas.len() - 1)
+    }
+
+    /// Intern a schema's names into the session table and reserve the
+    /// memo for the grown table: every point where the table grows goes
+    /// through here, or the new tokens' pairs would go unmemoized.
+    fn intern(&mut self, raw: RawSchemaLing) -> SchemaLing {
+        let ling = raw.intern(&mut self.table);
+        self.store.reserve(self.table.len());
+        ling
     }
 
     /// Re-prepare the schema at `id` in place — the incremental-update
@@ -378,8 +390,7 @@ impl<'a> MatchSession<'a> {
     /// whole warm similarity memo — valid.
     pub fn replace(&mut self, id: SchemaId, schema: &Schema) -> Result<(), ModelError> {
         let tree = expand(schema, &self.config.expand)?;
-        let raw = RawSchemaLing::of(schema, self.thesaurus);
-        let ling = raw.intern(&mut self.table);
+        let ling = self.intern(RawSchemaLing::of(schema, self.thesaurus));
         self.schemas[id.0] = PreparedSchema { name: schema.name().to_string(), tree, ling };
         Ok(())
     }
@@ -396,16 +407,18 @@ impl<'a> MatchSession<'a> {
 
     /// Rebuild a session from exported state: the (config, thesaurus)
     /// pair it will match under, plus the token table, similarity memo
-    /// and prepared schemas of a snapshot. The caller attests the three
-    /// parts belong together — the repository enforces this with
-    /// config/thesaurus fingerprints before calling (DESIGN.md §8).
+    /// (reserved here for the table) and prepared schemas of a
+    /// snapshot. The caller attests the three parts belong together —
+    /// the repository enforces this with config/thesaurus fingerprints
+    /// before calling (DESIGN.md §8).
     pub fn from_parts(
         config: &'a CupidConfig,
         thesaurus: &'a Thesaurus,
         table: TokenTable,
-        store: SimStore,
+        mut store: SimStore,
         schemas: Vec<PreparedSchema>,
     ) -> Self {
+        store.reserve(table.len());
         let mut session = MatchSession::new(config, thesaurus);
         session.table = table;
         session.store = store;
@@ -459,7 +472,7 @@ impl<'a> MatchSession<'a> {
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             schemas: self.schemas.len(),
-            pairs_matched: self.pairs_matched,
+            pairs_matched: self.pairs_matched(),
             vocab_size: self.table.len(),
             vocab_bytes: self.table.approx_bytes(),
             distinct_pairs_computed: self.store.distinct_pairs_computed(),
@@ -470,38 +483,27 @@ impl<'a> MatchSession<'a> {
 
     /// [`SessionStats::pairs_matched`], without the rest of the stats.
     pub fn pairs_matched(&self) -> usize {
-        self.pairs_matched
+        self.pairs_matched.load(Relaxed)
     }
 
     /// Match one prepared pair, reusing (and further warming) the
     /// session's persistent similarity memo.
-    pub fn match_pair(&mut self, source: SchemaId, target: SchemaId) -> MatchSummary {
+    pub fn match_pair(&self, source: SchemaId, target: SchemaId) -> MatchSummary {
         self.match_pairs(&[(source, target)]).remove(0)
     }
 
-    /// Match a worklist of prepared pairs through a **shared** (`&self`)
-    /// handle — the read half of the session's read/write split
-    /// (DESIGN.md §9). Pair execution is a pure function of frozen
-    /// inputs, so it needs no exclusive access: the summaries come back
-    /// in worklist order with the warmed memo, and the session's own
-    /// memo and `pairs_matched` counter are untouched until the caller
-    /// hands the store back through [`MatchSession::absorb`] (or drops
-    /// it, which only costs future recomputation). This is what lets a
-    /// daemon answer match requests from many threads under a read
-    /// lock, serializing only the cheap merge.
-    pub fn match_pairs_shared(
-        &self,
-        worklist: &[(SchemaId, SchemaId)],
-    ) -> (Vec<MatchSummary>, SimStore) {
-        self.execute(worklist, execute_pair)
-    }
-
-    /// Absorb a shared execution: merge its warmed memo back into the
-    /// session memo and credit `pairs` executions. The write half of the
-    /// read/write split — every `&mut` entry point ends here.
-    pub fn absorb(&mut self, store: SimStore, pairs: usize) {
-        self.store.merge(store);
-        self.pairs_matched += pairs;
+    /// Match an explicit worklist of prepared pairs, sharded across the
+    /// session's worker threads, and count them in
+    /// [`SessionStats::pairs_matched`]. Summaries come back in worklist
+    /// order; results are bit-identical for every thread count
+    /// (DESIGN.md §7: each pair is a pure function of frozen inputs, and
+    /// memo state only decides *when* a token-pair similarity is
+    /// computed, never *what* it is). Through `&self`, so a daemon
+    /// answers match requests from many threads under a read lock.
+    pub fn match_pairs(&self, worklist: &[(SchemaId, SchemaId)]) -> Vec<MatchSummary> {
+        let summaries = self.execute(worklist, execute_pair);
+        self.pairs_matched.fetch_add(worklist.len(), Relaxed);
+        summaries
     }
 
     /// Explain one prepared pair: run it through the pair pipeline and
@@ -510,83 +512,47 @@ impl<'a> MatchSession<'a> {
     /// explanations are produced by this separate entry point, and pair
     /// execution is a pure function of frozen prepared state, so the
     /// captured scores are bit-identical to what
-    /// [`MatchSession::match_pair`] reports.
-    pub fn explain_pair(&mut self, source: SchemaId, target: SchemaId) -> PairExplanation {
-        let (explanation, store) = self.explain_pair_shared(source, target);
-        self.absorb(store, 0);
-        explanation
-    }
-
-    /// The shared (`&self`) form of [`MatchSession::explain_pair`],
-    /// mirroring [`MatchSession::match_pairs_shared`]: the pair is
-    /// explained over a clone of the warm similarity memo, which is
-    /// returned for the caller to [`MatchSession::absorb`] (or drop).
-    pub fn explain_pair_shared(
-        &self,
-        source: SchemaId,
-        target: SchemaId,
-    ) -> (PairExplanation, SimStore) {
-        let (mut explained, store) = self.execute(&[(source, target)], explain);
-        (explained.remove(0), store)
+    /// [`MatchSession::match_pair`] reports. An explanation is not a
+    /// match: it leaves [`SessionStats::pairs_matched`] alone.
+    pub fn explain_pair(&self, source: SchemaId, target: SchemaId) -> PairExplanation {
+        self.execute(&[(source, target)], explain).remove(0)
     }
 
     /// The linguistic similarity table of a prepared pair, computed
     /// through the session memo — diagnostics, and the anchor of the
     /// batch-equivalence suite (bit-identical to
     /// [`crate::linguistic::analyze`] on the same schemas).
-    pub fn lsim_of(&mut self, source: SchemaId, target: SchemaId) -> LsimTable {
-        let (mut lsim, store) = self.execute(&[(source, target)], |this, a, b, cache| {
+    pub fn lsim_of(&self, source: SchemaId, target: SchemaId) -> LsimTable {
+        self.execute(&[(source, target)], |this, a, b, cache| {
             pair_lsim(&this.schemas[a.0].ling, &this.schemas[b.0].ling, this.config, cache).lsim
-        });
-        self.absorb(store, 0);
-        lsim.remove(0)
-    }
-
-    /// Match an explicit worklist of prepared pairs, sharded across the
-    /// session's worker threads, and absorb the run. Summaries come back
-    /// in worklist order; results are bit-identical for every thread
-    /// count (DESIGN.md §7: each pair is a pure function of frozen
-    /// inputs, and cache state only decides *when* a token-pair
-    /// similarity is computed, never *what* it is).
-    pub fn match_pairs(&mut self, worklist: &[(SchemaId, SchemaId)]) -> Vec<MatchSummary> {
-        let (summaries, store) = self.match_pairs_shared(worklist);
-        self.absorb(store, worklist.len());
-        summaries
+        })
+        .remove(0)
     }
 
     /// The pair executor behind every entry point: run `step` over the
-    /// [`sharded`] worklist, each shard through one memo cache over its
-    /// own copy of the warm memo (prior work is shared; only newly found
-    /// token pairs can be computed by two shards), and return the
-    /// results in worklist order with the shards' stores merged into the
-    /// first one's — merging into an empty store would add a counting
-    /// pass over every chunk. An empty worklist still copies the memo.
+    /// [`sharded`] worklist, each shard through one cache over the
+    /// session's memo, which every shard fills in place (only a token
+    /// pair two shards meet at once can be computed twice, and only one
+    /// write of it counts), and return the results in worklist order.
     fn execute<T: Send>(
         &self,
         worklist: &[(SchemaId, SchemaId)],
         step: impl Fn(&Self, SchemaId, SchemaId, &mut TokenSimCache<'_>) -> T + Sync,
-    ) -> (Vec<T>, SimStore) {
-        let mut shards = sharded(self.threads, worklist, |shard| {
-            let store = self.store.clone();
+    ) -> Vec<T> {
+        sharded(self.threads, worklist, |shard| {
             let mut cache =
-                TokenSimCache::with_store(&self.table, self.thesaurus, &self.config.affix, store);
-            let out: Vec<T> = shard.iter().map(|&(a, b)| step(self, a, b, &mut cache)).collect();
-            (out, cache.into_store())
+                TokenSimCache::shared(&self.table, self.thesaurus, &self.config.affix, &self.store);
+            shard.iter().map(|&(a, b)| step(self, a, b, &mut cache)).collect::<Vec<_>>()
         })
-        .into_iter();
-        let (mut out, mut store) = shards.next().expect("at least one shard");
-        out.reserve(worklist.len() - out.len());
-        for (shard_out, shard_store) in shards {
-            out.extend(shard_out);
-            store.merge(shard_store);
-        }
-        (out, store)
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Match every unordered schema pair `(i, j)` with `i < j`, in
     /// lexicographic order — the Valentine-style all-pairs discovery
     /// workload.
-    pub fn match_all_pairs(&mut self) -> Vec<MatchSummary> {
+    pub fn match_all_pairs(&self) -> Vec<MatchSummary> {
         let n = self.schemas.len();
         let worklist: Vec<_> =
             (0..n).flat_map(|i| (i + 1..n).map(move |j| (SchemaId(i), SchemaId(j)))).collect();
@@ -822,30 +788,18 @@ mod tests {
         let cfg = CupidConfig::default();
         let th = thesaurus();
         let corpus = corpus();
-        // The memo counters cover the shard merge: shards may compute a
-        // token pair twice, but the merged memo holds each pair once. The
-        // shared path, absorbed, must leave the session in the same state.
-        let run = |threads: usize, shared: bool| {
+        // The memo counters cover the shared fill: shards may compute a
+        // token pair twice, but only one write of it counts.
+        let run = |threads: usize| {
             let mut session = MatchSession::new(&cfg, &th).threads(threads);
             session.add_corpus(&corpus).unwrap();
-            let summaries = if shared {
-                let n = session.len();
-                let worklist: Vec<_> = (0..n)
-                    .flat_map(|i| (i + 1..n).map(move |j| (SchemaId(i), SchemaId(j))))
-                    .collect();
-                let (summaries, store) = session.match_pairs_shared(&worklist);
-                session.absorb(store, worklist.len());
-                summaries
-            } else {
-                session.match_all_pairs()
-            };
+            let summaries = session.match_all_pairs();
             let stats = session.stats();
             (summaries, stats.pairs_matched, stats.distinct_pairs_computed, stats.sim_chunks)
         };
-        let sequential = run(1, false);
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(run(threads, true), sequential, "shared, threads = {threads}");
-            assert_eq!(run(threads, false), sequential, "threads = {threads}");
+        let sequential = run(1);
+        for threads in [2, 3, 8] {
+            assert_eq!(run(threads), sequential, "threads = {threads}");
         }
     }
 
@@ -885,37 +839,35 @@ mod tests {
     }
 
     #[test]
-    fn shared_match_is_bit_identical_and_absorbable() {
+    fn shared_match_is_bit_identical_and_fills_one_memo() {
         let cfg = CupidConfig::default();
         let th = thesaurus();
         let corpus = corpus();
         let mut session = MatchSession::new(&cfg, &th).threads(1);
         let ids = session.add_corpus(&corpus).unwrap();
         let want = session.match_pair(ids[0], ids[1]);
-        let computed_after_exclusive = session.stats().distinct_pairs_computed;
+        let computed = session.stats().distinct_pairs_computed;
 
-        // The shared path answers through `&self`, bit for bit, from
-        // many threads at once.
-        let (a, b) = (ids[0], ids[1]);
+        // Three threads match through `&self` at once, bit for bit,
+        // over the one warm memo: nothing is computed again, and every
+        // call is counted.
+        let (a, b, start) = (ids[0], ids[1], std::sync::Barrier::new(3));
         std::thread::scope(|scope| {
-            let session = &session;
+            let (session, start) = (&session, &start);
             let workers: Vec<_> = (0..3)
-                .map(|_| scope.spawn(move || session.match_pairs_shared(&[(a, b)]).0))
+                .map(|_| {
+                    scope.spawn(move || {
+                        start.wait();
+                        session.match_pairs(&[(a, b)])
+                    })
+                })
                 .collect();
             for w in workers {
                 assert_eq!(w.join().unwrap(), std::slice::from_ref(&want));
             }
         });
-        // ...without touching the session's own memo or counters...
-        assert_eq!(session.stats().distinct_pairs_computed, computed_after_exclusive);
-        assert_eq!(session.stats().pairs_matched, 1);
-
-        // ...and absorbing a warmed clone merges the memo and credits
-        // the execution.
-        let (summaries, store) = session.match_pairs_shared(&[(ids[1], ids[2])]);
-        session.absorb(store, 1);
-        assert_eq!(session.stats().pairs_matched, 2);
-        assert_eq!([session.match_pair(ids[1], ids[2])], *summaries);
+        assert_eq!(session.stats().distinct_pairs_computed, computed);
+        assert_eq!(session.stats().pairs_matched, 4);
     }
 
     #[test]
@@ -1065,7 +1017,7 @@ mod tests {
         assert_eq!(table2.len(), vocab);
         r.finish().unwrap();
 
-        let mut session = MatchSession::from_parts(&cfg, &th, table2, store2, schemas2).threads(1);
+        let session = MatchSession::from_parts(&cfg, &th, table2, store2, schemas2).threads(1);
         let got = session.match_all_pairs();
         assert_eq!(got, want);
         assert_eq!(
@@ -1118,7 +1070,7 @@ mod tests {
     fn empty_worklist_is_fine() {
         let cfg = CupidConfig::default();
         let th = thesaurus();
-        let mut session = MatchSession::new(&cfg, &th);
+        let session = MatchSession::new(&cfg, &th);
         assert!(session.is_empty());
         assert!(session.match_all_pairs().is_empty());
         assert_eq!(session.stats().pairs_matched, 0);

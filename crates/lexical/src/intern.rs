@@ -17,8 +17,8 @@
 //!   makes the triangular layout lossless), and every further
 //!   comparison is a single array load. The backing [`SimStore`]
 //!   allocates in chunks on first touch, survives table growth, and is
-//!   detachable, so one memo can persist across every pair of a batch
-//!   session (DESIGN.md §7).
+//!   filled through `&`, so one memo serves every pair and every shard
+//!   of a batch session (DESIGN.md §7).
 //! * One level up, the table interns element names into [`NameId`]s and
 //!   keeps `ns` per name pair in a write-once slot table that every
 //!   cache fills through `&` ([`TokenSimCache::name_sim`]).
@@ -28,8 +28,10 @@
 //! inputs — which `tests/linguistic_equivalence.rs` asserts over
 //! randomized schemas and thesauri.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::OnceLock;
 
 use cupid_model::{WireError, WireReader, WireWriter};
 
@@ -311,24 +313,45 @@ impl TokenTable {
 const CHUNK_BITS: usize = 12;
 const CHUNK_LEN: usize = 1 << CHUNK_BITS;
 
-/// The owned, growable backing store of a [`TokenSimCache`]: memoized
-/// `sim` values over the triangular index space `k = j·(j+1)/2 + i`
-/// (`i ≤ j`), allocated in fixed-size chunks on first touch instead of
-/// as an eager `|V|·(|V|+1)/2` buffer — corpus-scale vocabularies would
-/// otherwise commit quadratic memory up front (DESIGN.md §7).
+/// A slot's "not computed" bits.
+const NAN_BITS: u64 = f64::NAN.to_bits();
+
+/// The backing store of a [`TokenSimCache`]: memoized `sim` values over
+/// the triangular index space `k = j·(j+1)/2 + i` (`i ≤ j`), a
+/// write-once memo that caches fill through `&` (DESIGN.md §7). Slots
+/// are `AtomicU64`s holding f64 bits, `NaN` meaning "not computed", in
+/// fixed-size chunks allocated on first write instead of as an eager
+/// `|V|·(|V|+1)/2` buffer — corpus-scale vocabularies would otherwise
+/// commit quadratic memory up front.
 ///
-/// Because `k` depends only on the pair `(i, j)`, not on the vocabulary
-/// size, a store stays valid when its [`TokenTable`] grows: a
-/// [`crate::intern`] session can interleave interning and matching and
-/// keep the warm cache. The store carries no references, so it can be
-/// detached from a cache ([`TokenSimCache::into_store`]), sent to a
-/// worker thread, and merged back ([`SimStore::merge`]).
-#[derive(Debug, Clone, Default)]
+/// The chunk directory grows only under `&mut` ([`SimStore::reserve`]),
+/// to the triangle of the [`TokenTable`] the store indexes; a pair past
+/// it is computed and not memoized. Because `k` depends only on the
+/// pair `(i, j)`, the store stays valid when its table grows. Slots are
+/// read and written `Relaxed`: a slot publishes no other data, and it
+/// memoizes a pure function, so threads racing on it write the same
+/// bits and only the first write counts.
+#[derive(Debug, Default)]
 pub struct SimStore {
-    /// `NaN` marks "not yet computed" (`sim` itself is always in
-    /// `[0, 1]`); `None` marks a whole chunk never touched.
-    chunks: Vec<Option<Box<[f64]>>>,
-    computed: usize,
+    chunks: Vec<OnceLock<Box<[AtomicU64]>>>,
+    computed: AtomicUsize,
+}
+
+impl Clone for SimStore {
+    /// An independent deep copy.
+    fn clone(&self) -> Self {
+        let copy = |chunk: &OnceLock<Box<[AtomicU64]>>| {
+            chunk.get().map_or_else(OnceLock::new, |slots| {
+                OnceLock::from(
+                    slots.iter().map(|v| AtomicU64::new(v.load(Relaxed))).collect::<Box<_>>(),
+                )
+            })
+        };
+        SimStore {
+            chunks: self.chunks.iter().map(copy).collect(),
+            computed: AtomicUsize::new(self.distinct_pairs_computed()),
+        }
+    }
 }
 
 impl SimStore {
@@ -337,38 +360,49 @@ impl SimStore {
         SimStore::default()
     }
 
+    /// Grow the chunk directory to the triangle of a `vocab`-token
+    /// table, so every pair of its tokens is memoized. Chunks are still
+    /// allocated on their first write.
+    pub fn reserve(&mut self, vocab: usize) {
+        let len = (vocab.saturating_mul(vocab + 1) / 2).div_ceil(CHUNK_LEN);
+        if len > self.chunks.len() {
+            self.chunks.resize_with(len, OnceLock::new);
+        }
+    }
+
     /// Memoized value at triangular index `k`, or `NaN` if not yet
     /// computed.
     #[inline]
     fn get(&self, k: usize) -> f64 {
-        match self.chunks.get(k >> CHUNK_BITS) {
-            Some(Some(chunk)) => chunk[k & (CHUNK_LEN - 1)],
-            _ => f64::NAN,
+        match self.chunks.get(k >> CHUNK_BITS).and_then(OnceLock::get) {
+            Some(chunk) => f64::from_bits(chunk[k & (CHUNK_LEN - 1)].load(Relaxed)),
+            None => f64::NAN,
         }
     }
 
-    /// Record a freshly computed value at triangular index `k`.
+    /// Record a freshly computed value at triangular index `k`, unless
+    /// `k` lies past the reserved directory. Only the write that fills
+    /// the slot counts.
     #[inline]
-    fn set(&mut self, k: usize, v: f64) {
-        let c = k >> CHUNK_BITS;
-        if c >= self.chunks.len() {
-            self.chunks.resize(c + 1, None);
-        }
+    fn set(&self, k: usize, v: f64) {
+        let Some(chunk) = self.chunks.get(k >> CHUNK_BITS) else { return };
         let chunk =
-            self.chunks[c].get_or_insert_with(|| vec![f64::NAN; CHUNK_LEN].into_boxed_slice());
-        chunk[k & (CHUNK_LEN - 1)] = v;
-        self.computed += 1;
+            chunk.get_or_init(|| (0..CHUNK_LEN).map(|_| AtomicU64::new(NAN_BITS)).collect());
+        let slot = &chunk[k & (CHUNK_LEN - 1)];
+        if slot.compare_exchange(NAN_BITS, v.to_bits(), Relaxed, Relaxed).is_ok() {
+            self.computed.fetch_add(1, Relaxed);
+        }
     }
 
     /// Distinct token pairs computed into this store (diagnostics: the
     /// denominator of the memoization win).
     pub fn distinct_pairs_computed(&self) -> usize {
-        self.computed
+        self.computed.load(Relaxed)
     }
 
-    /// Number of chunks actually allocated (touched at least once).
+    /// Number of chunks actually allocated (written at least once).
     pub fn allocated_chunks(&self) -> usize {
-        self.chunks.iter().filter(|c| c.is_some()).count()
+        self.chunks.iter().filter(|c| c.get().is_some()).count()
     }
 
     /// Bytes committed by the allocated chunks (the store's memory
@@ -377,96 +411,63 @@ impl SimStore {
         self.allocated_chunks() * CHUNK_LEN * std::mem::size_of::<f64>()
     }
 
-    /// Encode the store: allocated chunks only, each as its directory
-    /// index plus its raw `f64` bit patterns (`NaN` is the in-memory
-    /// "not computed" sentinel and round-trips exactly, so no separate
-    /// presence bitmap is needed).
+    /// Encode the store: the directory up to its last allocated chunk,
+    /// then each allocated chunk as its directory index plus its raw
+    /// `f64` bit patterns (`NaN` is the "not computed" sentinel and
+    /// round-trips, so no separate presence bitmap is needed).
     pub fn write_wire(&self, w: &mut WireWriter) {
-        w.put_len(self.chunks.len());
-        w.put_len(self.allocated_chunks());
-        for (i, chunk) in self.chunks.iter().enumerate() {
-            let Some(chunk) = chunk else { continue };
+        let allocated = || self.chunks.iter().enumerate().filter_map(|(i, c)| Some((i, c.get()?)));
+        w.put_len(allocated().last().map_or(0, |(i, _)| i + 1));
+        w.put_len(allocated().count());
+        for (i, chunk) in allocated() {
             w.put_u32(i as u32);
             for v in chunk.iter() {
-                w.put_f64(*v);
+                w.put_f64(f64::from_bits(v.load(Relaxed)));
             }
         }
     }
 
-    /// Decode a store written by [`SimStore::write_wire`]. The computed
-    /// count is rebuilt by counting non-`NaN` entries, so a decoded
-    /// store reports the same [`SimStore::distinct_pairs_computed`] as
-    /// the one that was saved.
+    /// Decode a store written by [`SimStore::write_wire`], reserved for
+    /// `vocab`. The computed count is rebuilt by counting non-`NaN`
+    /// entries, so a decoded store reports the same
+    /// [`SimStore::distinct_pairs_computed`] as the one that was saved;
+    /// any `NaN` read is stored as the canonical "not computed" bits.
     ///
     /// `vocab` is the size of the [`TokenTable`] the store indexes. A
     /// directory longer than that table's triangle of pairs needs is
-    /// corrupt: [`TokenSimCache::sim`] and [`SimStore::merge`] never
-    /// create a slot past it, and the table only grows.
+    /// corrupt: [`TokenSimCache::sim`] never writes a slot past it, and
+    /// the table only grows.
     pub fn read_wire(r: &mut WireReader<'_>, vocab: usize) -> Result<SimStore, WireError> {
         let dir_len = r.get_len()?;
-        let max_chunks = (vocab.saturating_mul(vocab + 1) / 2).div_ceil(CHUNK_LEN);
-        if dir_len > max_chunks {
+        let mut store = SimStore::new();
+        store.reserve(vocab);
+        if dir_len > store.chunks.len() {
             return Err(r.err(format!(
-                "chunk directory of {dir_len} past the {max_chunks} a {vocab}-token table can fill"
+                "chunk directory of {dir_len} past the {} a {vocab}-token table can fill",
+                store.chunks.len()
             )));
         }
         let present = r.get_len()?;
         if present > dir_len {
             return Err(r.err(format!("{present} chunks present but directory holds {dir_len}")));
         }
-        let mut store = SimStore::new();
-        store.chunks.resize(dir_len, None);
         for _ in 0..present {
             let idx = r.get_u32()? as usize;
             if idx >= dir_len {
                 return Err(r.err(format!("chunk index {idx} out of bounds ({dir_len})")));
             }
-            if store.chunks[idx].is_some() {
+            if store.chunks[idx].get().is_some() {
                 return Err(r.err(format!("duplicate chunk index {idx}")));
             }
-            let mut chunk = vec![f64::NAN; CHUNK_LEN].into_boxed_slice();
-            for slot in chunk.iter_mut() {
-                *slot = r.get_f64()?;
+            let mut chunk = Vec::with_capacity(CHUNK_LEN);
+            for _ in 0..CHUNK_LEN {
+                let v = r.get_f64()?;
+                *store.computed.get_mut() += usize::from(!v.is_nan());
+                chunk.push(AtomicU64::new(if v.is_nan() { NAN_BITS } else { v.to_bits() }));
             }
-            store.computed += chunk.iter().filter(|v| !v.is_nan()).count();
-            store.chunks[idx] = Some(chunk);
+            store.chunks[idx] = OnceLock::from(chunk.into_boxed_slice());
         }
         Ok(store)
-    }
-
-    /// Fold another store into this one. Both stores memoize the same
-    /// pure function over the same table, so wherever both have a value
-    /// it is bit-identical; the union simply fills each store's gaps
-    /// with the other's work. Used to merge per-shard caches back into
-    /// the session store after sharded pair execution (DESIGN.md §7).
-    pub fn merge(&mut self, other: SimStore) {
-        if other.chunks.len() > self.chunks.len() {
-            self.chunks.resize(other.chunks.len(), None);
-        }
-        for (slot, theirs) in self.chunks.iter_mut().zip(other.chunks) {
-            let Some(theirs) = theirs else { continue };
-            match slot {
-                None => {
-                    self.computed += theirs.iter().filter(|v| !v.is_nan()).count();
-                    *slot = Some(theirs);
-                }
-                Some(ours) => {
-                    // Flat branchless select over the chunk: each slot
-                    // takes the other store's value iff ours is a NaN
-                    // hole and theirs is not, counting fills as flag
-                    // arithmetic — no data-dependent branch per slot,
-                    // so the pass vectorizes over the 4 KiB chunks that
-                    // dominate shard merges.
-                    let mut filled = 0usize;
-                    for (o, t) in ours.iter_mut().zip(theirs.iter()) {
-                        let take = o.is_nan() && !t.is_nan();
-                        *o = if take { *t } else { *o };
-                        filled += usize::from(take);
-                    }
-                    self.computed += filled;
-                }
-            }
-        }
     }
 }
 
@@ -476,15 +477,18 @@ impl SimStore {
 /// interned; [`TokenSimCache::sim`] then computes each distinct token
 /// pair at most once and answers every repeat from the backing
 /// [`SimStore`]. Filling is lazy — chunk allocation included — so
-/// pairs never compared (e.g. same-schema pairs) cost nothing, and a
-/// batch session can detach the store ([`TokenSimCache::into_store`])
-/// to persist the memo across many schema pairs (DESIGN.md §7).
+/// pairs never compared (e.g. same-schema pairs) cost nothing. The
+/// cache fills either a store it owns ([`TokenSimCache::new`],
+/// [`TokenSimCache::with_store`], detached by
+/// [`TokenSimCache::into_store`]) or one it shares
+/// ([`TokenSimCache::shared`]): a batch session runs every shard over
+/// its one store, filled in place (DESIGN.md §7).
 #[derive(Debug)]
 pub struct TokenSimCache<'a> {
     table: &'a TokenTable,
     thesaurus: &'a Thesaurus,
     affix: AffixConfig,
-    store: SimStore,
+    store: Cow<'a, SimStore>,
 }
 
 impl<'a> TokenSimCache<'a> {
@@ -493,23 +497,37 @@ impl<'a> TokenSimCache<'a> {
         TokenSimCache::with_store(table, thesaurus, affix, SimStore::new())
     }
 
-    /// A cache resuming from a previously detached [`SimStore`]. The
-    /// store must come from a cache over the same (possibly since
-    /// grown) table, thesaurus and affix configuration — triangular
-    /// indices are only meaningful relative to the table's ids.
+    /// A cache resuming from a previously detached [`SimStore`],
+    /// reserved for the table. The store must come from a cache over
+    /// the same (possibly since grown) table, thesaurus and affix
+    /// configuration — triangular indices are only meaningful relative
+    /// to the table's ids.
     pub fn with_store(
         table: &'a TokenTable,
         thesaurus: &'a Thesaurus,
         affix: &AffixConfig,
-        store: SimStore,
+        mut store: SimStore,
     ) -> Self {
-        TokenSimCache { table, thesaurus, affix: *affix, store }
+        store.reserve(table.len());
+        TokenSimCache { table, thesaurus, affix: *affix, store: Cow::Owned(store) }
     }
 
-    /// Detach the backing store, e.g. to persist it across pairs in a
-    /// batch session or to [`SimStore::merge`] it into another store.
+    /// A cache filling `store` in place, beside every other cache over
+    /// it. Its owner reserves it for the table ([`SimStore::reserve`]);
+    /// the same contract as [`TokenSimCache::with_store`] holds.
+    pub fn shared(
+        table: &'a TokenTable,
+        thesaurus: &'a Thesaurus,
+        affix: &AffixConfig,
+        store: &'a SimStore,
+    ) -> Self {
+        TokenSimCache { table, thesaurus, affix: *affix, store: Cow::Borrowed(store) }
+    }
+
+    /// Detach the backing store, e.g. to persist it across pairs. A
+    /// shared cache returns a copy of the store it fills.
     pub fn into_store(self) -> SimStore {
-        self.store
+        self.store.into_owned()
     }
 
     /// `sim(a, b)`, memoized. The first query of a distinct unordered
@@ -700,32 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_unions_two_stores() {
-        let thesaurus = Thesaurus::empty();
-        let affix = AffixConfig::default();
-        let mut table = TokenTable::new();
-        let ids: Vec<TokenId> = ["street", "straight", "road", "lane"]
-            .iter()
-            .map(|w| table.intern(SimClass::Word, w))
-            .collect();
-        let mut c1 = TokenSimCache::new(&table, &thesaurus, &affix);
-        let v01 = c1.sim(ids[0], ids[1]);
-        let v02 = c1.sim(ids[0], ids[2]);
-        let mut c2 = TokenSimCache::new(&table, &thesaurus, &affix);
-        let v02b = c2.sim(ids[0], ids[2]); // overlap with c1
-        let v23 = c2.sim(ids[2], ids[3]);
-        assert_eq!(v02.to_bits(), v02b.to_bits());
-        let mut merged = c1.into_store();
-        merged.merge(c2.into_store());
-        // overlap counted once: {01, 02, 23}
-        assert_eq!(merged.distinct_pairs_computed(), 3);
-        let mut cache = TokenSimCache::with_store(&table, &thesaurus, &affix, merged);
-        assert_eq!(cache.sim(ids[0], ids[1]).to_bits(), v01.to_bits());
-        assert_eq!(cache.sim(ids[2], ids[3]).to_bits(), v23.to_bits());
-        assert_eq!(cache.distinct_pairs_computed(), 3, "merged values must be hits");
-    }
-
-    #[test]
     fn table_wire_round_trip_preserves_ids() {
         let t = ThesaurusBuilder::new().abbreviation("PO", &["purchase", "order"]).build().unwrap();
         let mut table = TokenTable::new();
@@ -789,6 +781,7 @@ mod tests {
     #[test]
     fn store_wire_rejects_corrupt_directories() {
         let mut store = SimStore::new();
+        store.reserve(3);
         store.set(3, 0.25);
         let mut w = cupid_model::WireWriter::new();
         store.write_wire(&mut w);
@@ -801,14 +794,18 @@ mod tests {
 
     #[test]
     fn store_chunks_allocate_lazily() {
-        // Touch a high triangular index; only its chunk materializes.
+        // Touch a high triangular index; only its chunk materializes,
+        // and only once the directory is reserved past it.
         let mut store = SimStore::new();
         let k = 10 * CHUNK_LEN + 7;
-        assert!(store.get(k).is_nan());
+        store.set(k, 0.5);
+        assert!(store.get(k).is_nan(), "a slot past the directory is not memoized");
+        store.reserve(300); // 45,150 pairs: 12 chunks
+        store.set(k, 0.5);
         store.set(k, 0.5);
         assert_eq!(store.get(k), 0.5);
         assert!(store.get(0).is_nan(), "untouched chunks stay unallocated");
-        assert_eq!(store.chunks.iter().filter(|c| c.is_some()).count(), 1);
-        assert_eq!(store.distinct_pairs_computed(), 1);
+        assert_eq!(store.allocated_chunks(), 1);
+        assert_eq!(store.distinct_pairs_computed(), 1, "only the filling write counts");
     }
 }

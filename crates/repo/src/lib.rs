@@ -247,12 +247,11 @@ pub struct DurabilityStats {
 /// serve with [`Repository::answer`] and publish with
 /// [`Repository::absorb`]: each summary keyed by its pair's content
 /// hashes as captured at execution time (immune to re-indexing by
-/// interleaved mutations), the warmed copy of the similarity memo, and
-/// the number of executions, which is one per key.
+/// interleaved mutations), and the number of executions, which is one
+/// per key. The similarity memo they warmed was filled in place.
 #[derive(Debug, Default)]
 pub struct SharedBatch {
     summaries: BTreeMap<(u64, u64), MatchSummary>,
-    store: SimStore,
     executed: usize,
 }
 
@@ -501,7 +500,8 @@ impl<'a> Repository<'a> {
         self.index_of(name).ok().map(|i| &self.sources[i])
     }
 
-    /// Full pair executions since this handle was opened.
+    /// Full pair executions since this handle was opened, counted when
+    /// they run ([`Repository::resolve`]), not when they are published.
     pub fn pairs_executed(&self) -> usize {
         self.session.pairs_matched()
     }
@@ -759,7 +759,7 @@ impl<'a> Repository<'a> {
     /// worklist (by repository indices) that the cache cannot answer,
     /// once per content-hash key, through
     /// [`Repository::execute_pairs_shared`]. When every pair is cached
-    /// the batch is empty and no memo is copied. Panics if an index is
+    /// the batch is empty and nothing executes. Panics if an index is
     /// out of bounds.
     pub fn resolve(&self, pairs: &[(usize, usize)]) -> SharedBatch {
         let uncached: Vec<(usize, usize)> = pairs
@@ -788,43 +788,38 @@ impl<'a> Repository<'a> {
     /// decisions; DESIGN.md §14). Always re-executes the pair — an
     /// explanation carries strictly more than the cached summary — but
     /// the scores are bit-identical to what the summary reports, and
-    /// every explanation recomposes to its `wsim` bit-exactly.
-    pub fn explain(&mut self, source: &str, target: &str) -> Result<PairExplanation, RepoError> {
-        let (explanation, store) = self.explain_shared(source, target)?;
-        self.absorb_store(store);
-        Ok(explanation)
+    /// every explanation recomposes to its `wsim` bit-exactly. Through
+    /// `&self`: it fills the memo in place, publishes nothing, and
+    /// counts no execution.
+    pub fn explain(&self, source: &str, target: &str) -> Result<PairExplanation, RepoError> {
+        let i = self.index_of(source)?;
+        let j = self.index_of(target)?;
+        Ok(self.session.explain_pair(SchemaId::from_index(i), SchemaId::from_index(j)))
     }
 
-    /// The shared (`&self`) form of [`Repository::explain`], mirroring
-    /// [`Repository::execute_pairs_shared`]: the pair is explained over
-    /// a clone of the warm session memo, which is returned for the
-    /// caller to publish via [`Repository::absorb_store`] (or drop).
+    /// [`Repository::explain`] with an empty store beside it. Only the
+    /// performance ledger's memo probe calls this, with
+    /// [`Repository::absorb_store`].
     pub fn explain_shared(
         &self,
         source: &str,
         target: &str,
     ) -> Result<(PairExplanation, SimStore), RepoError> {
-        let i = self.index_of(source)?;
-        let j = self.index_of(target)?;
-        Ok(self.session.explain_pair_shared(SchemaId::from_index(i), SchemaId::from_index(j)))
+        Ok((self.explain(source, target)?, SimStore::new()))
     }
 
-    /// Merge a warmed memo clone from [`Repository::explain_shared`]
-    /// back into the session. Unlike [`Repository::absorb`] this
-    /// publishes no summaries and counts no executions — explanations
-    /// are diagnostics, not matches.
-    pub fn absorb_store(&mut self, store: SimStore) {
-        self.session.absorb(store, 0);
-    }
+    /// Drop a store from [`Repository::explain_shared`]. Only the
+    /// performance ledger's memo probe calls this.
+    pub fn absorb_store(&self, _store: SimStore) {}
 
     /// Execute a worklist of pairs (by repository indices), cached or
-    /// not, once per content-hash key, without mutating the repository
-    /// ([`MatchSession::match_pairs_shared`]). The returned
-    /// [`SharedBatch`] records each pair's content-hash cache key *as
-    /// of this call*, so publishing it later through
-    /// [`Repository::absorb`] stays correct even if an interleaved
-    /// mutation re-indexed or replaced schemas in between. Even an empty
-    /// worklist copies the memo. Panics if an index is out of bounds.
+    /// not, once per content-hash key, through `&self`
+    /// ([`MatchSession::match_pairs`], which fills the session memo in
+    /// place and counts the executions). The returned [`SharedBatch`]
+    /// records each pair's content-hash cache key *as of this call*, so
+    /// publishing it later through [`Repository::absorb`] stays correct
+    /// even if an interleaved mutation re-indexed or replaced schemas in
+    /// between. Panics if an index is out of bounds.
     pub fn execute_pairs_shared(&self, pairs: &[(usize, usize)]) -> SharedBatch {
         let mut seen = BTreeSet::new();
         let (keys, worklist): (Vec<_>, Vec<_>) = pairs
@@ -832,15 +827,14 @@ impl<'a> Repository<'a> {
             .map(|&(i, j)| (self.key(i, j), (SchemaId::from_index(i), SchemaId::from_index(j))))
             .filter(|&(key, _)| seen.insert(key))
             .unzip();
-        let (summaries, store) = self.session.match_pairs_shared(&worklist);
+        let summaries = self.session.match_pairs(&worklist);
         let executed = worklist.len();
-        SharedBatch { summaries: keys.into_iter().zip(summaries).collect(), store, executed }
+        SharedBatch { summaries: keys.into_iter().zip(summaries).collect(), executed }
     }
 
     /// Absorb a batch from the shared path: insert each summary into
     /// the pair cache under the content-hash key captured at execution
-    /// time, and merge the warmed store clone back into the session
-    /// memo. The write half of the read/write split — call it under
+    /// time. The write half of the read/write split — call it under
     /// exclusive access. Absorbing the same pair twice is harmless (the
     /// summary is a pure function of schema content, so the insert
     /// overwrites an identical value), and an execution whose schemas
@@ -850,7 +844,6 @@ impl<'a> Repository<'a> {
         if batch.is_empty() {
             return;
         }
-        self.session.absorb(batch.store, batch.executed);
         self.pair_cache.extend(batch.summaries);
         self.dirty = true;
     }
@@ -875,7 +868,7 @@ impl<'a> Repository<'a> {
     /// The linguistic similarity table of a named pair, computed
     /// through the session memo (diagnostics and the bit-identity test
     /// suite).
-    pub fn lsim_of(&mut self, source: &str, target: &str) -> Result<LsimTable, RepoError> {
+    pub fn lsim_of(&self, source: &str, target: &str) -> Result<LsimTable, RepoError> {
         let i = self.index_of(source)?;
         let j = self.index_of(target)?;
         Ok(self.session.lsim_of(SchemaId::from_index(i), SchemaId::from_index(j)))
@@ -1257,13 +1250,13 @@ mod tests {
         repo.add_corpus(&corpus()).unwrap();
         let (s0, s1) = (repo.index_of("S0").unwrap(), repo.index_of("S1").unwrap());
         // Uncached: a worklist naming the pair twice executes it once,
-        // over a memo copy...
+        // and the execution counts when it runs...
         assert!(repo.cached_pair_at(s0, s1).is_none(), "uncached pair must execute");
         let batch = repo.resolve(&[(s0, s1), (s0, s1)]);
         assert_eq!(batch.len(), 1, "one execution per content-hash key");
         // ...the batch answers it before anything is published...
         let shared = repo.answer(&batch, s0, s1);
-        assert_eq!(repo.pairs_executed(), 0, "shared execution is not yet absorbed");
+        assert_eq!(repo.pairs_executed(), 1, "shared execution counts before it is absorbed");
         assert!(repo.cached_pair_at(s0, s1).is_none());
         // ...absorbing publishes it...
         repo.absorb(batch);
@@ -1277,7 +1270,7 @@ mod tests {
         // ...and the exclusive path serves the identical summary.
         assert_eq!(repo.match_pair("S0", "S1").unwrap(), shared);
         assert_eq!(repo.pairs_executed(), 1);
-        // A whole worklist executes over one memo copy, and an
+        // A whole worklist executes in one call, and an
         // execution published after its schema was replaced parks
         // under the old (now dead) key instead of corrupting the cache.
         let stale = repo.execute_pairs_shared(&[(2, 3), (1, 2)]);

@@ -14,7 +14,7 @@
 //! * **Batching** — [`ServeClient::batch`] ships a worklist of
 //!   match/top-k/stats/explain/slow-log reads in one frame
 //!   ([`crate::protocol::Request::Batch`]); the daemon executes it
-//!   under one read-lock acquisition and one memo clone. Each entry
+//!   under one read-lock acquisition. Each entry
 //!   carries its own status, so one bad entry fails alone. A unary read
 //!   is a one-entry batch.
 //! * **Pooling** — [`ServePool`] hands out connections with
@@ -536,12 +536,6 @@ impl ServePool {
                 available: Condvar::new(),
             }),
         }
-    }
-
-    /// A pool whose connections transparently retry under `policy`
-    /// (with per-connection decorrelated jitter seeds).
-    pub fn with_retry(addr: impl Into<String>, cap: usize, policy: RetryPolicy) -> ServePool {
-        ServePool::with_builder(addr, cap, ClientBuilder::new().retry(policy))
     }
 
     /// Check a connection out: an idle one if parked, a fresh dial if

@@ -21,21 +21,20 @@
 //! resolver, as in-process reads do: the daemon names and frames,
 //! [`Repository::resolve`] executes, [`Repository::answer`] serves,
 //! [`Repository::absorb`] publishes. An explain entry re-executes its
-//! pair with [`Repository::explain_shared`] under the same read guard
-//! and publishes its memo with [`Repository::absorb_store`].
+//! pair with [`Repository::explain`] under the same read guard and
+//! publishes nothing.
 //!
 //! **Read/write split.** The repository sits behind one [`RwLock`].
 //! Reads whose pairs are already cached run concurrently under the
 //! read lock. An uncached pair also executes under the *read* lock:
 //! pair execution is a pure function of frozen prepared state, so the
-//! resolver runs a request's uncached pairs over **one** copy of the
-//! warm similarity memo, on the connection's own thread (connections
-//! are the daemon's parallelism), and only the cheap absorb —
-//! publishing the summaries into the cache and merging the warmed
-//! memo — takes the write lock. Mutations (every one a
-//! [`Request::Mutate`]) and `Save` serialize through the write lock,
-//! giving the single-writer discipline the repository's on-disk lock
-//! already enforces across processes.
+//! resolver runs a request's uncached pairs on the connection's own
+//! thread (connections are the daemon's parallelism), filling the
+//! session's one similarity memo in place, and only the cheap absorb —
+//! inserting the summaries into the pair cache — takes the write lock.
+//! Mutations (every one a [`Request::Mutate`]) and `Save` serialize
+//! through the write lock, giving the single-writer discipline the
+//! repository's on-disk lock already enforces across processes.
 //!
 //! Responses are bit-identical to direct in-process calls on the same
 //! corpus — the integration suite drives N concurrent clients against
@@ -881,12 +880,12 @@ fn stats_report(guard: &Repository<'_>, shared: &Shared<'_>) -> StatsReport {
 /// Serve a worklist of reads — a batch, or one lone read — under
 /// **one** read guard: map each entry to its pairs or its error,
 /// [`Repository::resolve`] all the pairs at once, build every outcome
-/// with [`Repository::answer`], and [`Repository::absorb`] once the
-/// guard is dropped. An explain entry names no pairs: it re-executes
-/// its pair over a memo copy ([`Repository::explain_shared`]) and never
-/// touches the pair cache; its memo is published in the same write as
-/// the batch. A bad entry (unknown schema name) fails alone with the
-/// repository's error, and every other entry completes.
+/// with [`Repository::answer`], and, only if `resolve` executed pairs,
+/// [`Repository::absorb`] them under the write lock once the guard is
+/// dropped. An explain entry names no pairs: it re-executes its pair
+/// ([`Repository::explain`]) and never touches the pair cache. A bad
+/// entry (unknown schema name) fails alone with the repository's error,
+/// and every other entry completes.
 fn serve_reads(
     items: &[BatchItem],
     shared: &Shared<'_>,
@@ -921,8 +920,7 @@ fn serve_reads(
     if !batch.is_empty() {
         exec.stop(trace);
     }
-    // Explanations' warmed memo copies, published with the batch.
-    let mut stores = Vec::new();
+    let mut explained = 0;
     let entries = items
         .iter()
         .zip(spans)
@@ -941,11 +939,11 @@ fn serve_reads(
                 BatchItem::Stats => BatchOutcome::Stats(stats_report(&guard, shared)),
                 BatchItem::Explain { source, target } => {
                     let exec = trace.start(Stage::ExecUncached);
-                    let explained = guard.explain_shared(source, target);
+                    let explanation = guard.explain(source, target);
                     exec.stop(trace);
-                    let (explanation, store) = explained.map_err(|e| e.to_string())?;
+                    let explanation = explanation.map_err(|e| e.to_string())?;
                     debug_assert!(explanation.recomposes_exactly());
-                    stores.push(store);
+                    explained += 1;
                     BatchOutcome::Explained(explanation)
                 }
                 BatchItem::SlowLog => BatchOutcome::SlowLog(shared.slow_log.snapshot()),
@@ -953,15 +951,11 @@ fn serve_reads(
         })
         .collect();
     drop(guard);
-    if !batch.is_empty() || !stores.is_empty() {
-        let explained = stores.len() as u64;
-        write_locked(shared, trace, |repo| {
-            repo.absorb(batch);
-            for store in stores {
-                repo.absorb_store(store);
-            }
-        });
+    if explained > 0 {
         shared.explanations.fetch_add(explained, Ordering::Relaxed);
+    }
+    if !batch.is_empty() {
+        write_locked(shared, trace, |repo| repo.absorb(batch));
     }
     entries
 }

@@ -17,9 +17,10 @@
 //!   this offline workspace): the accept loop spawns a scoped worker
 //!   thread per connection, capped by
 //!   [`ServeOptions::max_connections`]; reads run concurrently under
-//!   an `RwLock`, uncached matches execute under the *read* lock over
-//!   memo clones, and only cache publication and schema mutations
-//!   serialize through the writer.
+//!   an `RwLock`, uncached matches execute under the *read* lock,
+//!   filling the one similarity memo in place, and only cache
+//!   publication, saves and schema mutations serialize through the
+//!   writer.
 //! * **[`protocol`]** — a length-prefixed, checksummed binary protocol
 //!   over [`cupid_model::wire`] frames. Every read is a [`BatchItem`]
 //!   (`MatchPair`, `TopK` discovery, `Stats`, `Explain`, `SlowLog`) in
@@ -32,8 +33,8 @@
 //!   connect/read timeouts via [`ClientBuilder`] and transport-error
 //!   poisoning (a desynchronized stream refuses reuse).
 //! * **Batch frames** (DESIGN.md §11) — one checksummed frame carries
-//!   a worklist of [`BatchItem`]s, answered under a single read lock
-//!   with one warm memo clone; each entry succeeds or fails alone. A
+//!   a worklist of [`BatchItem`]s, answered under a single read lock;
+//!   each entry succeeds or fails alone. A
 //!   lone read is a one-entry worklist.
 //!   [`ServePool`] adds a capped, lazily dialed connection pool whose
 //!   checkin evicts poisoned connections, and

@@ -199,7 +199,7 @@ fn concurrent_clients_get_bit_identical_responses() {
 }
 
 /// The tentpole contract of the batched wire path: a cold batch —
-/// executed under one read-lock acquisition over one shared memo clone
+/// executed under one read-lock acquisition over the one shared memo
 /// — returns summaries bit-identical to in-process matching (and hence
 /// to unary daemon requests, which the suite above pins to the same
 /// ground truth), a mid-batch invalid schema name fails only its own

@@ -172,6 +172,42 @@ fn unary_reads_are_recorded_under_their_own_kind() {
     }
 }
 
+/// An explanation runs under the read guard and publishes nothing, so
+/// a warm daemon serves explanations without ever taking the
+/// repository's write lock: no `explain/lock_wait_write` cell appears.
+/// They count as explanations, never as pair executions.
+#[test]
+fn explanations_take_no_write_lock() {
+    let tmp = TempSnap::new();
+    let config = CupidConfig::default();
+    let th = thesaurus();
+    let server =
+        Server::bind("127.0.0.1:0", &tmp.0, &config, &th, ServeOptions::default()).unwrap();
+    let addr = server.local_addr();
+    std::thread::scope(|scope| {
+        let guard = DrainOnPanic(server.shutdown_handle());
+        scope.spawn(move || server.run().unwrap());
+        let mut client = ServeClient::connect(addr).unwrap();
+        for sdl in CORPUS_SDL {
+            client.add_sdl(sdl).unwrap();
+        }
+        client.top_k(3).unwrap();
+        let before = client.stats().unwrap();
+        let pairs = [("PO", "Order"), ("Order", "Sales"), ("Sales", "PO")];
+        for (source, target) in pairs {
+            assert!(client.explain(source, target).unwrap().recomposes_exactly());
+        }
+        let after = client.stats().unwrap();
+        let cell = |label: &str| after.stage_latencies.iter().find(|s| s.kind == label);
+        assert_eq!(cell("explain/lock_wait_read").map(|s| s.count), Some(pairs.len() as u64));
+        assert!(cell("explain/lock_wait_write").is_none(), "an explanation took the write lock");
+        assert_eq!(after.explanations_served, before.explanations_served + pairs.len() as u64);
+        assert_eq!(after.pairs_executed, before.pairs_executed);
+        client.shutdown().unwrap();
+        drop(guard);
+    });
+}
+
 /// The slow log retains the slowest requests (bounded, sorted, stage
 /// breakdowns attached) and the stats counters agree with it.
 #[test]

@@ -1,0 +1,299 @@
+//! The token-similarity memo's own contract (DESIGN.md §7/§8).
+//!
+//! A `SimStore` memoizes a *pure* function of the token table, and a
+//! batch session's shards fill one store in place through `&`. So the
+//! order in which caches fill it — one after another or racing on
+//! threads — can change *when* a pair's similarity was computed, but
+//! never *what* any `sim(t1, t2)` lookup returns, nor how many distinct
+//! pairs the store counts. `tests/batch_equivalence.rs` exercises this
+//! indirectly through whole matches; these tests pin the store's own
+//! contract over randomized vocabularies and fill patterns, the wire
+//! round trip, and the reservation every growth of a session's table
+//! makes.
+
+use std::path::PathBuf;
+use std::sync::Barrier;
+
+use cupid::core::linguistic::analyze;
+use cupid::core::{CupidConfig, MatchSession, SchemaId};
+use cupid::lexical::{SimClass, SimStore, Thesaurus, TokenId, TokenSimCache, TokenTable};
+use cupid::model::{DataType, ElementKind, Schema, SchemaBuilder, WireReader, WireWriter};
+use cupid::repo::Repository;
+use proptest::prelude::*;
+
+/// Words for randomized vocabularies: realistic schema tokens with
+/// plenty of shared affixes so the affix fallback produces interesting
+/// (non-zero, non-one) values.
+const POOL: &[&str] = &[
+    "order",
+    "orders",
+    "ordering",
+    "customer",
+    "custom",
+    "cost",
+    "costing",
+    "street",
+    "straight",
+    "road",
+    "roadway",
+    "phone",
+    "telephone",
+    "bill",
+    "billing",
+    "invoice",
+    "ship",
+    "shipment",
+    "item",
+    "items",
+    "vendor",
+    "vend",
+    "code",
+    "codes",
+    "number",
+    "total",
+    "totals",
+    "status",
+];
+
+/// A vocabulary of `n` distinct tokens (words, plus numbers and a
+/// special symbol past the word pool, so every `SimClass` is present).
+fn vocabulary(n: usize) -> (TokenTable, Vec<TokenId>) {
+    let mut table = TokenTable::new();
+    let mut ids = Vec::with_capacity(n);
+    for i in 0..n {
+        let id = if let Some(word) = POOL.get(i) {
+            table.intern(SimClass::Word, word)
+        } else if i % 2 == 0 {
+            table.intern(SimClass::Number, &format!("{i}"))
+        } else {
+            table.intern(SimClass::Special, &format!("#{i}"))
+        };
+        ids.push(id);
+    }
+    (table, ids)
+}
+
+/// Compute the pair picks (indices into the id list) through `cache`.
+fn fill(cache: &mut TokenSimCache<'_>, ids: &[TokenId], picks: &[usize]) {
+    // each pick encodes a pair: high bits pick one token, low bits the
+    // other (the shim has no tuple strategies)
+    for &p in picks {
+        let (a, b) = (p / 32, p % 32);
+        cache.sim(ids[a % ids.len()], ids[b % ids.len()]);
+    }
+}
+
+/// Every `sim` lookup through `cache`, for the full id cross product,
+/// as exact bit patterns, and the pairs its store counts afterwards.
+fn lookups(cache: &mut TokenSimCache<'_>, ids: &[TokenId]) -> (Vec<u64>, usize) {
+    let mut out = Vec::with_capacity(ids.len() * ids.len());
+    for &a in ids {
+        for &b in ids {
+            out.push(cache.sim(a, b).to_bits());
+        }
+    }
+    (out, cache.distinct_pairs_computed())
+}
+
+/// An empty store reserved for `table`, as a session's owner keeps it.
+fn reserved(table: &TokenTable) -> SimStore {
+    let mut store = SimStore::new();
+    store.reserve(table.len());
+    store
+}
+
+/// A cache filling `store` in place.
+fn shared<'a>(
+    table: &'a TokenTable,
+    thesaurus: &'a Thesaurus,
+    store: &'a SimStore,
+) -> TokenSimCache<'a> {
+    TokenSimCache::shared(table, thesaurus, &CupidConfig::default().affix, store)
+}
+
+/// A decoded store's chunk directory is bounded by the triangle of
+/// pairs its table can index: a store filled up to the table's last
+/// pair round-trips, and a directory one chunk longer is rejected
+/// before anything is reserved for it.
+#[test]
+fn store_directory_is_bounded_by_the_table_triangle() {
+    // 128 tokens index 128·129/2 = 8,256 pairs: three 4,096-slot chunks.
+    let (table, ids) = vocabulary(128);
+    let thesaurus = Thesaurus::with_default_stopwords();
+    let affix = CupidConfig::default().affix;
+    let mut cache = TokenSimCache::new(&table, &thesaurus, &affix);
+    let last = ids[ids.len() - 1];
+    let want = cache.sim(last, last).to_bits();
+    let read = |bytes: &[u8]| SimStore::read_wire(&mut WireReader::new(bytes), table.len());
+
+    let mut w = WireWriter::new();
+    cache.into_store().write_wire(&mut w);
+    assert_eq!(&w.bytes()[..4], &3u32.to_le_bytes(), "the last pair lives in chunk 2");
+    let back = read(w.bytes()).expect("a store filled over the table decodes");
+    let mut cache = TokenSimCache::with_store(&table, &thesaurus, &affix, back);
+    assert_eq!(cache.sim(last, last).to_bits(), want);
+    assert_eq!(cache.distinct_pairs_computed(), 1, "the decoded value is a hit");
+
+    for (dir_len, fits) in [(3, true), (4, false)] {
+        let mut w = WireWriter::new();
+        w.put_len(dir_len);
+        w.put_len(0);
+        assert_eq!(read(w.bytes()).is_ok(), fits, "an empty {dir_len}-chunk directory");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Caches sharing one store fill it in every order of three pick
+    /// lists, and then on three racing threads: every lookup equals a
+    /// cold cache's bits, and the store counts the same pairs each time.
+    #[test]
+    fn fill_order_never_changes_lookups(
+        vocab in 4usize..24,
+        picks_a in proptest::collection::vec(0usize..1024, 0..40),
+        picks_b in proptest::collection::vec(0usize..1024, 0..40),
+        picks_c in proptest::collection::vec(0usize..1024, 0..40),
+    ) {
+        let (table, ids) = vocabulary(vocab);
+        let thesaurus = Thesaurus::with_default_stopwords();
+        let affix = CupidConfig::default().affix;
+        let (oracle, _) = lookups(&mut TokenSimCache::new(&table, &thesaurus, &affix), &ids);
+
+        let lists = [&picks_a, &picks_b, &picks_c];
+        let mut counts = Vec::new();
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let store = reserved(&table);
+            for k in order {
+                fill(&mut shared(&table, &thesaurus, &store), &ids, lists[k]);
+            }
+            counts.push(store.distinct_pairs_computed());
+            let (sims, _) = lookups(&mut shared(&table, &thesaurus, &store), &ids);
+            prop_assert_eq!(&sims, &oracle, "fill order {:?} changed a lookup", order);
+        }
+
+        let (store, start) = (reserved(&table), Barrier::new(lists.len()));
+        std::thread::scope(|scope| {
+            for picks in lists {
+                let (table, thesaurus, store, ids, start) =
+                    (&table, &thesaurus, &store, &ids, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    fill(&mut shared(table, thesaurus, store), ids, picks)
+                });
+            }
+        });
+        counts.push(store.distinct_pairs_computed());
+        let (sims, _) = lookups(&mut shared(&table, &thesaurus, &store), &ids);
+        prop_assert_eq!(&sims, &oracle, "racing threads changed a lookup");
+        prop_assert!(counts.iter().all(|&c| c == counts[0]), "counts {:?}", counts);
+    }
+
+    /// A store that round-trips the wire format answers every lookup
+    /// and counts its pairs exactly like the original.
+    #[test]
+    fn wire_round_trip_keeps_every_lookup(
+        vocab in 4usize..20,
+        picks in proptest::collection::vec(0usize..1024, 0..40),
+    ) {
+        let (table, ids) = vocabulary(vocab);
+        let thesaurus = Thesaurus::with_default_stopwords();
+        let affix = CupidConfig::default().affix;
+        let mut cache = TokenSimCache::new(&table, &thesaurus, &affix);
+        fill(&mut cache, &ids, &picks);
+        let store = cache.into_store();
+
+        let mut w = WireWriter::new();
+        store.write_wire(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = WireReader::new(&bytes);
+        let back = SimStore::read_wire(&mut r, table.len()).unwrap();
+        r.finish().unwrap();
+        prop_assert_eq!(back.distinct_pairs_computed(), store.distinct_pairs_computed());
+        prop_assert_eq!(back.allocated_chunks(), store.allocated_chunks());
+
+        let after = |store| {
+            lookups(&mut TokenSimCache::with_store(&table, &thesaurus, &affix, store), &ids)
+        };
+        prop_assert_eq!(after(back), after(store));
+    }
+}
+
+/// A schema of one `Item` holding a leaf per number in `fields`: each
+/// leaf name is one word token plus one distinct number token.
+fn numbered(name: &str, fields: std::ops::Range<usize>) -> Schema {
+    let mut b = SchemaBuilder::new(name);
+    let item = b.structured(b.root(), "Item", ElementKind::XmlElement);
+    for f in fields {
+        b.atomic(item, format!("Field{f}").as_str(), ElementKind::XmlElement, DataType::Int);
+    }
+    b.build().unwrap()
+}
+
+/// A self-cleaning directory for a repository snapshot.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+/// Each point where a session's table grows reserves the memo for it.
+/// A skipped reservation still gives correct output, only unmemoized,
+/// so this counts pairs: a cold pair of over 90 distinct tokens, whose
+/// pairs fall past the first 4,096-slot chunk, must memoize exactly the
+/// pairs `analyze` computes, and a second call must compute none.
+#[test]
+fn every_table_growth_reserves_the_memo() {
+    let cfg = CupidConfig::default();
+    let th = Thesaurus::with_default_stopwords();
+    let (a, b) = (numbered("A", 0..48), numbered("B", 100..148));
+    let want = analyze(&a, &b, &th, &cfg);
+    assert!(want.vocab_size > 90, "{} tokens", want.vocab_size);
+
+    // Memoized pairs before, after one and after two calls.
+    let check = |at: &str, lsim_of: &dyn Fn(), computed: &dyn Fn() -> (usize, usize)| {
+        let (before, _) = computed();
+        lsim_of();
+        let (once, chunks) = computed();
+        lsim_of();
+        let (twice, _) = computed();
+        assert_eq!(once - before, want.distinct_token_pairs, "{at}: the cold pair");
+        assert_eq!(twice, once, "{at}: the warm pair");
+        assert!(chunks > 1, "{at}: pairs past the first chunk");
+    };
+    let session_check = |at: &str, session: &MatchSession<'_>, i: usize, j: usize| {
+        let (i, j) = (SchemaId::from_index(i), SchemaId::from_index(j));
+        let stats = || (session.stats().distinct_pairs_computed, session.stats().sim_chunks);
+        check(at, &|| drop(session.lsim_of(i, j)), &stats);
+    };
+
+    let mut session = MatchSession::new(&cfg, &th);
+    session.add(&a).unwrap();
+    session.add(&b).unwrap();
+    session_check("add", &session, 0, 1);
+
+    let mut session = MatchSession::new(&cfg, &th);
+    session.add_corpus(&[a.clone(), b.clone()]).unwrap();
+    session_check("add_corpus", &session, 0, 1);
+
+    let mut session = MatchSession::new(&cfg, &th);
+    session.add_corpus(&[numbered("C", 0..1), numbered("D", 1..2)]).unwrap();
+    session.replace(SchemaId::from_index(0), &a).unwrap();
+    session.replace(SchemaId::from_index(1), &b).unwrap();
+    session_check("replace", &session, 0, 1);
+
+    let dir = TempDir(std::env::temp_dir().join(format!("cupid-sim-memo-{}", std::process::id())));
+    {
+        let mut repo = Repository::open_or_create(&dir.0, &cfg, &th).unwrap();
+        repo.add(&numbered("C", 0..1)).unwrap();
+        repo.save().unwrap();
+    }
+    let mut repo = Repository::open_or_create(&dir.0, &cfg, &th).unwrap();
+    assert!(repo.was_loaded());
+    repo.add(&a).unwrap();
+    repo.add(&b).unwrap();
+    let stats = || (repo.stats().session.distinct_pairs_computed, repo.stats().session.sim_chunks);
+    check("Repository::add", &|| drop(repo.lsim_of("A", "B").unwrap()), &stats);
+}
