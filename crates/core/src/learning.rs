@@ -16,7 +16,6 @@
 
 use std::collections::HashMap;
 
-use cupid_lexical::strsim::AffixConfig;
 use cupid_lexical::{Normalizer, Thesaurus, ThesaurusBuilder, TokenType};
 use cupid_model::SchemaTree;
 
@@ -221,12 +220,6 @@ fn is_abbreviation(a: &str, b: &str) -> bool {
         }
     }
     true
-}
-
-/// The affix config used to rank prefix evidence (re-exported for
-/// callers that want to pre-filter).
-pub fn default_affix() -> AffixConfig {
-    AffixConfig::default()
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@
 //! randomized schemas and thesauri.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::OnceLock;
 
@@ -92,6 +92,12 @@ impl NameId {
 /// Name ids at or past this bound are not memoized, which caps the name
 /// memo at the triangle of 1,024 names: 524,800 slots, 4.0 MiB.
 pub const NAME_BOUND: usize = 1024;
+
+/// Token ids at or past this bound are not memoized, which caps the
+/// token memo ([`SimStore`]) at the triangle of 4,096 tokens: a
+/// directory of 2,049 entries (48 KiB) and at most 2,049 chunks
+/// (64 MiB).
+pub const TOKEN_BOUND: usize = 4096;
 
 /// Slots per chunk of a [`SlotTable`] (8 KiB).
 const SLOT_CHUNK: usize = 1024;
@@ -325,12 +331,12 @@ const NAN_BITS: u64 = f64::NAN.to_bits();
 /// commit quadratic memory up front.
 ///
 /// The chunk directory grows only under `&mut` ([`SimStore::reserve`]),
-/// to the triangle of the [`TokenTable`] the store indexes; a pair past
-/// it is computed and not memoized. Because `k` depends only on the
-/// pair `(i, j)`, the store stays valid when its table grows. Slots are
-/// read and written `Relaxed`: a slot publishes no other data, and it
-/// memoizes a pure function, so threads racing on it write the same
-/// bits and only the first write counts.
+/// to the triangle of the [`TokenTable`] the store indexes, capped at
+/// [`TOKEN_BOUND`]'s; a pair past it is computed and not memoized.
+/// Because `k` depends only on the pair `(i, j)`, the store stays valid
+/// when its table grows. Slots are read and written `Relaxed`: a slot
+/// publishes no other data, and it memoizes a pure function, so threads
+/// racing on it write the same bits and only the first write counts.
 #[derive(Debug, Default)]
 pub struct SimStore {
     chunks: Vec<OnceLock<Box<[AtomicU64]>>>,
@@ -361,10 +367,12 @@ impl SimStore {
     }
 
     /// Grow the chunk directory to the triangle of a `vocab`-token
-    /// table, so every pair of its tokens is memoized. Chunks are still
-    /// allocated on their first write.
+    /// table, capped at [`TOKEN_BOUND`], so every pair of its tokens
+    /// below the bound is memoized. Chunks are still allocated on their
+    /// first write.
     pub fn reserve(&mut self, vocab: usize) {
-        let len = (vocab.saturating_mul(vocab + 1) / 2).div_ceil(CHUNK_LEN);
+        let vocab = vocab.min(TOKEN_BOUND);
+        let len = (vocab * (vocab + 1) / 2).div_ceil(CHUNK_LEN);
         if len > self.chunks.len() {
             self.chunks.resize_with(len, OnceLock::new);
         }
@@ -436,17 +444,19 @@ impl SimStore {
     /// `vocab` is the size of the [`TokenTable`] the store indexes. A
     /// directory longer than that table's triangle of pairs needs is
     /// corrupt: [`TokenSimCache::sim`] never writes a slot past it, and
-    /// the table only grows.
+    /// the table only grows. A chunk past [`TOKEN_BOUND`]'s triangle,
+    /// saved before the bound, is checked and dropped uncounted.
     pub fn read_wire(r: &mut WireReader<'_>, vocab: usize) -> Result<SimStore, WireError> {
         let dir_len = r.get_len()?;
-        let mut store = SimStore::new();
-        store.reserve(vocab);
-        if dir_len > store.chunks.len() {
+        let fits = (vocab.saturating_mul(vocab + 1) / 2).div_ceil(CHUNK_LEN);
+        if dir_len > fits {
             return Err(r.err(format!(
-                "chunk directory of {dir_len} past the {} a {vocab}-token table can fill",
-                store.chunks.len()
+                "chunk directory of {dir_len} past the {fits} a {vocab}-token table can fill"
             )));
         }
+        let mut store = SimStore::new();
+        store.reserve(vocab);
+        let mut seen = BTreeSet::new();
         let present = r.get_len()?;
         if present > dir_len {
             return Err(r.err(format!("{present} chunks present but directory holds {dir_len}")));
@@ -456,8 +466,12 @@ impl SimStore {
             if idx >= dir_len {
                 return Err(r.err(format!("chunk index {idx} out of bounds ({dir_len})")));
             }
-            if store.chunks[idx].get().is_some() {
+            if !seen.insert(idx) {
                 return Err(r.err(format!("duplicate chunk index {idx}")));
+            }
+            if idx >= store.chunks.len() {
+                r.get_bytes(CHUNK_LEN * std::mem::size_of::<f64>())?;
+                continue;
             }
             let mut chunk = Vec::with_capacity(CHUNK_LEN);
             for _ in 0..CHUNK_LEN {
@@ -532,19 +546,29 @@ impl<'a> TokenSimCache<'a> {
 
     /// `sim(a, b)`, memoized. The first query of a distinct unordered
     /// pair computes [`class_similarity`]; repeats are one array load.
+    /// A pair with a token at or past [`TOKEN_BOUND`] is computed every
+    /// time.
     #[inline]
     pub fn sim(&mut self, a: TokenId, b: TokenId) -> f64 {
         let (i, j) = if a.0 <= b.0 { (a.index(), b.index()) } else { (b.index(), a.index()) };
+        if j >= TOKEN_BOUND {
+            return self.compute(i, j);
+        }
         let k = j * (j + 1) / 2 + i;
         let v = self.store.get(k);
         if !v.is_nan() {
             return v;
         }
-        let (ca, ta) = &self.table.entries[i];
-        let (cb, tb) = &self.table.entries[j];
-        let v = class_similarity(*ca, ta, *cb, tb, self.thesaurus, &self.affix);
+        let v = self.compute(i, j);
         self.store.set(k, v);
         v
+    }
+
+    /// `sim` of the tokens with ids `i` and `j`, unmemoized.
+    fn compute(&self, i: usize, j: usize) -> f64 {
+        let (ca, ta) = &self.table.entries[i];
+        let (cb, tb) = &self.table.entries[j];
+        class_similarity(*ca, ta, *cb, tb, self.thesaurus, &self.affix)
     }
 
     /// `ns` of two names through the table's name memo: a hit is one

@@ -38,6 +38,7 @@ pub mod tokenizer;
 
 pub use intern::{
     token_id_from_wire, NameId, SimStore, TokenId, TokenSimCache, TokenTable, NAME_BOUND,
+    TOKEN_BOUND,
 };
 pub use normalize::{NormalizedName, Normalizer};
 pub use stem::stem;

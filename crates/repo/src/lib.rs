@@ -16,7 +16,9 @@
 //!   are cached keyed by the two schemas' *content hashes*. Editing
 //!   one schema of an `N`-schema corpus re-executes only that schema's
 //!   `N−1` pairs; everything else is served from the cache,
-//!   bit-identical to a cold rebuild.
+//!   bit-identical to a cold rebuild. Every read takes `&self` and
+//!   caches the pairs it executes in place, so one handle serves
+//!   concurrent readers (DESIGN.md §9.3).
 //! * **Top-k discovery** — an inverted index over interned leaf name
 //!   tokens ([`DiscoveryIndex`]) retrieves match candidates by cheap
 //!   token overlap, so corpus discovery can execute `N·k` pairs
@@ -73,7 +75,7 @@
 //!
 //! // Second run: everything — including the pair result — comes back
 //! // from disk; nothing is re-executed.
-//! let mut warm = Repository::open_or_create(&dir, &config, &thesaurus).unwrap();
+//! let warm = Repository::open_or_create(&dir, &config, &thesaurus).unwrap();
 //! assert_eq!(warm.match_all_pairs(), summaries);
 //! assert_eq!(warm.pairs_executed(), 0);
 //! # std::fs::remove_dir_all(&dir).ok();
@@ -85,6 +87,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 use cupid_core::{
     Cupid, CupidConfig, LsimTable, MatchSession, MatchSummary, PairExplanation, SchemaId,
@@ -243,29 +247,29 @@ pub struct DurabilityStats {
     pub replay_discarded: Option<String>,
 }
 
-/// Pairs executed through the shared (`&self`) read path, ready to
-/// serve with [`Repository::answer`] and publish with
-/// [`Repository::absorb`]: each summary keyed by its pair's content
-/// hashes as captured at execution time (immune to re-indexing by
-/// interleaved mutations), and the number of executions, which is one
-/// per key. The similarity memo they warmed was filled in place.
+/// Pairs executed by [`Repository::resolve`], ready for
+/// [`Repository::answer`] to serve and cache: one summary per
+/// content-hash key, each from one execution. The similarity memo they
+/// warmed was filled in place.
 #[derive(Debug, Default)]
 pub struct SharedBatch {
-    summaries: BTreeMap<(u64, u64), MatchSummary>,
-    executed: usize,
+    summaries: PairCache,
 }
 
 impl SharedBatch {
     /// Number of pairs executed in this batch.
     pub fn len(&self) -> usize {
-        self.executed
+        self.summaries.len()
     }
 
     /// True if the batch executed nothing.
     pub fn is_empty(&self) -> bool {
-        self.executed == 0
+        self.summaries.is_empty()
     }
 }
+
+/// (source hash, target hash) → summary, as executed.
+type PairCache = BTreeMap<(u64, u64), MatchSummary>;
 
 /// A persistent schema repository: a [`MatchSession`] plus source
 /// schemas, content hashes, a per-pair summary cache, and an on-disk
@@ -284,9 +288,12 @@ pub struct Repository<'a> {
     names: Vec<String>,
     sources: Vec<Schema>,
     hashes: Vec<u64>,
-    /// (source hash, target hash) → summary, as executed.
-    pair_cache: BTreeMap<(u64, u64), MatchSummary>,
-    dirty: bool,
+    /// Filled in place by [`Repository::answer`]; `&mut` methods reach
+    /// it through `get_mut`. Taken after any lock around the
+    /// repository, and never held across a call that takes it again.
+    pair_cache: RwLock<PairCache>,
+    /// Set through `&self` by reads that cache pairs.
+    dirty: AtomicBool,
     loaded: bool,
     recovered_stale: Option<String>,
     journal: Journal,
@@ -389,8 +396,8 @@ impl<'a> Repository<'a> {
             names: Vec::new(),
             sources: Vec::new(),
             hashes: Vec::new(),
-            pair_cache: BTreeMap::new(),
-            dirty: false,
+            pair_cache: RwLock::default(),
+            dirty: AtomicBool::new(false),
             loaded: state.is_some(),
             recovered_stale,
             journal,
@@ -413,7 +420,7 @@ impl<'a> Repository<'a> {
             repo.names = state.names;
             repo.sources = state.sources;
             repo.hashes = state.hashes;
-            repo.pair_cache = state.cache;
+            repo.pair_cache = RwLock::new(state.cache);
         }
         for record in &recovery.records {
             match repo.apply_record(record) {
@@ -444,7 +451,7 @@ impl<'a> Repository<'a> {
         if repo.replayed_records > 0 {
             // Replayed mutations are durable in the journal but not yet
             // in the snapshot; a save folds them in.
-            repo.dirty = true;
+            *repo.dirty.get_mut() = true;
         }
         Ok(repo)
     }
@@ -472,7 +479,7 @@ impl<'a> Repository<'a> {
 
     /// True if in-memory state has diverged from the snapshot file.
     pub fn is_dirty(&self) -> bool {
-        self.dirty
+        self.dirty.load(Relaxed)
     }
 
     /// Number of schemas in the repository.
@@ -501,7 +508,7 @@ impl<'a> Repository<'a> {
     }
 
     /// Full pair executions since this handle was opened, counted when
-    /// they run ([`Repository::resolve`]), not when they are published.
+    /// they run ([`Repository::resolve`]), not when they are cached.
     pub fn pairs_executed(&self) -> usize {
         self.session.pairs_matched()
     }
@@ -510,7 +517,7 @@ impl<'a> Repository<'a> {
     pub fn stats(&self) -> RepositoryStats {
         RepositoryStats {
             schemas: self.names.len(),
-            cached_pairs: self.pair_cache.len(),
+            cached_pairs: self.cache().len(),
             pairs_executed: self.session.pairs_matched(),
             session: self.session.stats(),
         }
@@ -564,7 +571,7 @@ impl<'a> Repository<'a> {
     }
 
     /// The repository index of the schema stored under `name` — the
-    /// index [`Repository::cached_pair_at`] and
+    /// index [`Repository::resolve`], [`Repository::answer`] and
     /// [`Repository::execute_pairs_shared`] take.
     pub fn index_of(&self, name: &str) -> Result<usize, RepoError> {
         self.names
@@ -636,7 +643,7 @@ impl<'a> Repository<'a> {
         self.names.push(schema.name().to_string());
         self.sources.push(schema.clone());
         self.hashes.push(schema.content_hash());
-        self.dirty = true;
+        *self.dirty.get_mut() = true;
         Ok(())
     }
 
@@ -665,7 +672,7 @@ impl<'a> Repository<'a> {
             self.sources.push(s.clone());
             self.hashes.push(s.content_hash());
         }
-        self.dirty = true;
+        *self.dirty.get_mut() = true;
         for s in schemas {
             self.journal_append_raw(JournalRecord::Add(s.clone()));
         }
@@ -683,7 +690,7 @@ impl<'a> Repository<'a> {
         self.session.replace(SchemaId::from_index(i), schema)?;
         self.sources[i] = schema.clone();
         self.hashes[i] = hash;
-        self.dirty = true;
+        *self.dirty.get_mut() = true;
         Ok(true)
     }
 
@@ -704,7 +711,7 @@ impl<'a> Repository<'a> {
         self.session.remove(SchemaId::from_index(i));
         self.names.remove(i);
         self.hashes.remove(i);
-        self.dirty = true;
+        *self.dirty.get_mut() = true;
         Ok(self.sources.remove(i))
     }
 
@@ -715,12 +722,10 @@ impl<'a> Repository<'a> {
         Ok(schema)
     }
 
-    /// Resolve, answer in worklist order, publish.
-    fn serve_pairs(&mut self, pairs: &[(usize, usize)]) -> Vec<MatchSummary> {
-        let batch = self.resolve(pairs);
-        let summaries = pairs.iter().map(|&(i, j)| self.answer(&batch, i, j)).collect();
-        self.absorb(batch);
-        summaries
+    /// Resolve, then answer in worklist order, caching what `resolve`
+    /// executed.
+    fn serve_pairs(&self, pairs: &[(usize, usize)]) -> Vec<MatchSummary> {
+        self.answer(self.resolve(pairs), pairs)
     }
 
     /// The pair cache's key for repository indices `(i, j)`.
@@ -728,31 +733,26 @@ impl<'a> Repository<'a> {
         (self.hashes[i], self.hashes[j])
     }
 
+    /// The pair cache, read-locked.
+    fn cache(&self) -> RwLockReadGuard<'_, PairCache> {
+        self.pair_cache.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Match every unordered schema pair, serving cached pairs from the
     /// persisted summary cache and executing only the rest. Summaries
     /// come back in lexicographic `(i, j)` order, `i < j`, exactly like
     /// [`MatchSession::match_all_pairs`] — and bit-identical to it.
-    pub fn match_all_pairs(&mut self) -> Vec<MatchSummary> {
+    pub fn match_all_pairs(&self) -> Vec<MatchSummary> {
         let n = self.names.len();
         let pairs: Vec<_> = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))).collect();
         self.serve_pairs(&pairs)
     }
 
     /// Match one named pair (cached or executed).
-    pub fn match_pair(&mut self, source: &str, target: &str) -> Result<MatchSummary, RepoError> {
+    pub fn match_pair(&self, source: &str, target: &str) -> Result<MatchSummary, RepoError> {
         let i = self.index_of(source)?;
         let j = self.index_of(target)?;
         Ok(self.serve_pairs(&[(i, j)]).remove(0))
-    }
-
-    /// The cached summary of the pair at repository indices `(i, j)`,
-    /// through a shared (`&self`) handle — the pure read path of the
-    /// daemon's read/write split (DESIGN.md §9). `None` if the pair has
-    /// not been executed under the current content hashes. Panics if
-    /// an index is out of bounds. The copy is re-anchored to `(i, j)` and
-    /// shares the cached paths.
-    pub fn cached_pair_at(&self, i: usize, j: usize) -> Option<MatchSummary> {
-        self.pair_cache.get(&self.key(i, j)).map(|cached| anchored(cached, i, j))
     }
 
     /// The read resolver (DESIGN.md §9.3): execute each pair of a
@@ -762,25 +762,42 @@ impl<'a> Repository<'a> {
     /// the batch is empty and nothing executes. Panics if an index is
     /// out of bounds.
     pub fn resolve(&self, pairs: &[(usize, usize)]) -> SharedBatch {
-        let uncached: Vec<(usize, usize)> = pairs
-            .iter()
-            .copied()
-            .filter(|&(i, j)| !self.pair_cache.contains_key(&self.key(i, j)))
-            .collect();
+        let uncached: Vec<(usize, usize)> = {
+            let cache = self.cache();
+            pairs.iter().copied().filter(|&(i, j)| !cache.contains_key(&self.key(i, j))).collect()
+        };
         if uncached.is_empty() {
             return SharedBatch::default();
         }
         self.execute_pairs_shared(&uncached)
     }
 
-    /// The summary of the pair at repository indices `(i, j)` from the
-    /// cache, or else from `batch`, re-anchored like
-    /// [`Repository::cached_pair_at`]. Panics unless `batch` came from a
-    /// [`Repository::resolve`] naming the pair under the current hashes.
-    pub fn answer(&self, batch: &SharedBatch, i: usize, j: usize) -> MatchSummary {
-        let key = self.key(i, j);
-        let summary = self.pair_cache.get(&key).or_else(|| batch.summaries.get(&key));
-        anchored(summary.expect("pair resolved"), i, j)
+    /// Serve a worklist that [`Repository::resolve`] turned into
+    /// `batch`: each pair from the cache, or else from the batch, in
+    /// worklist order, re-anchored to `(i, j)` and sharing the cached
+    /// paths. Then cache the batch and mark the handle dirty. Panics
+    /// unless `batch` came from `resolve` on these pairs under the
+    /// current hashes. A batch kept across a
+    /// [`Repository::replace`] or [`Repository::remove`] parks under
+    /// dead keys, which the next [`Repository::save`] prunes.
+    pub fn answer(&self, batch: SharedBatch, pairs: &[(usize, usize)]) -> Vec<MatchSummary> {
+        let answers = {
+            let cache = self.cache();
+            let serve = |&(i, j): &(usize, usize)| {
+                let key = self.key(i, j);
+                let summary = cache.get(&key).or_else(|| batch.summaries.get(&key));
+                anchored(summary.expect("pair resolved"), i, j)
+            };
+            pairs.iter().map(serve).collect()
+        };
+        // Answer from the batch, then move it into the cache: inserting
+        // first and cloning from the cache raised `corpus_cold`'s peak
+        // RSS 13.5 % through glibc arena placement (DESIGN.md §9.3).
+        if !batch.is_empty() {
+            self.pair_cache.write().unwrap_or_else(PoisonError::into_inner).extend(batch.summaries);
+            self.dirty.store(true, Relaxed);
+        }
+        answers
     }
 
     /// Explain one named pair: per-mapping score provenance (lsim/ssim/
@@ -788,9 +805,8 @@ impl<'a> Repository<'a> {
     /// decisions; DESIGN.md §14). Always re-executes the pair — an
     /// explanation carries strictly more than the cached summary — but
     /// the scores are bit-identical to what the summary reports, and
-    /// every explanation recomposes to its `wsim` bit-exactly. Through
-    /// `&self`: it fills the memo in place, publishes nothing, and
-    /// counts no execution.
+    /// every explanation recomposes to its `wsim` bit-exactly. It fills
+    /// the memo in place, caches no summary, and counts no execution.
     pub fn explain(&self, source: &str, target: &str) -> Result<PairExplanation, RepoError> {
         let i = self.index_of(source)?;
         let j = self.index_of(target)?;
@@ -815,11 +831,8 @@ impl<'a> Repository<'a> {
     /// Execute a worklist of pairs (by repository indices), cached or
     /// not, once per content-hash key, through `&self`
     /// ([`MatchSession::match_pairs`], which fills the session memo in
-    /// place and counts the executions). The returned [`SharedBatch`]
-    /// records each pair's content-hash cache key *as of this call*, so
-    /// publishing it later through [`Repository::absorb`] stays correct
-    /// even if an interleaved mutation re-indexed or replaced schemas in
-    /// between. Panics if an index is out of bounds.
+    /// place and counts the executions). Panics if an index is out of
+    /// bounds.
     pub fn execute_pairs_shared(&self, pairs: &[(usize, usize)]) -> SharedBatch {
         let mut seen = BTreeSet::new();
         let (keys, worklist): (Vec<_>, Vec<_>) = pairs
@@ -828,24 +841,7 @@ impl<'a> Repository<'a> {
             .filter(|&(key, _)| seen.insert(key))
             .unzip();
         let summaries = self.session.match_pairs(&worklist);
-        let executed = worklist.len();
-        SharedBatch { summaries: keys.into_iter().zip(summaries).collect(), executed }
-    }
-
-    /// Absorb a batch from the shared path: insert each summary into
-    /// the pair cache under the content-hash key captured at execution
-    /// time. The write half of the read/write split — call it under
-    /// exclusive access. Absorbing the same pair twice is harmless (the
-    /// summary is a pure function of schema content, so the insert
-    /// overwrites an identical value), and an execution whose schemas
-    /// were meanwhile replaced or removed parks under a dead key that
-    /// the next [`Repository::save`] prunes.
-    pub fn absorb(&mut self, batch: SharedBatch) {
-        if batch.is_empty() {
-            return;
-        }
-        self.pair_cache.extend(batch.summaries);
-        self.dirty = true;
+        SharedBatch { summaries: keys.into_iter().zip(summaries).collect() }
     }
 
     /// Index-assisted discovery (DESIGN.md §8.4): build the
@@ -855,7 +851,7 @@ impl<'a> Repository<'a> {
     /// them by [`MatchSummary::best_wsim`] for a discovery listing.
     /// The recall/pruning trade-off is measured by the eval harness's
     /// `retrieval` experiment.
-    pub fn top_k_pairs(&mut self, k: usize) -> Vec<MatchSummary> {
+    pub fn top_k_pairs(&self, k: usize) -> Vec<MatchSummary> {
         self.serve_pairs(&self.discovery_index().top_k_pairs(k))
     }
 
@@ -892,7 +888,8 @@ impl<'a> Repository<'a> {
     /// or replayed twice.
     pub fn save(&mut self) -> Result<(), RepoError> {
         let live: BTreeSet<u64> = self.hashes.iter().copied().collect();
-        self.pair_cache.retain(|(a, b), _| live.contains(a) && live.contains(b));
+        let cache = self.pair_cache.get_mut().unwrap_or_else(PoisonError::into_inner);
+        cache.retain(|(a, b), _| live.contains(a) && live.contains(b));
         let refs = snapshot::SnapshotRefs {
             names: &self.names,
             hashes: &self.hashes,
@@ -900,7 +897,7 @@ impl<'a> Repository<'a> {
             prepared: self.session.prepared(),
             table: self.session.table(),
             store: self.session.store(),
-            cache: &self.pair_cache,
+            cache,
         };
         let bytes =
             snapshot::encode(&refs, self.config.fingerprint(), self.thesaurus.fingerprint());
@@ -971,7 +968,7 @@ impl<'a> Repository<'a> {
                 }
             }
         }
-        self.dirty = false;
+        *self.dirty.get_mut() = false;
         Ok(())
     }
 
@@ -1094,7 +1091,7 @@ mod tests {
             repo.save().unwrap();
             assert!(!repo.is_dirty());
         }
-        let mut warm = Repository::open_or_create(&tmp.0, &config, &th).unwrap();
+        let warm = Repository::open_or_create(&tmp.0, &config, &th).unwrap();
         assert!(warm.was_loaded());
         assert_eq!(warm.names(), ["S0", "S1", "S2", "S3"]);
         let got = warm.match_all_pairs();
@@ -1242,45 +1239,43 @@ mod tests {
     }
 
     #[test]
-    fn shared_reads_and_absorb_agree_with_exclusive_path() {
+    fn resolve_and_answer_agree_with_exclusive_path() {
         let tmp = TempRepo::new();
         let config = CupidConfig::default();
         let th = Thesaurus::with_default_stopwords();
         let mut repo = Repository::open_or_create(&tmp.0, &config, &th).unwrap();
         repo.add_corpus(&corpus()).unwrap();
-        let (s0, s1) = (repo.index_of("S0").unwrap(), repo.index_of("S1").unwrap());
-        // Uncached: a worklist naming the pair twice executes it once,
-        // and the execution counts when it runs...
-        assert!(repo.cached_pair_at(s0, s1).is_none(), "uncached pair must execute");
-        let batch = repo.resolve(&[(s0, s1), (s0, s1)]);
+        repo.save().unwrap();
+        let pair = (repo.index_of("S0").unwrap(), repo.index_of("S1").unwrap());
+        // A worklist naming the pair twice executes it once, and the
+        // execution counts when it runs...
+        let batch = repo.resolve(&[pair, pair]);
         assert_eq!(batch.len(), 1, "one execution per content-hash key");
-        // ...the batch answers it before anything is published...
-        let shared = repo.answer(&batch, s0, s1);
-        assert_eq!(repo.pairs_executed(), 1, "shared execution counts before it is absorbed");
-        assert!(repo.cached_pair_at(s0, s1).is_none());
-        // ...absorbing publishes it...
-        repo.absorb(batch);
-        assert_eq!(repo.pairs_executed(), 1);
-        assert_eq!(repo.cached_pair_at(s0, s1).as_ref(), Some(&shared));
+        assert_eq!(repo.pairs_executed(), 1, "an execution counts when it runs");
+        // ...answering serves both entries and caches the batch...
+        let served = repo.answer(batch, &[pair, pair]);
+        assert_eq!(served[0], served[1]);
+        assert_eq!(repo.stats().cached_pairs, 1, "answer caches the batch");
+        assert!(repo.is_dirty(), "caching a pair dirties the handle");
         // ...after which the cache answers: resolving a cached pair
         // executes nothing and returns an empty batch...
-        let cached = repo.resolve(&[(s0, s1)]);
+        let cached = repo.resolve(&[pair]);
         assert!(cached.is_empty(), "a cached pair resolves to an empty batch");
-        assert_eq!(repo.answer(&cached, s0, s1), shared);
-        // ...and the exclusive path serves the identical summary.
-        assert_eq!(repo.match_pair("S0", "S1").unwrap(), shared);
+        assert_eq!(repo.answer(cached, &[pair]), [served[0].clone()]);
+        // ...and match_pair serves the identical summary.
+        assert_eq!(repo.match_pair("S0", "S1").unwrap(), served[0]);
         assert_eq!(repo.pairs_executed(), 1);
-        // A whole worklist executes in one call, and an
-        // execution published after its schema was replaced parks
-        // under the old (now dead) key instead of corrupting the cache.
-        let stale = repo.execute_pairs_shared(&[(2, 3), (1, 2)]);
+        // A batch answered after its schema was replaced parks under the
+        // old (now dead) key instead of corrupting the cache.
+        let stale = repo.resolve(&[(2, 3), (1, 2)]);
         assert_eq!(stale.len(), 2);
-        let edited = schema("S2", "Order", &[("Qty", DataType::Int)]);
-        repo.replace(&edited).unwrap();
-        repo.absorb(stale);
+        repo.replace(&schema("S2", "Order", &[("Qty", DataType::Int)])).unwrap();
+        assert!(repo.answer(stale, &[]).is_empty());
+        assert_eq!(repo.stats().cached_pairs, 3);
         let (s2, s3) = (repo.index_of("S2").unwrap(), repo.index_of("S3").unwrap());
-        assert!(
-            repo.cached_pair_at(s2, s3).is_none(),
+        assert_eq!(
+            repo.resolve(&[(s2, s3)]).len(),
+            1,
             "stale execution must not serve for the replaced schema"
         );
     }
@@ -1333,7 +1328,7 @@ mod tests {
             assert!(d.journal_bytes > 0);
             assert!(d.last_fsync_error.is_none());
         }
-        let mut warm = Repository::open_or_create(&tmp.0, &config, &th).unwrap();
+        let warm = Repository::open_or_create(&tmp.0, &config, &th).unwrap();
         assert!(warm.was_loaded());
         assert_eq!(warm.names(), ["S0", "S1", "S2", "S4"]);
         let d = warm.durability();

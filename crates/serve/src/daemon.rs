@@ -19,22 +19,20 @@
 //! (a lone read is a one-entry worklist), and `serve_reads` answers
 //! every one. Match and top-k entries go through the repository's read
 //! resolver, as in-process reads do: the daemon names and frames,
-//! [`Repository::resolve`] executes, [`Repository::answer`] serves,
-//! [`Repository::absorb`] publishes. An explain entry re-executes its
-//! pair with [`Repository::explain`] under the same read guard and
-//! publishes nothing.
+//! [`Repository::resolve`] executes, and [`Repository::answer`] serves
+//! and caches. An explain entry re-executes its pair with
+//! [`Repository::explain`] under the same read guard and caches
+//! nothing.
 //!
 //! **Read/write split.** The repository sits behind one [`RwLock`].
-//! Reads whose pairs are already cached run concurrently under the
-//! read lock. An uncached pair also executes under the *read* lock:
-//! pair execution is a pure function of frozen prepared state, so the
-//! resolver runs a request's uncached pairs on the connection's own
-//! thread (connections are the daemon's parallelism), filling the
-//! session's one similarity memo in place, and only the cheap absorb —
-//! inserting the summaries into the pair cache — takes the write lock.
-//! Mutations (every one a [`Request::Mutate`]) and `Save` serialize
-//! through the write lock, giving the single-writer discipline the
-//! repository's on-disk lock already enforces across processes.
+//! Every read runs under the read lock, cached or not: pair execution
+//! is a pure function of frozen prepared state, so the resolver runs a
+//! request's uncached pairs on the connection's own thread (connections
+//! are the daemon's parallelism), and the similarity memo and the pair
+//! cache both fill in place. Only mutations (every one a
+//! [`Request::Mutate`]) and `Save` take the write lock, giving the
+//! single-writer discipline the repository's on-disk lock already
+//! enforces across processes.
 //!
 //! Responses are bit-identical to direct in-process calls on the same
 //! corpus — the integration suite drives N concurrent clients against
@@ -44,7 +42,6 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -489,11 +486,6 @@ impl ShutdownHandle {
         self.flag.store(true, Ordering::SeqCst);
         wake_accept_loop(self.addr, &self.accept_exited);
     }
-
-    /// Whether a drain has been initiated.
-    pub fn is_draining(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
 }
 
 /// How long each wake connection is held open (and how long between
@@ -827,15 +819,24 @@ fn handle_request(request: &Request, shared: &Shared<'_>, trace: &mut RequestTra
             }
         }),
         Request::Batch { items } => Response::Batch { entries: serve_reads(items, shared, trace) },
-        Request::Save => match write_locked(shared, trace, |repo| repo.save()) {
-            Ok(()) => Response::Saved {
-                bytes: std::fs::metadata(&shared.path).map(|m| m.len()).unwrap_or(0),
-            },
-            Err(e) => {
-                shared.logger.error("save_failed", &[("err", &e.to_string())]);
-                Response::Error { message: e.to_string() }
+        Request::Save => {
+            let wait = trace.start(Stage::LockWaitWrite);
+            let mut guard = shared.repo.write().unwrap_or_else(|e| e.into_inner());
+            wait.stop(trace);
+            let exec = trace.start(Stage::ExecUncached);
+            let saved = guard.save();
+            exec.stop(trace);
+            drop(guard);
+            match saved {
+                Ok(()) => Response::Saved {
+                    bytes: std::fs::metadata(&shared.path).map(|m| m.len()).unwrap_or(0),
+                },
+                Err(e) => {
+                    shared.logger.error("save_failed", &[("err", &e.to_string())]);
+                    Response::Error { message: e.to_string() }
+                }
             }
-        },
+        }
         Request::Shutdown => Response::ShuttingDown,
     }
 }
@@ -879,10 +880,9 @@ fn stats_report(guard: &Repository<'_>, shared: &Shared<'_>) -> StatsReport {
 
 /// Serve a worklist of reads — a batch, or one lone read — under
 /// **one** read guard: map each entry to its pairs or its error,
-/// [`Repository::resolve`] all the pairs at once, build every outcome
-/// with [`Repository::answer`], and, only if `resolve` executed pairs,
-/// [`Repository::absorb`] them under the write lock once the guard is
-/// dropped. An explain entry names no pairs: it re-executes its pair
+/// [`Repository::resolve`] all the pairs at once, and
+/// [`Repository::answer`] them at once, which caches what `resolve`
+/// executed. An explain entry names no pairs: it re-executes its pair
 /// ([`Repository::explain`]) and never touches the pair cache. A bad
 /// entry (unknown schema name) fails alone with the repository's error,
 /// and every other entry completes.
@@ -894,9 +894,11 @@ fn serve_reads(
     let wait = trace.start(Stage::LockWaitRead);
     let guard = shared.repo.read().unwrap_or_else(|e| e.into_inner());
     wait.stop(trace);
-    // Every entry's pairs, as one span of a flat worklist.
+    // Every entry's pair count, its pairs appended to one flat worklist.
+    // An entry that fails pushes none, so each entry's answers are the
+    // next `count` in worklist order.
     let mut pairs: Vec<(usize, usize)> = Vec::new();
-    let spans: Vec<Result<Range<usize>, String>> = items
+    let counts: Vec<Result<usize, String>> = items
         .iter()
         .map(|item| {
             let start = pairs.len();
@@ -912,7 +914,7 @@ fn serve_reads(
                 }
                 BatchItem::Stats | BatchItem::Explain { .. } | BatchItem::SlowLog => {}
             }
-            Ok(start..pairs.len())
+            Ok(pairs.len() - start)
         })
         .collect();
     let exec = trace.start(Stage::ExecUncached);
@@ -920,12 +922,13 @@ fn serve_reads(
     if !batch.is_empty() {
         exec.stop(trace);
     }
+    let mut answers = guard.answer(batch, &pairs).into_iter();
     let mut explained = 0;
     let entries = items
         .iter()
-        .zip(spans)
-        .map(|(item, span)| {
-            let mut answers = pairs[span?].iter().map(|&(i, j)| guard.answer(&batch, i, j));
+        .zip(counts)
+        .map(|(item, count)| {
+            let mut answers = answers.by_ref().take(count?);
             Ok(match item {
                 BatchItem::MatchPair { source, target } => BatchOutcome::Matched {
                     source: source.clone(),
@@ -953,9 +956,6 @@ fn serve_reads(
     drop(guard);
     if explained > 0 {
         shared.explanations.fetch_add(explained, Ordering::Relaxed);
-    }
-    if !batch.is_empty() {
-        write_locked(shared, trace, |repo| repo.absorb(batch));
     }
     entries
 }
@@ -1022,23 +1022,6 @@ fn mutate(
         }
     }
     response
-}
-
-/// Run `op` under the repository write lock, timing the wait as
-/// `lock_wait_write` and `op` as `exec_uncached`: saves, and the
-/// publication of a read batch or an explanation's memo.
-fn write_locked<T>(
-    shared: &Shared<'_>,
-    trace: &mut RequestTrace,
-    op: impl FnOnce(&mut Repository<'_>) -> T,
-) -> T {
-    let wait = trace.start(Stage::LockWaitWrite);
-    let mut guard = shared.repo.write().unwrap_or_else(|e| e.into_inner());
-    wait.stop(trace);
-    let exec = trace.start(Stage::ExecUncached);
-    let out = op(&mut guard);
-    exec.stop(trace);
-    out
 }
 
 #[cfg(test)]

@@ -45,16 +45,17 @@ pub enum Stage {
     Decode = 1,
     /// Blocked acquiring the repository read lock.
     LockWaitRead = 2,
-    /// Blocked acquiring the repository write lock (mutations, and the
-    /// absorb that publishes shared-path execution results).
+    /// Blocked acquiring the repository write lock: mutations and
+    /// saves, which are the only requests that take it.
     LockWaitWrite = 3,
-    /// Handler work answered from resident state: cache lookups, name
-    /// resolution, discovery-index walks, stats assembly, and the
-    /// splice of executed summaries back into response order.
+    /// Handler work answered from resident state: name resolution, cache
+    /// lookups and inserts (waits on the pair cache's lock included),
+    /// index walks, stats assembly, serving summaries in response order.
     ExecCached = 4,
-    /// Fresh pair execution ([`cupid_repo::Repository`]'s shared path)
-    /// and, for mutations, the mutation body itself — journal append
-    /// and cache invalidation included.
+    /// Fresh pair execution ([`cupid_repo::Repository::resolve`]) and
+    /// explanations; for mutations, the mutation body itself — journal
+    /// append and cache invalidation included — and for saves, the
+    /// snapshot write.
     ExecUncached = 5,
     /// Encoding the response frame (payload bytes + checksum).
     Encode = 6,

@@ -127,7 +127,7 @@ fn main() {
     });
 
     // The daemon's work outlives it: reopen the snapshot directly.
-    let mut warm = cupid.repository(&dir).expect("reopen snapshot");
+    let warm = cupid.repository(&dir).expect("reopen snapshot");
     assert!(warm.was_loaded(), "snapshot present");
     let served = warm.match_pair("PO", "Order").expect("cached pair");
     println!(

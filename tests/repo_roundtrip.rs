@@ -9,7 +9,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use cupid::core::{Cupid, CupidConfig, MatchSummary};
 use cupid::corpus::synthetic::{generate, SyntheticConfig};
@@ -91,7 +91,7 @@ proptest! {
             repo.save().unwrap();
         }
 
-        let mut warm = Repository::open_or_create(&tmp.0, &config, &thesaurus).unwrap();
+        let warm = Repository::open_or_create(&tmp.0, &config, &thesaurus).unwrap();
         prop_assert!(warm.was_loaded());
         let warm_summaries = warm.match_all_pairs();
         prop_assert_eq!(warm.pairs_executed(), 0, "warm run must execute nothing");
@@ -243,7 +243,7 @@ fn reopened_repository_interns_every_decoded_name() {
         let saved = repo.stats().session;
         (repo.match_all_pairs(), saved)
     };
-    let mut warm = Repository::open_or_create(&tmp.0, &config, &thesaurus).unwrap();
+    let warm = Repository::open_or_create(&tmp.0, &config, &thesaurus).unwrap();
     let loaded = warm.stats().session;
     assert!(saved.sim_bytes > 0, "names were interned");
     assert_eq!((loaded.vocab_bytes, loaded.sim_bytes), (saved.vocab_bytes, saved.sim_bytes));
@@ -292,8 +292,9 @@ fn paths(s: &MatchSummary) -> Vec<Arc<str>> {
 }
 
 /// Served summaries share the cache's path allocations: two reads of one
-/// cached pair, and two all-pairs runs, hand out the same `Arc`s — for a
-/// freshly matched repository and for one decoded from its snapshot.
+/// cached pair through `resolve` and `answer`, and two all-pairs runs,
+/// hand out the same `Arc`s — for a freshly matched repository and for
+/// one decoded from its snapshot.
 #[test]
 fn served_summaries_share_the_cached_paths() {
     let tmp = TempSnap::new();
@@ -315,6 +316,75 @@ fn served_summaries_share_the_cached_paths() {
             assert!(repo.was_loaded());
         }
         shared(&repo.match_all_pairs(), &repo.match_all_pairs());
-        shared(&[repo.cached_pair_at(0, 1).unwrap()], &[repo.cached_pair_at(0, 1).unwrap()]);
+        let read = || repo.answer(repo.resolve(&[(0, 1)]), &[(0, 1)]);
+        shared(&read(), &read());
     }
+}
+
+/// Summaries as wire bytes, so equality is bit equality.
+fn bits(summaries: &[MatchSummary]) -> Vec<u8> {
+    let mut w = cupid::model::WireWriter::new();
+    for s in summaries {
+        s.write_wire(&mut w);
+    }
+    w.into_bytes()
+}
+
+/// Three readers share one `&Repository`, started together: two run all
+/// pairs and one runs top-k, and each gets, bit for bit, what a fresh
+/// repository over the same corpus returns sequentially. Every pair is
+/// then cached once, and a save persists the cache: a reopened handle
+/// serves all pairs without executing.
+#[test]
+fn concurrent_reads_share_one_repository() {
+    let tmp = TempSnap::new();
+    let thesaurus = generate(&SyntheticConfig::sized(8, 41)).thesaurus;
+    let config = CupidConfig::default();
+    let schemas: Vec<Schema> = corpus(41, 8)
+        .into_iter()
+        .chain(corpus(42, 8))
+        .enumerate()
+        .map(|(i, s)| rename(&s, &format!("C{i}")))
+        .collect();
+    let (want_all, want_top) = {
+        let fresh = TempSnap::new();
+        let mut repo = Repository::open_or_create(&fresh.0, &config, &thesaurus).unwrap();
+        repo.add_corpus(&schemas).unwrap();
+        (bits(&repo.match_all_pairs()), bits(&repo.top_k_pairs(2)))
+    };
+    let mut repo = Repository::open_or_create(&tmp.0, &config, &thesaurus).unwrap();
+    repo.add_corpus(&schemas).unwrap();
+    repo.save().unwrap();
+    let barrier = Barrier::new(3);
+    let (all, top) = std::thread::scope(|scope| {
+        let (repo, barrier) = (&repo, &barrier);
+        let all: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(move || {
+                    barrier.wait();
+                    repo.match_all_pairs()
+                })
+            })
+            .collect();
+        let top = scope.spawn(move || {
+            barrier.wait();
+            repo.top_k_pairs(2)
+        });
+        let all: Vec<_> = all.into_iter().map(|h| h.join().unwrap()).collect();
+        (all, top.join().unwrap())
+    });
+    for got in &all {
+        assert!(bits(got) == want_all, "a concurrent all-pairs run diverged");
+    }
+    assert!(bits(&top) == want_top, "the concurrent top-k diverged");
+    let pairs = schemas.len() * (schemas.len() - 1) / 2;
+    assert_eq!(repo.stats().cached_pairs, pairs);
+    assert!(repo.is_dirty(), "caching pairs dirties the handle");
+    let executed = repo.pairs_executed();
+    assert!((pairs..=3 * pairs).contains(&executed), "{executed} executions of {pairs} pairs");
+    repo.save().unwrap();
+    drop(repo);
+    let warm = Repository::open_or_create(&tmp.0, &config, &thesaurus).unwrap();
+    assert!(bits(&warm.match_all_pairs()) == want_all);
+    assert_eq!(warm.pairs_executed(), 0, "the saved cache serves every pair");
 }

@@ -170,7 +170,7 @@ fn concurrent_clients_get_bit_identical_responses() {
 
         // Counters: 45 match requests across the clients collapse to
         // ~15 executions. Two clients racing on the same uncached pair
-        // may both execute it before either absorbs (benign: identical
+        // may both execute it before either caches it (benign: identical
         // summaries), so the exact count is bounded, not fixed.
         let stats = setup.stats().unwrap();
         assert_eq!(stats.schemas, 6);
@@ -190,7 +190,7 @@ fn concurrent_clients_get_bit_identical_responses() {
 
     // The daemon released the repository lock and persisted its state:
     // a direct reopen serves every pair from the snapshot cache.
-    let mut warm = Repository::open_or_create(&tmp.0, &config, &th).unwrap();
+    let warm = Repository::open_or_create(&tmp.0, &config, &th).unwrap();
     assert!(warm.was_loaded());
     for ((source, target), want) in &want_pairs {
         assert_eq!(&warm.match_pair(source, target).unwrap(), want);

@@ -172,12 +172,16 @@ fn unary_reads_are_recorded_under_their_own_kind() {
     }
 }
 
-/// An explanation runs under the read guard and publishes nothing, so
-/// a warm daemon serves explanations without ever taking the
-/// repository's write lock: no `explain/lock_wait_write` cell appears.
-/// They count as explanations, never as pair executions.
+/// Every read runs under the read guard, cached or not: executing a
+/// pair fills the memo and the pair cache in place, and an explanation
+/// caches nothing. So a warm daemon serves an uncached match, a batch
+/// naming a fresh pair, a top-k over uncached pairs and explanations
+/// without ever taking the repository's write lock: each request
+/// records one read-lock wait, and no `<kind>/lock_wait_write` cell
+/// appears for any read kind. Each distinct pair executes and is cached
+/// once; explanations count as explanations, never as pair executions.
 #[test]
-fn explanations_take_no_write_lock() {
+fn reads_take_no_write_lock() {
     let tmp = TempSnap::new();
     let config = CupidConfig::default();
     let th = thesaurus();
@@ -191,18 +195,41 @@ fn explanations_take_no_write_lock() {
         for sdl in CORPUS_SDL {
             client.add_sdl(sdl).unwrap();
         }
-        client.top_k(3).unwrap();
         let before = client.stats().unwrap();
-        let pairs = [("PO", "Order"), ("Order", "Sales"), ("Sales", "PO")];
-        for (source, target) in pairs {
+        assert_eq!(before.cached_pairs, 0);
+        // Pairs by repository index, in `(i, j)` order: PO, Order, Sales.
+        let mut distinct = std::collections::BTreeSet::new();
+        client.match_pair("PO", "Order").unwrap();
+        distinct.insert((0, 1));
+        let pair = |source: &str, target: &str| BatchItem::MatchPair {
+            source: source.into(),
+            target: target.into(),
+        };
+        for entry in client.batch(vec![pair("PO", "Order"), pair("Order", "Sales")]).unwrap() {
+            entry.unwrap();
+        }
+        distinct.insert((1, 2));
+        let listing = client.top_k(3).unwrap();
+        let fresh = listing.summaries.iter().map(|s| (s.source.index(), s.target.index()));
+        let listed: Vec<_> = fresh.filter(|p| distinct.insert(*p)).collect();
+        assert!(!listed.is_empty(), "the top-k executed no uncached pair");
+        let explains = [("PO", "Order"), ("Order", "Sales"), ("Sales", "PO")];
+        for (source, target) in explains {
             assert!(client.explain(source, target).unwrap().recomposes_exactly());
         }
         let after = client.stats().unwrap();
         let cell = |label: &str| after.stage_latencies.iter().find(|s| s.kind == label);
-        assert_eq!(cell("explain/lock_wait_read").map(|s| s.count), Some(pairs.len() as u64));
-        assert!(cell("explain/lock_wait_write").is_none(), "an explanation took the write lock");
-        assert_eq!(after.explanations_served, before.explanations_served + pairs.len() as u64);
-        assert_eq!(after.pairs_executed, before.pairs_executed);
+        let sent = [("match_pair", 1), ("batch", 1), ("top_k", 1), ("explain", explains.len())];
+        for (kind, requests) in sent {
+            let read = cell(&format!("{kind}/lock_wait_read")).map(|s| s.count);
+            assert_eq!(read, Some(requests as u64), "one read-lock wait per `{kind}` request");
+            let write = format!("{kind}/lock_wait_write");
+            assert!(cell(&write).is_none(), "a `{kind}` read took the write lock");
+        }
+        let executed = after.pairs_executed - before.pairs_executed;
+        assert_eq!(executed, distinct.len() as u64, "one execution per distinct pair");
+        assert_eq!(after.cached_pairs - before.cached_pairs, distinct.len() as u64);
+        assert_eq!(after.explanations_served, before.explanations_served + explains.len() as u64);
         client.shutdown().unwrap();
         drop(guard);
     });

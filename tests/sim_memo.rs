@@ -16,7 +16,9 @@ use std::sync::Barrier;
 
 use cupid::core::linguistic::analyze;
 use cupid::core::{CupidConfig, MatchSession, SchemaId};
-use cupid::lexical::{SimClass, SimStore, Thesaurus, TokenId, TokenSimCache, TokenTable};
+use cupid::lexical::{
+    SimClass, SimStore, Thesaurus, TokenId, TokenSimCache, TokenTable, TOKEN_BOUND,
+};
 use cupid::model::{DataType, ElementKind, Schema, SchemaBuilder, WireReader, WireWriter};
 use cupid::repo::Repository;
 use proptest::prelude::*;
@@ -114,7 +116,8 @@ fn shared<'a>(
 /// A decoded store's chunk directory is bounded by the triangle of
 /// pairs its table can index: a store filled up to the table's last
 /// pair round-trips, and a directory one chunk longer is rejected
-/// before anything is reserved for it.
+/// before anything is reserved for it. A pair past `TOKEN_BOUND` is
+/// computed every time and never memoized.
 #[test]
 fn store_directory_is_bounded_by_the_table_triangle() {
     // 128 tokens index 128·129/2 = 8,256 pairs: three 4,096-slot chunks.
@@ -134,12 +137,95 @@ fn store_directory_is_bounded_by_the_table_triangle() {
     assert_eq!(cache.sim(last, last).to_bits(), want);
     assert_eq!(cache.distinct_pairs_computed(), 1, "the decoded value is a hit");
 
-    for (dir_len, fits) in [(3, true), (4, false)] {
+    // An empty directory, padded so that its length passes the reader's
+    // remaining-input cap and only the directory bound decides.
+    let empty = |dir_len: usize| {
         let mut w = WireWriter::new();
         w.put_len(dir_len);
         w.put_len(0);
-        assert_eq!(read(w.bytes()).is_ok(), fits, "an empty {dir_len}-chunk directory");
+        w.put_bytes(&vec![0; dir_len]);
+        w.into_bytes()
+    };
+    for (dir_len, fits) in [(3, true), (4, false)] {
+        assert_eq!(read(&empty(dir_len)).is_ok(), fits, "an empty {dir_len}-chunk directory");
     }
+
+    // A table twice the bound's size still bounds the directory by its
+    // own triangle, 8,192·8,193/2 = 33,558,528 pairs: 8,193 chunks.
+    for (dir_len, fits) in [(8_193, true), (8_194, false)] {
+        let got = SimStore::read_wire(&mut WireReader::new(&empty(dir_len)), 2 * TOKEN_BOUND);
+        assert_eq!(got.is_ok(), fits, "an empty {dir_len}-chunk directory past the bound");
+    }
+
+    // Pairs with a token at the bound or past it match a cold cache's
+    // bits every time and are not memoized; a pair below it is.
+    let (table, ids) = vocabulary(TOKEN_BOUND + 2);
+    let store = reserved(&table);
+    let mut cache = shared(&table, &thesaurus, &store);
+    let mut cold = TokenSimCache::new(&table, &thesaurus, &affix);
+    for (a, b) in [(ids[0], ids[TOKEN_BOUND]), (ids[TOKEN_BOUND + 1], ids[1])] {
+        let want = cold.sim(a, b).to_bits();
+        for _ in 0..3 {
+            assert_eq!(cache.sim(a, b).to_bits(), want);
+        }
+    }
+    assert_eq!(store.distinct_pairs_computed(), 0, "a pair past the bound was memoized");
+    cache.sim(ids[0], ids[TOKEN_BOUND - 1]);
+    assert_eq!(store.distinct_pairs_computed(), 1, "a pair below the bound is memoized");
+}
+
+/// A store saved before `TOKEN_BOUND` capped the memo still decodes:
+/// for a 5,000-token table the wire holds a pair below the bound in
+/// chunk 0 and the table's last pair in chunk 3,052, past the bound's
+/// 2,049 chunks. The first is kept and answers as a hit; the second is
+/// dropped, uncounted, and its pair is computed on demand.
+#[test]
+fn a_store_saved_past_the_bound_decodes() {
+    // 4,096·4,097/2 = 8,390,656 pairs: the bound's triangle is 2,049 chunks.
+    assert_eq!(TOKEN_BOUND, 4096);
+    let (table, ids) = vocabulary(5_000);
+    let thesaurus = Thesaurus::with_default_stopwords();
+    let affix = CupidConfig::default().affix;
+    let mut cold = TokenSimCache::new(&table, &thesaurus, &affix);
+    let (first, last) = ((ids[0], ids[1]), (ids[4_999], ids[4_999]));
+    let want = [cold.sim(first.0, first.1).to_bits(), cold.sim(last.0, last.1).to_bits()];
+
+    // The layout `SimStore::write_wire` gives a store with these two
+    // slots filled: slot 1 of chunk 0, and slot
+    // 4,999·5,000/2 + 4,999 = 12,502,499, chunk 3,052.
+    let wire = |chunks: &[(u32, usize, u64)]| {
+        let mut w = WireWriter::new();
+        w.put_len(3_053);
+        w.put_len(chunks.len());
+        for &(idx, slot, v) in chunks {
+            w.put_u32(idx);
+            for s in 0..4_096 {
+                w.put_f64(if s == slot { f64::from_bits(v) } else { f64::NAN });
+            }
+        }
+        w.into_bytes()
+    };
+    let read = |bytes: &[u8]| SimStore::read_wire(&mut WireReader::new(bytes), table.len());
+    let past = (3_052, 12_502_499 % 4_096, want[1]);
+    let back = read(&wire(&[(0, 1, want[0]), past])).expect("a store saved before the bound");
+    assert_eq!(back.allocated_chunks(), 1, "only the chunk below the bound is kept");
+    assert_eq!(back.distinct_pairs_computed(), 1, "the dropped chunk is not counted");
+
+    let mut cache = TokenSimCache::with_store(&table, &thesaurus, &affix, back);
+    assert_eq!(cache.sim(first.0, first.1).to_bits(), want[0]);
+    assert_eq!(cache.sim(last.0, last.1).to_bits(), want[1]);
+    assert_eq!(cache.distinct_pairs_computed(), 1, "a hit below the bound, a miss past it");
+
+    // A dropped chunk is still checked: a repeated index is corrupt, and
+    // the directory is bounded by the table's own triangle, 12,502,500
+    // pairs: 3,053 chunks.
+    let refused = |bytes: &[u8]| read(bytes).expect_err("a corrupt store decoded").message;
+    assert!(refused(&wire(&[past, past])).starts_with("duplicate chunk index 3052"));
+    let mut w = WireWriter::new();
+    w.put_len(3_054);
+    w.put_len(0);
+    w.put_bytes(&[0; 3_054]);
+    assert!(refused(w.bytes()).starts_with("chunk directory of 3054 past the 3053"));
 }
 
 proptest! {
