@@ -50,7 +50,7 @@ pub struct SenseDictionary {
 }
 
 fn canon(s: &str) -> String {
-    stem(&s.to_lowercase())
+    stem(&s.to_lowercase()).into_owned()
 }
 
 fn pair(a: &str, b: &str) -> (String, String) {

@@ -37,7 +37,7 @@ pub struct Lspd {
 fn canon_name(name: &str) -> String {
     // lower-case + light stemming per token boundary is overkill here;
     // DIKE matched whole names, so canonicalize the whole identifier.
-    stem(&name.to_lowercase())
+    stem(&name.to_lowercase()).into_owned()
 }
 
 fn key(a: &str, b: &str) -> (String, String) {

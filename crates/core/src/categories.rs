@@ -136,6 +136,28 @@ fn keyword_name(text: &str) -> NormalizedName {
     }
 }
 
+/// Add `member` to the category `key`. A new category takes its keywords
+/// from `keywords`, which is called only then.
+fn join(
+    out: &mut SchemaCategories,
+    index: &mut HashMap<CategoryKey, u32>,
+    key: CategoryKey,
+    keywords: impl FnOnce() -> NormalizedName,
+    member: ElementId,
+) {
+    let ci = match index.get(&key) {
+        Some(&ci) => ci,
+        None => {
+            let ci = out.categories.len() as u32;
+            index.insert(key.clone(), ci);
+            out.categories.push(Category { key, keywords: keywords(), members: Vec::new() });
+            ci
+        }
+    };
+    out.categories[ci as usize].members.push(member);
+    out.element_categories[member.index()].push(ci);
+}
+
 /// Elements that should be linguistically matched. Keys and
 /// referential-constraint reifications are skipped: *"We may … choose not
 /// to linguistically match certain elements, e.g. those with no
@@ -163,46 +185,23 @@ pub fn categorize(schema: &Schema, names: &[NormalizedName]) -> SchemaCategories
     };
     let mut index: HashMap<CategoryKey, u32> = HashMap::new();
 
-    let join = |out: &mut SchemaCategories,
-                index: &mut HashMap<CategoryKey, u32>,
-                key: CategoryKey,
-                keywords: NormalizedName,
-                member: ElementId| {
-        let ci = *index.entry(key.clone()).or_insert_with(|| {
-            out.categories.push(Category { key, keywords, members: Vec::new() });
-            (out.categories.len() - 1) as u32
-        });
-        out.categories[ci as usize].members.push(member);
-        out.element_categories[member.index()].push(ci);
-    };
-
     for (e, elem) in schema.iter() {
         if !is_linguistically_comparable(schema, e) {
             continue;
         }
         // Concept categories.
         for concept in &names[e.index()].concepts {
-            join(
-                &mut out,
-                &mut index,
-                CategoryKey::Concept(concept.clone()),
-                keyword_name(concept),
-                e,
-            );
+            let key = CategoryKey::Concept(concept.clone());
+            join(&mut out, &mut index, key, || keyword_name(concept), e);
         }
         // Broad data-type category.
         let broad = elem.data_type.broad();
-        join(&mut out, &mut index, CategoryKey::Broad(broad), keyword_name(broad.keyword()), e);
+        join(&mut out, &mut index, CategoryKey::Broad(broad), || keyword_name(broad.keyword()), e);
         // Container category: keyed by the containing element; keywords
         // are the container's name tokens.
         if let Some(parent) = schema.parent(e) {
-            join(
-                &mut out,
-                &mut index,
-                CategoryKey::Container(parent),
-                names[parent.index()].clone(),
-                e,
-            );
+            let keywords = || names[parent.index()].clone();
+            join(&mut out, &mut index, CategoryKey::Container(parent), keywords, e);
         }
     }
     out

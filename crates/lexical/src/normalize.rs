@@ -10,8 +10,7 @@ use std::collections::BTreeSet;
 use cupid_model::{WireError, WireReader, WireWriter};
 
 use crate::intern::{token_id_from_wire, TokenId};
-use crate::stem::stem;
-use crate::thesaurus::Thesaurus;
+use crate::thesaurus::{canon, Thesaurus};
 use crate::token::{Token, TokenType};
 use crate::tokenizer::Tokenizer;
 
@@ -126,15 +125,14 @@ impl Normalizer {
         let mut out = NormalizedName::default();
         // Whole-name expansion first, so mixed-case acronyms (`UoM`) that
         // the tokenizer would split are still recognized.
-        if let Some(expansion) = thesaurus.expand(name.trim()) {
-            let expansion = expansion.to_vec();
-            for word in &expansion {
-                self.push_word(&mut out, word, name.trim(), thesaurus);
+        let trimmed = name.trim();
+        if let Some(expansion) = thesaurus.expand(trimmed) {
+            for word in expansion {
+                self.push_word(&mut out, word, trimmed, thesaurus);
             }
             return out;
         }
-        let raw = self.tokenizer.tokenize(name);
-        for rt in raw {
+        for rt in self.tokenizer.tokenize(name) {
             match rt.ttype {
                 TokenType::Number | TokenType::SpecialSymbol => {
                     out.tokens.push(Token {
@@ -144,15 +142,18 @@ impl Normalizer {
                     });
                 }
                 _ => {
-                    // Expansion happens on the surface form (pre-stem), so
-                    // acronym casing like `UoM` is honoured.
-                    if let Some(expansion) = thesaurus.expand(&rt.text) {
-                        for word in expansion {
-                            self.push_word(&mut out, word, &rt.text, thesaurus);
+                    // Expansion is looked up by the surface form's
+                    // canonical form, so acronym casing like `UoM` is
+                    // honoured; without an expansion, that form is the
+                    // word.
+                    let canonical = canon(&rt.text);
+                    match thesaurus.abbreviations.get(&*canonical) {
+                        Some(expansion) => {
+                            for word in expansion {
+                                self.push_word(&mut out, word, &rt.text, thesaurus);
+                            }
                         }
-                    } else {
-                        let canonical = stem(&rt.text.to_lowercase());
-                        self.push_word(&mut out, &canonical, &rt.text, thesaurus);
+                        None => self.push_word(&mut out, &canonical, &rt.text, thesaurus),
                     }
                 }
             }
@@ -161,12 +162,18 @@ impl Normalizer {
     }
 
     /// Push one canonical word, classifying it (elimination) and tagging
-    /// concepts.
+    /// concepts. Both lookups use the word's own canonical form: `stem` is
+    /// not idempotent, so a canonical word is canonicalized again
+    /// (`Speedings` is the word `speed`, looked up as `spe`).
     fn push_word(&self, out: &mut NormalizedName, word: &str, raw: &str, thesaurus: &Thesaurus) {
-        let ttype =
-            if thesaurus.is_stopword(word) { TokenType::CommonWord } else { TokenType::Content };
+        let key = canon(word);
+        let ttype = if thesaurus.stopwords.contains(&*key) {
+            TokenType::CommonWord
+        } else {
+            TokenType::Content
+        };
         out.tokens.push(Token { text: word.to_string(), raw: raw.to_string(), ttype });
-        if let Some(concept) = thesaurus.concept_of(word) {
+        if let Some(concept) = thesaurus.concepts.get(&*key) {
             if out.concepts.insert(concept.to_string()) {
                 out.tokens.push(Token {
                     text: concept.to_string(),
@@ -256,6 +263,22 @@ mod tests {
         assert!(n.is_vacuous());
         assert!(!norm("Order").is_vacuous());
         assert!(norm("").is_vacuous());
+    }
+
+    #[test]
+    fn canonical_words_are_canonicalized_again_for_lookups() {
+        // `stem` is not idempotent: `speedings` stems to `speed`, which
+        // stems to `spe`, the form both entries are keyed by.
+        let t = ThesaurusBuilder::new()
+            .concept("speed", "velocity")
+            .synonym("speed", "pace", 0.9)
+            .build()
+            .unwrap();
+        let n = Normalizer::default();
+        assert_eq!(n.normalize("Speedings", &t).texts(), ["speed", "velocity"]);
+        assert_eq!(n.normalize("Speed", &t).texts(), ["spe", "velocity"]);
+        assert_eq!(t.token_sim("speed", "spe"), Some(1.0));
+        assert_eq!(t.token_sim("speed", "pace"), Some(0.9));
     }
 
     #[test]

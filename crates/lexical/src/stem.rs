@@ -10,11 +10,19 @@
 //! consonant-doubling repair. Over-stemming is worse than under-stemming
 //! for matching — a false token merge produces false element matches —
 //! so every rule requires a minimum remaining stem length.
+//!
+//! Every rule keeps a prefix of its input except `-ies` → `-y`, so
+//! [`stem`] borrows that prefix and allocates only to append the `y`.
+//! The stemmer is not idempotent: `speedings` stems to `speed`, and
+//! `speed` to `spe`.
+
+use std::borrow::Cow;
 
 /// Stem a single lower-case token.
 ///
 /// The input is expected to be lower case ASCII (the tokenizer guarantees
-/// this); non-ASCII input is returned unchanged.
+/// this); non-ASCII input is returned unchanged. Only an `-ies` plural
+/// allocates; every other stem borrows a prefix of `token`.
 ///
 /// ```
 /// use cupid_lexical::stem;
@@ -24,22 +32,33 @@
 /// assert_eq!(stem("shipping"), "ship");
 /// assert_eq!(stem("address"), "address"); // -ss is not a plural
 /// ```
-pub fn stem(token: &str) -> String {
-    if !token.is_ascii() || token.len() < 3 {
-        return token.to_string();
+pub fn stem(token: &str) -> Cow<'_, str> {
+    match stem_prefix(token) {
+        (kept, false) => Cow::Borrowed(kept),
+        (kept, true) => Cow::Owned(format!("{kept}y")),
     }
-    let mut s = token.to_string();
-    s = step_plural(&s);
-    s = step_ing_ed(&s);
-    s
+}
+
+/// The stem of `token` as the prefix of it that the rules keep, and
+/// whether the `-ies` rule appends a `y` to that prefix.
+pub(crate) fn stem_prefix(token: &str) -> (&str, bool) {
+    if !token.is_ascii() || token.len() < 3 {
+        return (token, false);
+    }
+    match step_plural(token) {
+        // A `-y` stem cannot end in `-ing` or `-ed`.
+        (base, true) => (base, true),
+        (kept, false) => (step_ing_ed(kept), false),
+    }
 }
 
 /// Plural reduction: `-ies` → `-y`, `-sses`/`-xes`/`-ches`/`-shes` → drop
-/// `es`, generic `-s` → drop (but never `-ss` or `-us`).
-fn step_plural(s: &str) -> String {
+/// `es`, generic `-s` → drop (but never `-ss` or `-us`). Returns the kept
+/// prefix and whether a `y` follows it.
+fn step_plural(s: &str) -> (&str, bool) {
     if let Some(base) = s.strip_suffix("ies") {
         if base.len() >= 2 {
-            return format!("{base}y");
+            return (base, true);
         }
     }
     for es_suffix in ["sses", "xes", "ches", "shes", "zes"] {
@@ -47,23 +66,23 @@ fn step_plural(s: &str) -> String {
             // keep everything except the trailing "es"
             let keep = &s[..base.len() + es_suffix.len() - 2];
             if keep.len() >= 2 {
-                return keep.to_string();
+                return (keep, false);
             }
         }
     }
     if s.ends_with('s') && !s.ends_with("ss") && !s.ends_with("us") && !s.ends_with("is") {
         let base = &s[..s.len() - 1];
         if base.len() >= 2 {
-            return base.to_string();
+            return (base, false);
         }
     }
-    s.to_string()
+    (s, false)
 }
 
 /// Strip `-ing` / `-ed`, repairing doubled consonants (`shipping` →
 /// `shipp` → `ship`). Requires at least three characters of stem and at
 /// least one vowel in the remainder, so `string` and `red` survive.
-fn step_ing_ed(s: &str) -> String {
+fn step_ing_ed(s: &str) -> &str {
     for suffix in ["ing", "ed"] {
         if let Some(base) = s.strip_suffix(suffix) {
             if base.len() >= 3 && contains_vowel(base) {
@@ -77,13 +96,13 @@ fn step_ing_ed(s: &str) -> String {
                     && b[n - 1] != b'l'
                     && b[n - 1] != b'z'
                 {
-                    return base[..n - 1].to_string();
+                    return &base[..n - 1];
                 }
-                return base.to_string();
+                return base;
             }
         }
     }
-    s.to_string()
+    s
 }
 
 #[inline]
@@ -151,7 +170,17 @@ mod tests {
     }
 
     #[test]
+    fn not_idempotent_in_general() {
+        // `-ings` loses `s` and then `ing`; the stem left ends in `-ed`,
+        // which a second pass strips. Thesaurus lookups canonicalize
+        // their input again for this reason, canonical tokens included.
+        assert_eq!(stem("speedings"), "speed");
+        assert_eq!(stem("speed"), "spe");
+    }
+
+    #[test]
     fn idempotent_on_paper_vocabulary() {
+        // Only on the paper's vocabulary: see `not_idempotent_in_general`.
         for w in ["line", "item", "city", "ship", "address", "quantity", "territory"] {
             assert_eq!(stem(&stem(w)), stem(w), "stem not idempotent for {w}");
         }

@@ -10,11 +10,19 @@
 //! abbreviation/acronym expansions, stop words (articles, prepositions,
 //! conjunctions) and concept tags. A small default stop-word list ships
 //! with [`Thesaurus::default`]; everything else starts empty.
+//!
+//! Every table is keyed by canonical forms (lower case, then stemmed),
+//! and every lookup canonicalizes its input, canonical tokens included,
+//! since stemming is not idempotent. A lookup borrows its canonical
+//! forms wherever it can, so an ASCII lower-case query allocates
+//! nothing; the synonym and hypernym tables nest first term → second
+//! term → coefficient, so a pair lookup borrows both keys too.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use crate::stem::stem;
+use crate::stem::{stem, stem_prefix};
 
 /// Errors raised while building or parsing a thesaurus.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,17 +60,38 @@ impl fmt::Display for ThesaurusError {
 
 impl std::error::Error for ThesaurusError {}
 
-fn canon(term: &str) -> String {
-    stem(&term.to_lowercase())
+/// The canonical form of a term: lower case, then stemmed. A term that is
+/// ASCII with no upper-case byte is its own lower case, so its stem is
+/// borrowed from it. Any other term is lowered into one `String`, which
+/// is cut to its stem. Lowering can make a term ASCII (U+212A KELVIN SIGN
+/// lowers to `k`), so a non-ASCII term is lowered before it is stemmed.
+///
+/// `stem` is not idempotent, so neither is `canon`: a lookup
+/// canonicalizes every input, canonical tokens included.
+pub(crate) fn canon(term: &str) -> Cow<'_, str> {
+    if term.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase()) {
+        return stem(term);
+    }
+    let mut lower = term.to_lowercase();
+    let (kept, y) = stem_prefix(&lower);
+    lower.truncate(kept.len());
+    if y {
+        lower.push('y');
+    }
+    Cow::Owned(lower)
 }
 
-fn pair_key(a: &str, b: &str) -> (String, String) {
-    let (a, b) = (canon(a), canon(b));
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
+/// Relation entries: first term → second term → coefficient. The nesting
+/// lets a lookup borrow both keys, and iterating it visits entries in
+/// (first, second) order, which the fingerprint encodes.
+type Relations = BTreeMap<String, BTreeMap<String, f64>>;
+
+fn relation(table: &Relations, a: &str, b: &str) -> Option<f64> {
+    table.get(a)?.get(b).copied()
+}
+
+fn relate(table: &mut Relations, a: Cow<'_, str>, b: Cow<'_, str>, coefficient: f64) {
+    table.entry(a.into_owned()).or_default().insert(b.into_owned(), coefficient);
 }
 
 /// A thesaurus: the auxiliary linguistic knowledge Cupid consumes.
@@ -72,15 +101,16 @@ fn pair_key(a: &str, b: &str) -> (String, String) {
 #[derive(Debug, Clone, Default)]
 pub struct Thesaurus {
     /// abbreviation/acronym → expansion token list (canonical forms).
-    abbreviations: BTreeMap<String, Vec<String>>,
+    pub(crate) abbreviations: BTreeMap<String, Vec<String>>,
     /// Stop words: articles, prepositions, conjunctions.
-    stopwords: BTreeSet<String>,
+    pub(crate) stopwords: BTreeSet<String>,
     /// token → concept name (canonical forms), e.g. price/cost/value → money.
-    concepts: BTreeMap<String, String>,
-    /// Symmetric synonym entries with strength coefficients.
-    synonyms: BTreeMap<(String, String), f64>,
+    pub(crate) concepts: BTreeMap<String, String>,
+    /// Symmetric synonym entries with strength coefficients, keyed by the
+    /// lesser canonical term first.
+    synonyms: Relations,
     /// Directed hypernym entries (specific → general) with coefficients.
-    hypernyms: BTreeMap<(String, String), f64>,
+    hypernyms: Relations,
 }
 
 impl Thesaurus {
@@ -102,17 +132,17 @@ impl Thesaurus {
 
     /// Expansion for an abbreviation/acronym, if registered.
     pub fn expand(&self, token: &str) -> Option<&[String]> {
-        self.abbreviations.get(&canon(token)).map(|v| v.as_slice())
+        self.abbreviations.get(&*canon(token)).map(|v| v.as_slice())
     }
 
     /// Is this token a stop word (article/preposition/conjunction)?
     pub fn is_stopword(&self, token: &str) -> bool {
-        self.stopwords.contains(&canon(token))
+        self.stopwords.contains(&*canon(token))
     }
 
     /// Concept tag for a token, if any.
     pub fn concept_of(&self, token: &str) -> Option<&str> {
-        self.concepts.get(&canon(token)).map(String::as_str)
+        self.concepts.get(&*canon(token)).map(String::as_str)
     }
 
     /// Thesaurus similarity between two tokens: exact canonical match is
@@ -125,24 +155,19 @@ impl Thesaurus {
         if ca == cb {
             return Some(1.0);
         }
-        let key = if ca <= cb { (ca.clone(), cb.clone()) } else { (cb.clone(), ca.clone()) };
-        let syn = self.synonyms.get(&key).copied();
-        let hyp = self
-            .hypernyms
-            .get(&(ca.clone(), cb.clone()))
-            .or_else(|| self.hypernyms.get(&(cb, ca)))
-            .copied();
+        let (lo, hi) = if ca <= cb { (&*ca, &*cb) } else { (&*cb, &*ca) };
+        let syn = relation(&self.synonyms, lo, hi);
+        let hyp =
+            relation(&self.hypernyms, &ca, &cb).or_else(|| relation(&self.hypernyms, &cb, &ca));
         match (syn, hyp) {
             (Some(s), Some(h)) => Some(s.max(h)),
-            (Some(s), None) => Some(s),
-            (None, Some(h)) => Some(h),
-            (None, None) => None,
+            (s, h) => s.or(h),
         }
     }
 
     /// Number of synonym + hypernym entries (diagnostics).
     pub fn relation_count(&self) -> usize {
-        self.synonyms.len() + self.hypernyms.len()
+        self.synonyms.values().chain(self.hypernyms.values()).map(BTreeMap::len).sum()
     }
 
     /// Number of abbreviation entries (diagnostics).
@@ -154,7 +179,9 @@ impl Thesaurus {
     /// (abbreviations, stop words, concepts, synonym and hypernym
     /// entries with their exact coefficient bits). Every table is a
     /// `BTreeMap`/`BTreeSet`, so iteration — and therefore the
-    /// fingerprint — is independent of insertion order. Snapshots store
+    /// fingerprint — is independent of insertion order. A relation table
+    /// is encoded as one list of (first, second, coefficient) entries in
+    /// that order, so its bytes do not depend on the nesting. Snapshots store
     /// this next to the config fingerprint: a persisted similarity memo
     /// is only valid for the exact thesaurus it was computed with, so a
     /// mismatch invalidates the snapshot (DESIGN.md §8).
@@ -170,10 +197,14 @@ impl Thesaurus {
             w.put_str(concept);
         });
         for table in [&self.synonyms, &self.hypernyms] {
-            w.put_list(table, |w, ((a, b), coeff)| {
+            let entries: Vec<(&String, &String, f64)> = table
+                .iter()
+                .flat_map(|(a, row)| row.iter().map(move |(b, &coeff)| (a, b, coeff)))
+                .collect();
+            w.put_list(entries, |w, (a, b, coeff)| {
                 w.put_str(a);
                 w.put_str(b);
-                w.put_f64(*coeff);
+                w.put_f64(coeff);
             });
         }
         cupid_model::fnv1a(w.bytes())
@@ -282,9 +313,9 @@ impl ThesaurusBuilder {
 
     /// Register an abbreviation/acronym expansion, e.g. `PO` → `purchase order`.
     pub fn abbreviation(mut self, short: &str, expansion: &[&str]) -> Self {
-        let exp: Vec<String> = expansion.iter().map(|w| canon(w)).collect();
+        let exp: Vec<String> = expansion.iter().map(|w| canon(w).into_owned()).collect();
         if !exp.is_empty() {
-            self.thesaurus.abbreviations.insert(canon(short), exp);
+            self.thesaurus.abbreviations.insert(canon(short).into_owned(), exp);
         }
         self
     }
@@ -299,7 +330,9 @@ impl ThesaurusBuilder {
             });
             return self;
         }
-        self.thesaurus.synonyms.insert(pair_key(a, b), coefficient);
+        let (a, b) = (canon(a), canon(b));
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        relate(&mut self.thesaurus.synonyms, lo, hi, coefficient);
         self
     }
 
@@ -314,19 +347,19 @@ impl ThesaurusBuilder {
             });
             return self;
         }
-        self.thesaurus.hypernyms.insert((canon(specific), canon(general)), coefficient);
+        relate(&mut self.thesaurus.hypernyms, canon(specific), canon(general), coefficient);
         self
     }
 
     /// Tag a token with a concept name (e.g. `price` → `money`).
     pub fn concept(mut self, token: &str, concept: &str) -> Self {
-        self.thesaurus.concepts.insert(canon(token), canon(concept));
+        self.thesaurus.concepts.insert(canon(token).into_owned(), canon(concept).into_owned());
         self
     }
 
     /// Add a stop word.
     pub fn stopword(mut self, word: &str) -> Self {
-        self.thesaurus.stopwords.insert(canon(word));
+        self.thesaurus.stopwords.insert(canon(word).into_owned());
         self
     }
 
@@ -445,6 +478,49 @@ mod tests {
         assert_eq!(t.concept_of("cost"), Some("money"));
         assert!(t.is_stopword("of"));
         assert_eq!(t.fingerprint(), 0xd044_0440_030e_daab, "every table's encoding is pinned");
+    }
+
+    #[test]
+    fn relation_tables_encode_by_first_then_second_term() {
+        // First terms repeat in both tables, so ordering the entries by
+        // second term, or by insertion, changes the bytes.
+        let t = Thesaurus::parse(
+            "syn invoice bill 1.0\n\
+             syn bill statement 0.6\n\
+             syn charge bill 0.7\n\
+             syn price cost 0.8\n\
+             syn amount cost 0.5\n\
+             syn Bills invoices 0.9\n\
+             hyper customer person 0.8\n\
+             hyper customer party 0.7\n\
+             hyper customer agent 0.3\n\
+             hyper client person 0.75\n\
+             hyper vendor party 0.6\n",
+        )
+        .unwrap();
+        assert_eq!(t.relation_count(), 10);
+        assert_eq!(t.token_sim("invoice", "bill"), Some(0.9), "a repeated pair keeps its last");
+        assert_eq!(t.token_sim("agents", "Customer"), Some(0.3));
+        assert_eq!(t.fingerprint(), 0x002d_ea7e_7a1f_9cf8, "recorded with pair keys");
+    }
+
+    #[test]
+    fn lookups_lowercase_before_they_stem() {
+        let t = ThesaurusBuilder::new()
+            .concept("kittens", "pet")
+            .concept("boxes", "container")
+            .concept("city", "place")
+            .concept("straße", "place")
+            .abbreviation("UoM", &["unit", "of", "measure"])
+            .build()
+            .unwrap();
+        // U+212A KELVIN SIGN is not ASCII, and lowercases to ASCII `k`.
+        assert_eq!(t.concept_of("\u{212A}ittens"), Some("pet"));
+        assert_eq!(t.concept_of("BOXES"), Some("container"));
+        assert_eq!(t.concept_of("CITIES"), Some("place"));
+        assert_eq!(t.concept_of("Straße"), Some("place"));
+        assert!(t.is_stopword("OF"));
+        assert_eq!(t.expand("UoM").unwrap(), ["unit", "of", "measure"]);
     }
 
     #[test]
