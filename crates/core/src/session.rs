@@ -3,7 +3,7 @@
 //! A session amortizes everything a single [`crate::Cupid`] match throws
 //! away: each schema is prepared **once** (expansion, normalization,
 //! categorization, interning into one session-wide `TokenTable`), and
-//! one growable token-similarity memo persists across every pair, so a
+//! the table's token-similarity memo persists across every pair, so a
 //! distinct token pair is computed once per *corpus* instead of once per
 //! *match*. Pair worklists are sharded across OS threads with
 //! [`std::thread::scope`], every shard filling the one memo in place;
@@ -256,14 +256,15 @@ pub struct SessionStats {
     /// interner's memory footprint gauge.
     pub vocab_bytes: usize,
     /// Distinct token pairs whose similarity is memoized in the session
-    /// store — every further comparison anywhere in the corpus is a
-    /// lookup.
+    /// table's token memo — every further comparison anywhere in the
+    /// corpus is a lookup.
     pub distinct_pairs_computed: usize,
-    /// Chunks the session's [`SimStore`] has allocated (32 KiB each;
-    /// only touched regions of the triangular index space materialize).
+    /// Chunks the token memo ([`TokenTable::store`]) has allocated
+    /// (32 KiB each; only touched regions of the triangular index space
+    /// materialize).
     pub sim_chunks: usize,
     /// Bytes committed by the similarity memos: those chunks plus the
-    /// name memo's slots ([`TokenTable::name_memo_bytes`]).
+    /// name memo's ([`TokenTable::name_memo_bytes`]).
     pub sim_bytes: usize,
 }
 
@@ -284,7 +285,6 @@ pub struct MatchSession<'a> {
     config: &'a CupidConfig,
     thesaurus: &'a Thesaurus,
     table: TokenTable,
-    store: SimStore,
     schemas: Vec<PreparedSchema>,
     threads: usize,
     top_k: usize,
@@ -303,7 +303,6 @@ impl<'a> MatchSession<'a> {
             config,
             thesaurus,
             table: TokenTable::new(),
-            store: SimStore::new(),
             schemas: Vec::new(),
             threads,
             top_k: 10,
@@ -368,18 +367,9 @@ impl<'a> MatchSession<'a> {
     }
 
     fn push_prepared(&mut self, name: String, tree: SchemaTree, raw: RawSchemaLing) -> SchemaId {
-        let ling = self.intern(raw);
+        let ling = raw.intern(&mut self.table);
         self.schemas.push(PreparedSchema { name, tree, ling });
         SchemaId(self.schemas.len() - 1)
-    }
-
-    /// Intern a schema's names into the session table and reserve the
-    /// memo for the grown table: every point where the table grows goes
-    /// through here, or the new tokens' pairs would go unmemoized.
-    fn intern(&mut self, raw: RawSchemaLing) -> SchemaLing {
-        let ling = raw.intern(&mut self.table);
-        self.store.reserve(self.table.len());
-        ling
     }
 
     /// Re-prepare the schema at `id` in place — the incremental-update
@@ -390,7 +380,7 @@ impl<'a> MatchSession<'a> {
     /// whole warm similarity memo — valid.
     pub fn replace(&mut self, id: SchemaId, schema: &Schema) -> Result<(), ModelError> {
         let tree = expand(schema, &self.config.expand)?;
-        let ling = self.intern(RawSchemaLing::of(schema, self.thesaurus));
+        let ling = RawSchemaLing::of(schema, self.thesaurus).intern(&mut self.table);
         self.schemas[id.0] = PreparedSchema { name: schema.name().to_string(), tree, ling };
         Ok(())
     }
@@ -406,30 +396,26 @@ impl<'a> MatchSession<'a> {
     }
 
     /// Rebuild a session from exported state: the (config, thesaurus)
-    /// pair it will match under, plus the token table, similarity memo
-    /// (reserved here for the table) and prepared schemas of a
-    /// snapshot. The caller attests the three parts belong together —
-    /// the repository enforces this with config/thesaurus fingerprints
-    /// before calling (DESIGN.md §8).
+    /// pair it will match under, plus the token table (with its memos)
+    /// and prepared schemas of a snapshot. The caller attests the parts
+    /// belong together — the repository enforces this with
+    /// config/thesaurus fingerprints before calling (DESIGN.md §8).
     pub fn from_parts(
         config: &'a CupidConfig,
         thesaurus: &'a Thesaurus,
         table: TokenTable,
-        mut store: SimStore,
         schemas: Vec<PreparedSchema>,
     ) -> Self {
-        store.reserve(table.len());
         let mut session = MatchSession::new(config, thesaurus);
         session.table = table;
-        session.store = store;
         session.schemas = schemas;
         session
     }
 
     /// Decompose the session into its persistent parts (token table,
-    /// similarity memo, prepared schemas) for snapshotting.
-    pub fn into_parts(self) -> (TokenTable, SimStore, Vec<PreparedSchema>) {
-        (self.table, self.store, self.schemas)
+    /// with its memos, and prepared schemas) for snapshotting.
+    pub fn into_parts(self) -> (TokenTable, Vec<PreparedSchema>) {
+        (self.table, self.schemas)
     }
 
     /// The session's token table (snapshot export).
@@ -437,9 +423,9 @@ impl<'a> MatchSession<'a> {
         &self.table
     }
 
-    /// The session's similarity memo (snapshot export).
+    /// The session's token memo ([`TokenTable::store`]).
     pub fn store(&self) -> &SimStore {
-        &self.store
+        self.table.store()
     }
 
     /// Number of schemas prepared so far.
@@ -475,9 +461,9 @@ impl<'a> MatchSession<'a> {
             pairs_matched: self.pairs_matched(),
             vocab_size: self.table.len(),
             vocab_bytes: self.table.approx_bytes(),
-            distinct_pairs_computed: self.store.distinct_pairs_computed(),
-            sim_chunks: self.store.allocated_chunks(),
-            sim_bytes: self.store.allocated_bytes() + self.table.name_memo_bytes(),
+            distinct_pairs_computed: self.table.store().distinct_pairs_computed(),
+            sim_chunks: self.table.store().allocated_chunks(),
+            sim_bytes: self.table.store().allocated_bytes() + self.table.name_memo_bytes(),
         }
     }
 
@@ -540,8 +526,7 @@ impl<'a> MatchSession<'a> {
         step: impl Fn(&Self, SchemaId, SchemaId, &mut TokenSimCache<'_>) -> T + Sync,
     ) -> Vec<T> {
         sharded(self.threads, worklist, |shard| {
-            let mut cache =
-                TokenSimCache::shared(&self.table, self.thesaurus, &self.config.affix, &self.store);
+            let mut cache = TokenSimCache::new(&self.table, self.thesaurus, &self.config.affix);
             shard.iter().map(|&(a, b)| step(self, a, b, &mut cache)).collect::<Vec<_>>()
         })
         .into_iter()
@@ -992,7 +977,7 @@ mod tests {
 
     #[test]
     fn imported_prepared_schema_matches_bit_identically() {
-        // Round-trip *every* prepared schema plus the table and store,
+        // Round-trip *every* prepared schema plus the table and its memo,
         // rebuild a session from the parts, and check a pair executes
         // to the exact same summary — the snapshot bit-identity
         // argument in miniature (DESIGN.md §8).
@@ -1004,25 +989,23 @@ mod tests {
         let want: Vec<MatchSummary> = session.match_all_pairs();
         let vocab = session.stats().vocab_size;
 
-        let (table, store, schemas) = session.into_parts();
+        let (table, schemas) = session.into_parts();
         let mut w = WireWriter::new();
         table.write_wire(&mut w);
-        store.write_wire(&mut w);
         w.put_list(&schemas, |w, s| s.write_wire(w));
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
         let mut table2 = cupid_lexical::TokenTable::read_wire(&mut r).unwrap();
-        let store2 = SimStore::read_wire(&mut r, table2.len()).unwrap();
         let schemas2 = r.get_list(|r| PreparedSchema::read_wire(r, &mut table2)).unwrap();
         assert_eq!(table2.len(), vocab);
         r.finish().unwrap();
 
-        let session = MatchSession::from_parts(&cfg, &th, table2, store2, schemas2).threads(1);
+        let session = MatchSession::from_parts(&cfg, &th, table2, schemas2).threads(1);
         let got = session.match_all_pairs();
         assert_eq!(got, want);
         assert_eq!(
             session.stats().distinct_pairs_computed,
-            store.distinct_pairs_computed(),
+            table.store().distinct_pairs_computed(),
             "a warm store answers every repeated pair without recomputing"
         );
         let _ = ids;

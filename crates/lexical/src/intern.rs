@@ -15,13 +15,14 @@
 //!   `|V|·(|V|+1)/2` index space of the interned vocabulary: each
 //!   distinct token pair is computed exactly once (symmetry of `sim`
 //!   makes the triangular layout lossless), and every further
-//!   comparison is a single array load. The backing [`SimStore`]
-//!   allocates in chunks on first touch, survives table growth, and is
-//!   filled through `&`, so one memo serves every pair and every shard
-//!   of a batch session (DESIGN.md §7).
+//!   comparison is a single array load.
 //! * One level up, the table interns element names into [`NameId`]s and
-//!   keeps `ns` per name pair in a write-once slot table that every
-//!   cache fills through `&` ([`TokenSimCache::name_sim`]).
+//!   memoizes `ns` per name pair ([`TokenSimCache::name_sim`]).
+//!
+//! Both memos are [`SimStore`]s owned by the table: chunked, allocated
+//! on first write, reserved by the interning call that grows the table,
+//! and filled through `&`, so one memo serves every pair and every
+//! shard of a batch session (DESIGN.md §7).
 //!
 //! The interned fast path is bit-identical to the direct string path —
 //! both call the same [`crate::strsim::class_similarity`] on the same
@@ -90,7 +91,8 @@ impl NameId {
 }
 
 /// Name ids at or past this bound are not memoized, which caps the name
-/// memo at the triangle of 1,024 names: 524,800 slots, 4.0 MiB.
+/// memo at the triangle of 1,024 names: 524,800 slots in 129 chunks,
+/// 4,227,072 bytes.
 pub const NAME_BOUND: usize = 1024;
 
 /// Token ids at or past this bound are not memoized, which caps the
@@ -98,36 +100,6 @@ pub const NAME_BOUND: usize = 1024;
 /// directory of 2,049 entries (48 KiB) and at most 2,049 chunks
 /// (64 MiB).
 pub const TOKEN_BOUND: usize = 4096;
-
-/// Slots per chunk of a [`SlotTable`] (8 KiB).
-const SLOT_CHUNK: usize = 1024;
-
-/// Write-once `f64` slots shared through `&`: chunks of `AtomicU64`
-/// holding f64 bits, `NaN` meaning "not computed", allocated under
-/// `&mut`. Readers `load` and `store` with `Relaxed`: a slot publishes
-/// no other data, and it memoizes a pure function, so threads racing on
-/// it store the same bits.
-#[derive(Debug, Default)]
-struct SlotTable {
-    chunks: Vec<Box<[AtomicU64]>>,
-}
-
-impl SlotTable {
-    /// Allocate chunks until the triangle over `ids` ids (capped at
-    /// [`NAME_BOUND`]) has slots.
-    fn reserve(&mut self, ids: usize) {
-        let n = ids.min(NAME_BOUND);
-        while self.chunks.len() * SLOT_CHUNK < n * (n + 1) / 2 {
-            let nan = f64::NAN.to_bits();
-            self.chunks.push((0..SLOT_CHUNK).map(|_| AtomicU64::new(nan)).collect());
-        }
-    }
-
-    #[inline]
-    fn slot(&self, k: usize) -> &AtomicU64 {
-        &self.chunks[k / SLOT_CHUNK][k % SLOT_CHUNK]
-    }
-}
 
 /// Interner mapping `(similarity class, canonical token text)` to dense
 /// [`TokenId`]s.
@@ -137,36 +109,25 @@ impl SlotTable {
 /// every token comparison the linguistic phase will make. Batch sessions
 /// reuse one table across pairs.
 ///
-/// The table also interns element-name keys into [`NameId`]s and owns
-/// the name memo ([`TokenSimCache::name_sim`]), so every cache over it
-/// must use one thesaurus, affix configuration and set of token weights.
-/// Names are derived state: the wire format omits them, and a decoded or
-/// cloned table starts with an empty memo.
-#[derive(Debug, Default)]
+/// The table owns both memos: `sim` per token pair ([`TokenTable::store`])
+/// and `ns` per name pair ([`TokenSimCache::name_sim`]), each reserved
+/// by the call that grows the table, and a clone copies both. So every
+/// cache over it must use one thesaurus, affix configuration and set of
+/// token weights. Names are derived state: the wire format omits them,
+/// and a decoded table starts with an empty name memo.
+#[derive(Debug, Default, Clone)]
 pub struct TokenTable {
     /// Per-[`SimClass`] text → id index (split per class so lookups can
     /// borrow `&str` without building a composite key).
     index: [HashMap<String, u32>; 3],
     /// id → (class, text), in interning order.
     entries: Vec<(SimClass, String)>,
+    /// `sim` per token pair.
+    sims: SimStore,
     /// Name key → name id.
     names: HashMap<Box<[u32]>, u32>,
-    /// `ns` per name pair over the triangular index `j·(j+1)/2 + i`.
-    name_sims: SlotTable,
-}
-
-impl Clone for TokenTable {
-    /// A copy of the interned tokens and names with an empty name memo.
-    fn clone(&self) -> Self {
-        let mut name_sims = SlotTable::default();
-        name_sims.reserve(self.names.len());
-        TokenTable {
-            index: self.index.clone(),
-            entries: self.entries.clone(),
-            names: self.names.clone(),
-            name_sims,
-        }
-    }
+    /// `ns` per name pair.
+    name_sims: SimStore,
 }
 
 impl TokenTable {
@@ -205,14 +166,14 @@ impl TokenTable {
 
     /// Intern an element name by a key that decides its `ns` against
     /// every other name, so equal keys can share memo slots, and
-    /// allocate its slots.
+    /// reserve the name memo for it.
     pub fn intern_key(&mut self, key: &[u32]) -> NameId {
         if let Some(&id) = self.names.get(key) {
             return NameId(id);
         }
         let id = u32::try_from(self.names.len()).expect("names exceed u32");
         self.names.insert(key.into(), id);
-        self.name_sims.reserve(self.names.len());
+        self.name_sims.reserve(self.names.len().min(NAME_BOUND));
         NameId(id)
     }
 
@@ -221,12 +182,19 @@ impl TokenTable {
         self.names.len()
     }
 
-    /// Bytes committed by the name memo's slots.
+    /// Bytes committed by the name memo's chunks.
     pub fn name_memo_bytes(&self) -> usize {
-        self.name_sims.chunks.len() * SLOT_CHUNK * std::mem::size_of::<AtomicU64>()
+        self.name_sims.allocated_bytes()
     }
 
-    /// Intern a `(class, text)` pair, returning its dense id.
+    /// The token memo, which every [`TokenSimCache::new`] over the table
+    /// fills.
+    pub fn store(&self) -> &SimStore {
+        &self.sims
+    }
+
+    /// Intern a `(class, text)` pair, returning its dense id, and
+    /// reserve the token memo for it.
     pub fn intern(&mut self, class: SimClass, text: &str) -> TokenId {
         let map = &mut self.index[class.index()];
         if let Some(&id) = map.get(text) {
@@ -235,6 +203,7 @@ impl TokenTable {
         let id = u32::try_from(self.entries.len()).expect("vocabulary exceeds u32");
         map.insert(text.to_string(), id);
         self.entries.push((class, text.to_string()));
+        self.sims.reserve(self.entries.len());
         TokenId(id)
     }
 
@@ -283,12 +252,14 @@ impl TokenTable {
             .map(|(i, (c, t))| (TokenId::from_raw(i as u32), *c, t.as_str()))
     }
 
-    /// Encode the table: every entry in id order (names are not written).
+    /// Encode the table: every entry in id order, then the token memo
+    /// (names and their memo are not written).
     pub fn write_wire(&self, w: &mut WireWriter) {
         w.put_list(&self.entries, |w, (c, t)| {
             w.put_u8(c.index() as u8);
             w.put_str(t);
         });
+        self.sims.write_wire(w);
     }
 
     /// Decode a table written by [`TokenTable::write_wire`]. Entries
@@ -310,6 +281,7 @@ impl TokenTable {
                 return Err(r.err(format!("duplicate interned entry at id {i}")));
             }
         }
+        table.sims = SimStore::read_wire(r, table.len())?;
         Ok(table)
     }
 }
@@ -322,21 +294,23 @@ const CHUNK_LEN: usize = 1 << CHUNK_BITS;
 /// A slot's "not computed" bits.
 const NAN_BITS: u64 = f64::NAN.to_bits();
 
-/// The backing store of a [`TokenSimCache`]: memoized `sim` values over
-/// the triangular index space `k = j·(j+1)/2 + i` (`i ≤ j`), a
-/// write-once memo that caches fill through `&` (DESIGN.md §7). Slots
-/// are `AtomicU64`s holding f64 bits, `NaN` meaning "not computed", in
-/// fixed-size chunks allocated on first write instead of as an eager
-/// `|V|·(|V|+1)/2` buffer — corpus-scale vocabularies would otherwise
-/// commit quadratic memory up front.
+/// A memo of a symmetric pure function over the triangular index space
+/// `k = j·(j+1)/2 + i` (`i ≤ j`) of a [`TokenTable`]'s ids: `sim` per
+/// token pair, or `ns` per name pair. A write-once memo that caches
+/// fill through `&` (DESIGN.md §7). Slots are `AtomicU64`s holding f64
+/// bits, `NaN` meaning "not computed", in fixed-size chunks allocated on
+/// first write instead of as an eager `|V|·(|V|+1)/2` buffer —
+/// corpus-scale vocabularies would otherwise commit quadratic memory up
+/// front.
 ///
-/// The chunk directory grows only under `&mut` ([`SimStore::reserve`]),
-/// to the triangle of the [`TokenTable`] the store indexes, capped at
-/// [`TOKEN_BOUND`]'s; a pair past it is computed and not memoized.
-/// Because `k` depends only on the pair `(i, j)`, the store stays valid
-/// when its table grows. Slots are read and written `Relaxed`: a slot
-/// publishes no other data, and it memoizes a pure function, so threads
-/// racing on it write the same bits and only the first write counts.
+/// The chunk directory grows only under `&mut`, when the table that owns
+/// the store grows, to the table's triangle, capped at [`TOKEN_BOUND`]'s
+/// (names at [`NAME_BOUND`]'s); a pair past it is computed and not
+/// memoized. Because `k` depends only on the pair `(i, j)`, the store
+/// stays valid when its table grows. Slots are read and written
+/// `Relaxed`: a slot publishes no other data, and it memoizes a pure
+/// function, so threads racing on it write the same bits and only the
+/// first write counts.
 #[derive(Debug, Default)]
 pub struct SimStore {
     chunks: Vec<OnceLock<Box<[AtomicU64]>>>,
@@ -366,11 +340,11 @@ impl SimStore {
         SimStore::default()
     }
 
-    /// Grow the chunk directory to the triangle of a `vocab`-token
-    /// table, capped at [`TOKEN_BOUND`], so every pair of its tokens
-    /// below the bound is memoized. Chunks are still allocated on their
-    /// first write.
-    pub fn reserve(&mut self, vocab: usize) {
+    /// Grow the chunk directory to the triangle of `vocab` ids (tokens,
+    /// or names), capped at [`TOKEN_BOUND`], so every pair of them below
+    /// the bound is memoized. Chunks are still allocated on their first
+    /// write.
+    pub(crate) fn reserve(&mut self, vocab: usize) {
         let vocab = vocab.min(TOKEN_BOUND);
         let len = (vocab * (vocab + 1) / 2).div_ceil(CHUNK_LEN);
         if len > self.chunks.len() {
@@ -378,28 +352,32 @@ impl SimStore {
         }
     }
 
-    /// Memoized value at triangular index `k`, or `NaN` if not yet
-    /// computed.
+    /// The memoized value of the pair `(a, b)`, computed as `f(i, j)`
+    /// over the ordered pair (`i ≤ j`) on a miss and then written, unless
+    /// its slot lies past the reserved directory; only the write that
+    /// fills the slot counts. A pair whose larger id is at or past
+    /// `bound` is computed every time: the directory is rounded up to
+    /// whole chunks, so it has slots for a few such pairs.
     #[inline]
-    fn get(&self, k: usize) -> f64 {
-        match self.chunks.get(k >> CHUNK_BITS).and_then(OnceLock::get) {
-            Some(chunk) => f64::from_bits(chunk[k & (CHUNK_LEN - 1)].load(Relaxed)),
-            None => f64::NAN,
+    fn memo(&self, a: u32, b: u32, bound: usize, f: impl FnOnce(usize, usize) -> f64) -> f64 {
+        let (i, j) = if a <= b { (a as usize, b as usize) } else { (b as usize, a as usize) };
+        if j >= bound {
+            return f(i, j);
         }
-    }
-
-    /// Record a freshly computed value at triangular index `k`, unless
-    /// `k` lies past the reserved directory. Only the write that fills
-    /// the slot counts.
-    #[inline]
-    fn set(&self, k: usize, v: f64) {
-        let Some(chunk) = self.chunks.get(k >> CHUNK_BITS) else { return };
-        let chunk =
+        let k = j * (j + 1) / 2 + i;
+        let Some(chunk) = self.chunks.get(k >> CHUNK_BITS) else { return f(i, j) };
+        let slot = k & (CHUNK_LEN - 1);
+        let hit = chunk.get().map(|slots| f64::from_bits(slots[slot].load(Relaxed)));
+        if let Some(v) = hit.filter(|v| !v.is_nan()) {
+            return v;
+        }
+        let v = f(i, j);
+        let slots =
             chunk.get_or_init(|| (0..CHUNK_LEN).map(|_| AtomicU64::new(NAN_BITS)).collect());
-        let slot = &chunk[k & (CHUNK_LEN - 1)];
-        if slot.compare_exchange(NAN_BITS, v.to_bits(), Relaxed, Relaxed).is_ok() {
+        if slots[slot].compare_exchange(NAN_BITS, v.to_bits(), Relaxed, Relaxed).is_ok() {
             self.computed.fetch_add(1, Relaxed);
         }
+        v
     }
 
     /// Distinct token pairs computed into this store (diagnostics: the
@@ -492,11 +470,10 @@ impl SimStore {
 /// pair at most once and answers every repeat from the backing
 /// [`SimStore`]. Filling is lazy — chunk allocation included — so
 /// pairs never compared (e.g. same-schema pairs) cost nothing. The
-/// cache fills either a store it owns ([`TokenSimCache::new`],
-/// [`TokenSimCache::with_store`], detached by
-/// [`TokenSimCache::into_store`]) or one it shares
-/// ([`TokenSimCache::shared`]): a batch session runs every shard over
-/// its one store, filled in place (DESIGN.md §7).
+/// cache fills either the table's memo in place ([`TokenSimCache::new`]:
+/// a batch session runs every shard over it, DESIGN.md §7) or a store
+/// it owns ([`TokenSimCache::with_store`], detached by
+/// [`TokenSimCache::into_store`]).
 #[derive(Debug)]
 pub struct TokenSimCache<'a> {
     table: &'a TokenTable,
@@ -506,9 +483,10 @@ pub struct TokenSimCache<'a> {
 }
 
 impl<'a> TokenSimCache<'a> {
-    /// A cold cache over the table's vocabulary.
+    /// A cache filling the table's memo ([`TokenTable::store`]) in
+    /// place, beside every other cache over the table.
     pub fn new(table: &'a TokenTable, thesaurus: &'a Thesaurus, affix: &AffixConfig) -> Self {
-        TokenSimCache::with_store(table, thesaurus, affix, SimStore::new())
+        TokenSimCache { table, thesaurus, affix: *affix, store: Cow::Borrowed(&table.sims) }
     }
 
     /// A cache resuming from a previously detached [`SimStore`],
@@ -526,20 +504,8 @@ impl<'a> TokenSimCache<'a> {
         TokenSimCache { table, thesaurus, affix: *affix, store: Cow::Owned(store) }
     }
 
-    /// A cache filling `store` in place, beside every other cache over
-    /// it. Its owner reserves it for the table ([`SimStore::reserve`]);
-    /// the same contract as [`TokenSimCache::with_store`] holds.
-    pub fn shared(
-        table: &'a TokenTable,
-        thesaurus: &'a Thesaurus,
-        affix: &AffixConfig,
-        store: &'a SimStore,
-    ) -> Self {
-        TokenSimCache { table, thesaurus, affix: *affix, store: Cow::Borrowed(store) }
-    }
-
     /// Detach the backing store, e.g. to persist it across pairs. A
-    /// shared cache returns a copy of the store it fills.
+    /// cache over the table's memo returns a copy of it.
     pub fn into_store(self) -> SimStore {
         self.store.into_owned()
     }
@@ -550,25 +516,11 @@ impl<'a> TokenSimCache<'a> {
     /// time.
     #[inline]
     pub fn sim(&mut self, a: TokenId, b: TokenId) -> f64 {
-        let (i, j) = if a.0 <= b.0 { (a.index(), b.index()) } else { (b.index(), a.index()) };
-        if j >= TOKEN_BOUND {
-            return self.compute(i, j);
-        }
-        let k = j * (j + 1) / 2 + i;
-        let v = self.store.get(k);
-        if !v.is_nan() {
-            return v;
-        }
-        let v = self.compute(i, j);
-        self.store.set(k, v);
-        v
-    }
-
-    /// `sim` of the tokens with ids `i` and `j`, unmemoized.
-    fn compute(&self, i: usize, j: usize) -> f64 {
-        let (ca, ta) = &self.table.entries[i];
-        let (cb, tb) = &self.table.entries[j];
-        class_similarity(*ca, ta, *cb, tb, self.thesaurus, &self.affix)
+        let entries = &self.table.entries;
+        self.store.memo(a.0, b.0, TOKEN_BOUND, |i, j| {
+            let ((ca, ta), (cb, tb)) = (&entries[i], &entries[j]);
+            class_similarity(*ca, ta, *cb, tb, self.thesaurus, &self.affix)
+        })
     }
 
     /// `ns` of two names through the table's name memo: a hit is one
@@ -577,18 +529,8 @@ impl<'a> TokenSimCache<'a> {
     /// symmetric bit for bit.
     #[inline]
     pub fn name_sim(&mut self, a: NameId, b: NameId, ns: impl FnOnce(&mut Self) -> f64) -> f64 {
-        let (i, j) = if a.0 <= b.0 { (a.index(), b.index()) } else { (b.index(), a.index()) };
-        if j >= NAME_BOUND {
-            return ns(self);
-        }
-        let slot = self.table.name_sims.slot(j * (j + 1) / 2 + i);
-        let v = f64::from_bits(slot.load(Relaxed));
-        if v.is_nan() {
-            let v = ns(self);
-            slot.store(v.to_bits(), Relaxed);
-            return v;
-        }
-        v
+        let table = self.table;
+        table.name_sims.memo(a.0, b.0, NAME_BOUND, |_, _| ns(self))
     }
 
     /// Vocabulary size `|V|` the cache spans.
@@ -806,7 +748,7 @@ mod tests {
     fn store_wire_rejects_corrupt_directories() {
         let mut store = SimStore::new();
         store.reserve(3);
-        store.set(3, 0.25);
+        store.memo(0, 2, TOKEN_BOUND, |_, _| 0.25);
         let mut w = cupid_model::WireWriter::new();
         store.write_wire(&mut w);
         let mut bytes = w.into_bytes();
@@ -818,18 +760,17 @@ mod tests {
 
     #[test]
     fn store_chunks_allocate_lazily() {
-        // Touch a high triangular index; only its chunk materializes,
-        // and only once the directory is reserved past it.
+        // Touch a high triangular index, 285·286/2 + 212 = 10·4,096 + 7;
+        // only its chunk materializes, and only once the directory is
+        // reserved past it.
         let mut store = SimStore::new();
-        let k = 10 * CHUNK_LEN + 7;
-        store.set(k, 0.5);
-        assert!(store.get(k).is_nan(), "a slot past the directory is not memoized");
+        let fill = |store: &SimStore, v| store.memo(212, 285, TOKEN_BOUND, |_, _| v);
+        assert_eq!(fill(&store, 0.5), 0.5);
+        assert_eq!(fill(&store, 0.25), 0.25, "a slot past the directory is not memoized");
         store.reserve(300); // 45,150 pairs: 12 chunks
-        store.set(k, 0.5);
-        store.set(k, 0.5);
-        assert_eq!(store.get(k), 0.5);
-        assert!(store.get(0).is_nan(), "untouched chunks stay unallocated");
-        assert_eq!(store.allocated_chunks(), 1);
+        assert_eq!(fill(&store, 0.5), 0.5);
+        assert_eq!(fill(&store, 0.25), 0.5, "a hit");
+        assert_eq!(store.allocated_chunks(), 1, "untouched chunks stay unallocated");
         assert_eq!(store.distinct_pairs_computed(), 1, "only the filling write counts");
     }
 }

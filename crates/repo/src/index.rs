@@ -174,7 +174,7 @@ mod tests {
         let th = Thesaurus::with_default_stopwords();
         let mut session = MatchSession::new(&cfg, &th).threads(1);
         session.add_corpus(schemas).unwrap();
-        let (_, _, prepared) = session.into_parts();
+        let (_, prepared) = session.into_parts();
         DiscoveryIndex::build(&prepared)
     }
 

@@ -410,13 +410,7 @@ impl<'a> Repository<'a> {
             lock,
         };
         if let Some(state) = state {
-            repo.session = MatchSession::from_parts(
-                config,
-                thesaurus,
-                state.table,
-                state.store,
-                state.prepared,
-            );
+            repo.session = MatchSession::from_parts(config, thesaurus, state.table, state.prepared);
             repo.names = state.names;
             repo.sources = state.sources;
             repo.hashes = state.hashes;
@@ -896,7 +890,6 @@ impl<'a> Repository<'a> {
             sources: &self.sources,
             prepared: self.session.prepared(),
             table: self.session.table(),
-            store: self.session.store(),
             cache,
         };
         let bytes =

@@ -8,8 +8,8 @@
 //! version      u32       currently 1
 //! config_fp    u64       CupidConfig::fingerprint()
 //! thesaurus_fp u64       Thesaurus::fingerprint()
-//! token table            TokenTable wire (entries in id order)
-//! sim store              SimStore wire (allocated chunks, f64 bits)
+//! token table            TokenTable wire: entries in id order, then
+//!                        its token memo (allocated chunks, f64 bits)
 //! schema count u32
 //!   per schema: name, content hash u64, Schema wire, PreparedSchema wire
 //! cache count  u32
@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 
 use cupid_core::{MatchSummary, PreparedSchema};
-use cupid_lexical::{SimStore, TokenTable};
+use cupid_lexical::TokenTable;
 use cupid_model::{fnv1a, Schema, WireReader, WireWriter};
 
 use crate::RepoError;
@@ -48,10 +48,8 @@ pub(crate) struct SnapshotState {
     pub sources: Vec<Schema>,
     /// Prepared per-schema precompute, parallel to `names`.
     pub prepared: Vec<PreparedSchema>,
-    /// The session token table (vocabulary in id order).
+    /// The session token table (vocabulary in id order, token memo).
     pub table: TokenTable,
-    /// The session similarity memo.
-    pub store: SimStore,
     /// Per-pair summary cache, keyed by (source hash, target hash).
     pub cache: BTreeMap<(u64, u64), MatchSummary>,
 }
@@ -69,8 +67,6 @@ pub(crate) struct SnapshotRefs<'a> {
     pub prepared: &'a [PreparedSchema],
     /// The session token table.
     pub table: &'a TokenTable,
-    /// The session similarity memo.
-    pub store: &'a SimStore,
     /// Per-pair summary cache.
     pub cache: &'a BTreeMap<(u64, u64), MatchSummary>,
 }
@@ -83,7 +79,6 @@ pub(crate) fn encode(state: &SnapshotRefs<'_>, config_fp: u64, thesaurus_fp: u64
     w.put_u64(config_fp);
     w.put_u64(thesaurus_fp);
     state.table.write_wire(&mut w);
-    state.store.write_wire(&mut w);
     w.put_list(0..state.names.len(), |w, i| {
         w.put_str(&state.names[i]);
         w.put_u64(state.hashes[i]);
@@ -151,7 +146,6 @@ pub(crate) fn decode(
         // Decoding each prepared schema interns its element names into
         // the table: the name memo is derived state, not on the wire.
         let mut table = TokenTable::read_wire(&mut r)?;
-        let store = SimStore::read_wire(&mut r, table.len())?;
         // One record per schema, split into the state's parallel lists
         // as each decodes.
         let (mut names, mut hashes, mut sources, mut prepared) = (vec![], vec![], vec![], vec![]);
@@ -170,7 +164,7 @@ pub(crate) fn decode(
             cache.insert((ha, hb), MatchSummary::read_wire(&mut r)?);
         }
         r.finish()?;
-        Ok(SnapshotState { names, hashes, sources, prepared, table, store, cache })
+        Ok(SnapshotState { names, hashes, sources, prepared, table, cache })
     };
     let state = parse().map_err(|e| corrupt(e.to_string()))?;
 
@@ -198,14 +192,13 @@ mod tests {
     use super::*;
 
     fn empty_bytes() -> Vec<u8> {
-        let (table, store, cache) = (TokenTable::new(), SimStore::new(), BTreeMap::new());
+        let (table, cache) = (TokenTable::new(), BTreeMap::new());
         let refs = SnapshotRefs {
             names: &[],
             hashes: &[],
             sources: &[],
             prepared: &[],
             table: &table,
-            store: &store,
             cache: &cache,
         };
         encode(&refs, 1, 2)

@@ -83,7 +83,12 @@ impl RetryPolicy {
     pub fn delay(&self, attempt: u32) -> Duration {
         let base_ns = self.base.as_nanos().min(u128::from(u64::MAX)) as u64;
         let cap_ns = self.cap.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let ceiling = base_ns.checked_shl(attempt).unwrap_or(u64::MAX).min(cap_ns);
+        // `checked_shl` refuses only shifts of 64 or more and drops the
+        // bits shifted out; a shift past `leading_zeros` is past any cap.
+        let ceiling = match base_ns.checked_shl(attempt) {
+            Some(c) if attempt <= base_ns.leading_zeros() => c.min(cap_ns),
+            _ => cap_ns,
+        };
         if ceiling == 0 {
             return Duration::ZERO;
         }
@@ -131,13 +136,17 @@ mod tests {
 
     #[test]
     fn delays_respect_floor_ceiling_and_cap() {
-        let p = RetryPolicy::new(7).base(Duration::from_millis(10)).cap(Duration::from_millis(80));
-        let delays: Vec<Duration> = (0..8).map(|i| p.delay(i)).collect();
-        for (i, d) in delays.iter().enumerate() {
+        let (base, cap) = (Duration::from_millis(10), Duration::from_millis(80));
+        let p = RetryPolicy::new(7).base(base).cap(cap);
+        // From attempt 41, 10 ms `<< attempt` in nanoseconds leaves u64
+        // (its kept bits are all 0 from attempt 57): those attempts back
+        // off at the cap too.
+        for i in 0..64 {
+            let d = p.delay(i);
             let ceiling =
-                Duration::from_millis(10).saturating_mul(1 << i).min(Duration::from_millis(80));
-            assert!(*d < ceiling, "delay {i} = {d:?} above its ceiling {ceiling:?}");
-            assert!(*d >= ceiling / 2, "delay {i} = {d:?} below its floor");
+                2u32.checked_pow(i).and_then(|m| base.checked_mul(m)).map_or(cap, |c| c.min(cap));
+            assert!(d < ceiling, "delay {i} = {d:?} above its ceiling {ceiling:?}");
+            assert!(d >= ceiling / 2, "delay {i} = {d:?} below its floor");
         }
     }
 

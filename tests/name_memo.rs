@@ -4,12 +4,12 @@
 //!
 //! - A pair and its mirror hit one slot, and the memo lives in the
 //!   table, not in a cache.
-//! - A decoded or cloned table starts with an empty memo.
+//! - A clone copies the memo; a decoded table starts with an empty one.
 //! - Threads racing on the same slots leave the bits one thread leaves.
 //! - Names past `NAME_BOUND` are computed directly: a session over more
 //!   names than the bound matches pairs that straddle it bit for bit
-//!   like `Cupid::match_schemas`, and the memo stays at the bound's
-//!   triangle.
+//!   like `Cupid::match_schemas`, and the memo stays within the bound's
+//!   triangle of 129 chunks.
 
 use cupid::core::{Cupid, CupidConfig, MappingElement, MatchSession};
 use cupid::lexical::strsim::AffixConfig;
@@ -53,7 +53,7 @@ fn a_name_pair_and_its_mirror_share_a_slot() {
 }
 
 #[test]
-fn decoded_and_cloned_tables_start_with_an_empty_name_memo() {
+fn a_cloned_table_copies_the_name_memo_and_a_decoded_one_starts_empty() {
     let (thesaurus, affix) = (Thesaurus::empty(), AffixConfig::default());
     let (mut table, ids) = named_table(3);
     table.intern(cupid::lexical::SimClass::Word, "street");
@@ -62,8 +62,10 @@ fn decoded_and_cloned_tables_start_with_an_empty_name_memo() {
 
     let clone = table.clone();
     assert_eq!((clone.name_count(), clone.name_memo_bytes()), (3, table.name_memo_bytes()));
-    assert_eq!(slots(&clone, &ids), empty);
     assert_ne!(slots(&table, &ids), empty, "the original keeps its value");
+    assert_eq!(slots(&clone, &ids), slots(&table, &ids), "the clone holds the same slots");
+    TokenSimCache::new(&clone, &thesaurus, &affix).name_sim(ids[0], ids[2], |_| 0.25);
+    assert_ne!(slots(&clone, &ids), slots(&table, &ids), "a clone's memo is its own");
 
     let mut w = WireWriter::new();
     table.write_wire(&mut w);
@@ -126,6 +128,14 @@ fn a_pair_past_the_bound_is_computed_every_time() {
         });
     }
     assert_eq!(calls, 2);
+    // Every pair filled, past the bound too, commits the bound's
+    // triangle of 524,800 slots: 129 chunks of 32 KiB, and no more.
+    for (j, &b) in ids.iter().enumerate() {
+        for &a in &ids[..=j] {
+            cache.name_sim(a, b, |_| 0.5);
+        }
+    }
+    assert_eq!(table.name_memo_bytes(), 4_227_072);
 }
 
 fn schema(name: &str, fields: &[(String, DataType)]) -> Schema {
@@ -178,8 +188,10 @@ fn a_session_past_the_bound_matches_like_single_pairs() {
         assert!(lsim.matrix().iter().map(|(_, _, v)| v.to_bits()).eq(want), "{a:?} {b:?}");
     }
 
-    // The memo holds the bound's triangle in 8 KiB chunks, and no more.
+    // The memo holds chunks of the bound's triangle as pairs fill them,
+    // and no more than that triangle's 129 chunks of 32 KiB.
     let memo = session.table().name_memo_bytes();
-    assert_eq!(memo, (NAME_BOUND * (NAME_BOUND + 1) / 2 * 8).next_multiple_of(8192));
+    let cap = (NAME_BOUND * (NAME_BOUND + 1) / 2).div_ceil(4096) * 32_768;
+    assert!(0 < memo && memo <= cap, "{memo} bytes of at most {cap}");
     assert_eq!(session.stats().sim_bytes, session.store().allocated_bytes() + memo);
 }

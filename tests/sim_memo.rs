@@ -1,20 +1,20 @@
 //! The token-similarity memo's own contract (DESIGN.md §7/§8).
 //!
-//! A `SimStore` memoizes a *pure* function of the token table, and a
-//! batch session's shards fill one store in place through `&`. So the
-//! order in which caches fill it — one after another or racing on
-//! threads — can change *when* a pair's similarity was computed, but
-//! never *what* any `sim(t1, t2)` lookup returns, nor how many distinct
-//! pairs the store counts. `tests/batch_equivalence.rs` exercises this
-//! indirectly through whole matches; these tests pin the store's own
-//! contract over randomized vocabularies and fill patterns, the wire
-//! round trip, and the reservation every growth of a session's table
+//! A `SimStore` memoizes a *pure* function of the token table that owns
+//! it, and a batch session's shards fill that one store in place through
+//! `&`. So the order in which caches fill it — one after another or
+//! racing on threads — can change *when* a pair's similarity was
+//! computed, but never *what* any `sim(t1, t2)` lookup returns, nor how
+//! many distinct pairs the store counts. `tests/batch_equivalence.rs`
+//! exercises this indirectly through whole matches; these tests pin the
+//! store's own contract over randomized vocabularies and fill patterns,
+//! the wire round trip, and the reservation every growth of a table
 //! makes.
 
 use std::path::PathBuf;
 use std::sync::Barrier;
 
-use cupid::core::linguistic::analyze;
+use cupid::core::linguistic::{analyze, pair_lsim, SchemaLing};
 use cupid::core::{CupidConfig, MatchSession, SchemaId};
 use cupid::lexical::{
     SimClass, SimStore, Thesaurus, TokenId, TokenSimCache, TokenTable, TOKEN_BOUND,
@@ -97,20 +97,15 @@ fn lookups(cache: &mut TokenSimCache<'_>, ids: &[TokenId]) -> (Vec<u64>, usize) 
     (out, cache.distinct_pairs_computed())
 }
 
-/// An empty store reserved for `table`, as a session's owner keeps it.
-fn reserved(table: &TokenTable) -> SimStore {
-    let mut store = SimStore::new();
-    store.reserve(table.len());
-    store
+/// A cache filling the table's memo in place.
+fn memo_cache<'a>(table: &'a TokenTable, thesaurus: &'a Thesaurus) -> TokenSimCache<'a> {
+    TokenSimCache::new(table, thesaurus, &CupidConfig::default().affix)
 }
 
-/// A cache filling `store` in place.
-fn shared<'a>(
-    table: &'a TokenTable,
-    thesaurus: &'a Thesaurus,
-    store: &'a SimStore,
-) -> TokenSimCache<'a> {
-    TokenSimCache::shared(table, thesaurus, &CupidConfig::default().affix, store)
+/// A cold cache over a store of its own, which leaves the table's memo
+/// alone.
+fn cold_cache<'a>(table: &'a TokenTable, thesaurus: &'a Thesaurus) -> TokenSimCache<'a> {
+    TokenSimCache::with_store(table, thesaurus, &CupidConfig::default().affix, SimStore::new())
 }
 
 /// A decoded store's chunk directory is bounded by the triangle of
@@ -160,15 +155,14 @@ fn store_directory_is_bounded_by_the_table_triangle() {
     // Pairs with a token at the bound or past it match a cold cache's
     // bits every time and are not memoized; a pair below it is.
     let (table, ids) = vocabulary(TOKEN_BOUND + 2);
-    let store = reserved(&table);
-    let mut cache = shared(&table, &thesaurus, &store);
-    let mut cold = TokenSimCache::new(&table, &thesaurus, &affix);
+    let (mut cache, mut cold) = (memo_cache(&table, &thesaurus), cold_cache(&table, &thesaurus));
     for (a, b) in [(ids[0], ids[TOKEN_BOUND]), (ids[TOKEN_BOUND + 1], ids[1])] {
         let want = cold.sim(a, b).to_bits();
         for _ in 0..3 {
             assert_eq!(cache.sim(a, b).to_bits(), want);
         }
     }
+    let store = table.store();
     assert_eq!(store.distinct_pairs_computed(), 0, "a pair past the bound was memoized");
     cache.sim(ids[0], ids[TOKEN_BOUND - 1]);
     assert_eq!(store.distinct_pairs_computed(), 1, "a pair below the bound is memoized");
@@ -186,7 +180,7 @@ fn a_store_saved_past_the_bound_decodes() {
     let (table, ids) = vocabulary(5_000);
     let thesaurus = Thesaurus::with_default_stopwords();
     let affix = CupidConfig::default().affix;
-    let mut cold = TokenSimCache::new(&table, &thesaurus, &affix);
+    let mut cold = cold_cache(&table, &thesaurus);
     let (first, last) = ((ids[0], ids[1]), (ids[4_999], ids[4_999]));
     let want = [cold.sim(first.0, first.1).to_bits(), cold.sim(last.0, last.1).to_bits()];
 
@@ -231,9 +225,10 @@ fn a_store_saved_past_the_bound_decodes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Caches sharing one store fill it in every order of three pick
-    /// lists, and then on three racing threads: every lookup equals a
-    /// cold cache's bits, and the store counts the same pairs each time.
+    /// Caches over one table fill its memo in every order of three pick
+    /// lists, and then on three racing threads, a fresh table each
+    /// time: every lookup equals a cold cache's bits, and the memo
+    /// counts the same pairs each time.
     #[test]
     fn fill_order_never_changes_lookups(
         vocab in 4usize..24,
@@ -241,36 +236,34 @@ proptest! {
         picks_b in proptest::collection::vec(0usize..1024, 0..40),
         picks_c in proptest::collection::vec(0usize..1024, 0..40),
     ) {
-        let (table, ids) = vocabulary(vocab);
         let thesaurus = Thesaurus::with_default_stopwords();
-        let affix = CupidConfig::default().affix;
-        let (oracle, _) = lookups(&mut TokenSimCache::new(&table, &thesaurus, &affix), &ids);
+        let (table, ids) = vocabulary(vocab);
+        let (oracle, _) = lookups(&mut cold_cache(&table, &thesaurus), &ids);
 
         let lists = [&picks_a, &picks_b, &picks_c];
         let mut counts = Vec::new();
         for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
-            let store = reserved(&table);
+            let (table, ids) = vocabulary(vocab);
             for k in order {
-                fill(&mut shared(&table, &thesaurus, &store), &ids, lists[k]);
+                fill(&mut memo_cache(&table, &thesaurus), &ids, lists[k]);
             }
-            counts.push(store.distinct_pairs_computed());
-            let (sims, _) = lookups(&mut shared(&table, &thesaurus, &store), &ids);
+            counts.push(table.store().distinct_pairs_computed());
+            let (sims, _) = lookups(&mut memo_cache(&table, &thesaurus), &ids);
             prop_assert_eq!(&sims, &oracle, "fill order {:?} changed a lookup", order);
         }
 
-        let (store, start) = (reserved(&table), Barrier::new(lists.len()));
+        let ((table, ids), start) = (vocabulary(vocab), Barrier::new(lists.len()));
         std::thread::scope(|scope| {
             for picks in lists {
-                let (table, thesaurus, store, ids, start) =
-                    (&table, &thesaurus, &store, &ids, &start);
+                let (table, thesaurus, ids, start) = (&table, &thesaurus, &ids, &start);
                 scope.spawn(move || {
                     start.wait();
-                    fill(&mut shared(table, thesaurus, store), ids, picks)
+                    fill(&mut memo_cache(table, thesaurus), ids, picks)
                 });
             }
         });
-        counts.push(store.distinct_pairs_computed());
-        let (sims, _) = lookups(&mut shared(&table, &thesaurus, &store), &ids);
+        counts.push(table.store().distinct_pairs_computed());
+        let (sims, _) = lookups(&mut memo_cache(&table, &thesaurus), &ids);
         prop_assert_eq!(&sims, &oracle, "racing threads changed a lookup");
         prop_assert!(counts.iter().all(|&c| c == counts[0]), "counts {:?}", counts);
     }
@@ -325,11 +318,12 @@ impl Drop for TempDir {
     }
 }
 
-/// Each point where a session's table grows reserves the memo for it.
-/// A skipped reservation still gives correct output, only unmemoized,
-/// so this counts pairs: a cold pair of over 90 distinct tokens, whose
+/// Each way a table grows reserves its memo. A pair past the reserved
+/// directory is computed and not memoized, which changes no output, so
+/// this counts pairs: a cold pair of over 90 distinct tokens, whose
 /// pairs fall past the first 4,096-slot chunk, must memoize exactly the
-/// pairs `analyze` computes, and a second call must compute none.
+/// pairs a cache over a store of its own computes, and a second call
+/// must compute none.
 #[test]
 fn every_table_growth_reserves_the_memo() {
     let cfg = CupidConfig::default();
@@ -354,6 +348,20 @@ fn every_table_growth_reserves_the_memo() {
         let stats = || (session.stats().distinct_pairs_computed, session.stats().sim_chunks);
         check(at, &|| drop(session.lsim_of(i, j)), &stats);
     };
+
+    // A bare table, grown by preparing both schemas into it, with no
+    // session involved. On a clone (the name memo is the table's), a
+    // cache over a store of its own counts the pairs `analyze` reports.
+    let mut table = TokenTable::new();
+    let (p, q) =
+        (SchemaLing::prepare(&a, &th, &mut table), SchemaLing::prepare(&b, &th, &mut table));
+    let copy = table.clone();
+    let mut own = TokenSimCache::with_store(&copy, &th, &cfg.affix, SimStore::new());
+    pair_lsim(&p, &q, &cfg, &mut own);
+    assert_eq!(own.distinct_pairs_computed(), want.distinct_token_pairs);
+    let memo = || (table.store().distinct_pairs_computed(), table.store().allocated_chunks());
+    let lsim = || drop(pair_lsim(&p, &q, &cfg, &mut TokenSimCache::new(&table, &th, &cfg.affix)));
+    check("TokenTable", &lsim, &memo);
 
     let mut session = MatchSession::new(&cfg, &th);
     session.add(&a).unwrap();
