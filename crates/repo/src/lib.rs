@@ -16,9 +16,10 @@
 //!   are cached keyed by the two schemas' *content hashes*. Editing
 //!   one schema of an `N`-schema corpus re-executes only that schema's
 //!   `N−1` pairs; everything else is served from the cache,
-//!   bit-identical to a cold rebuild. Every read takes `&self` and
-//!   caches the pairs it executes in place, so one handle serves
-//!   concurrent readers (DESIGN.md §9.3).
+//!   bit-identical to a cold rebuild. The edit evicts the summaries it
+//!   strands, so the cache never outgrows the live corpus. Every read
+//!   takes `&self` and caches the pairs it executes in place, so one
+//!   handle serves concurrent readers (DESIGN.md §9.3).
 //! * **Top-k discovery** — an inverted index over interned leaf name
 //!   tokens ([`DiscoveryIndex`]) retrieves match candidates by cheap
 //!   token overlap, so corpus discovery can execute `N·k` pairs
@@ -86,6 +87,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
@@ -210,8 +212,11 @@ impl From<ModelError> for RepoError {
 pub struct RepositoryStats {
     /// Schemas in the repository.
     pub schemas: usize,
-    /// Pair summaries currently cached (including stale-keyed entries
-    /// not yet pruned by [`Repository::save`]).
+    /// Pair summaries currently cached. Every key names two hashes that
+    /// schemas in the repository hold, because a mutation evicts the
+    /// pairs it strands: at most N(N−1)/2 when pairs are read in
+    /// `(i < j)` order, as [`Repository::match_all_pairs`] and
+    /// [`Repository::top_k_pairs`] read them.
     pub cached_pairs: usize,
     /// Full pair executions since this handle was opened — the number
     /// the incremental machinery exists to minimize.
@@ -251,12 +256,39 @@ pub struct DurabilityStats {
 /// [`Repository::answer`] to serve and cache: one summary per
 /// content-hash key, each from one execution. The similarity memo they
 /// warmed was filled in place.
+///
+/// A batch borrows the repository that resolved it, so no mutation runs
+/// between `resolve` and `answer`, and every key it caches names live
+/// schemas. Answering before a `replace` compiles:
+///
+/// ```
+/// # use cupid_model::Schema;
+/// # use cupid_repo::Repository;
+/// fn read_then_edit(repo: &mut Repository<'_>, edited: &Schema) {
+///     let batch = repo.resolve(&[(0, 1)]);
+///     repo.answer(batch, &[(0, 1)]);
+///     repo.replace(edited).unwrap();
+/// }
+/// ```
+///
+/// Keeping the batch across the `replace` does not:
+///
+/// ```compile_fail,E0502
+/// # use cupid_model::Schema;
+/// # use cupid_repo::Repository;
+/// fn edit_between(repo: &mut Repository<'_>, edited: &Schema) {
+///     let batch = repo.resolve(&[(0, 1)]);
+///     repo.replace(edited).unwrap();
+///     repo.answer(batch, &[(0, 1)]);
+/// }
+/// ```
 #[derive(Debug, Default)]
-pub struct SharedBatch {
+pub struct SharedBatch<'r> {
     summaries: PairCache,
+    repo: PhantomData<&'r ()>,
 }
 
-impl SharedBatch {
+impl SharedBatch<'_> {
     /// Number of pairs executed in this batch.
     pub fn len(&self) -> usize {
         self.summaries.len()
@@ -277,8 +309,8 @@ type PairCache = BTreeMap<(u64, u64), MatchSummary>;
 ///
 /// Schemas are keyed by their schema name ([`Schema::name`]); content
 /// hashes track edits, so [`Repository::replace`] with an unchanged
-/// schema is free and a real edit invalidates exactly that schema's
-/// cached pairs. Nothing touches disk until [`Repository::save`].
+/// schema is free and a real edit evicts exactly that schema's cached
+/// pairs. Nothing touches disk until [`Repository::save`].
 #[derive(Debug)]
 pub struct Repository<'a> {
     path: PathBuf,
@@ -291,6 +323,7 @@ pub struct Repository<'a> {
     /// Filled in place by [`Repository::answer`]; `&mut` methods reach
     /// it through `get_mut`. Taken after any lock around the
     /// repository, and never held across a call that takes it again.
+    /// Every key names hashes in `hashes`: mutations evict the rest.
     pair_cache: RwLock<PairCache>,
     /// Set through `&self` by reads that cache pairs.
     dirty: AtomicBool,
@@ -683,16 +716,27 @@ impl<'a> Repository<'a> {
         }
         self.session.replace(SchemaId::from_index(i), schema)?;
         self.sources[i] = schema.clone();
-        self.hashes[i] = hash;
+        let old = std::mem::replace(&mut self.hashes[i], hash);
+        self.evict(old);
         *self.dirty.get_mut() = true;
         Ok(true)
+    }
+
+    /// Drop every cached pair that names `hash` once no schema holds it:
+    /// O(cached pairs), under the `&mut` the mutation already holds.
+    fn evict(&mut self, hash: u64) {
+        if !self.hashes.contains(&hash) {
+            let cache = self.pair_cache.get_mut().unwrap_or_else(PoisonError::into_inner);
+            cache.retain(|&(a, b), _| a != hash && b != hash);
+        }
     }
 
     /// Replace the stored schema with the same name. A no-op when the
     /// content hash is unchanged (the pair cache stays fully valid, and
     /// nothing is journaled); otherwise the schema is re-prepared and
-    /// its cached pairs become unreachable, so the next match
-    /// re-executes exactly this schema's pairs.
+    /// its cached pairs are evicted, so the next match re-executes
+    /// exactly this schema's pairs. Replacing a schema with content it
+    /// had earlier executes its pairs again too.
     pub fn replace(&mut self, schema: &Schema) -> Result<(), RepoError> {
         if self.apply_replace(schema)? {
             self.journal_append(JournalRecord::Replace(schema.clone()));
@@ -704,12 +748,14 @@ impl<'a> Repository<'a> {
         let i = self.index_of(name)?;
         self.session.remove(SchemaId::from_index(i));
         self.names.remove(i);
-        self.hashes.remove(i);
+        let old = self.hashes.remove(i);
+        self.evict(old);
         *self.dirty.get_mut() = true;
         Ok(self.sources.remove(i))
     }
 
-    /// Remove (and return) the schema stored under `name`.
+    /// Remove (and return) the schema stored under `name`, evicting its
+    /// cached pairs.
     pub fn remove(&mut self, name: &str) -> Result<Schema, RepoError> {
         let schema = self.apply_remove(name)?;
         self.journal_append(JournalRecord::Remove(name.to_string()));
@@ -753,9 +799,10 @@ impl<'a> Repository<'a> {
     /// worklist (by repository indices) that the cache cannot answer,
     /// once per content-hash key, through
     /// [`Repository::execute_pairs_shared`]. When every pair is cached
-    /// the batch is empty and nothing executes. Panics if an index is
-    /// out of bounds.
-    pub fn resolve(&self, pairs: &[(usize, usize)]) -> SharedBatch {
+    /// the batch is empty and nothing executes. The batch borrows the
+    /// repository until [`Repository::answer`] takes it, so no mutation
+    /// can strand its keys. Panics if an index is out of bounds.
+    pub fn resolve(&self, pairs: &[(usize, usize)]) -> SharedBatch<'_> {
         let uncached: Vec<(usize, usize)> = {
             let cache = self.cache();
             pairs.iter().copied().filter(|&(i, j)| !cache.contains_key(&self.key(i, j))).collect()
@@ -770,11 +817,10 @@ impl<'a> Repository<'a> {
     /// `batch`: each pair from the cache, or else from the batch, in
     /// worklist order, re-anchored to `(i, j)` and sharing the cached
     /// paths. Then cache the batch and mark the handle dirty. Panics
-    /// unless `batch` came from `resolve` on these pairs under the
-    /// current hashes. A batch kept across a
-    /// [`Repository::replace`] or [`Repository::remove`] parks under
-    /// dead keys, which the next [`Repository::save`] prunes.
-    pub fn answer(&self, batch: SharedBatch, pairs: &[(usize, usize)]) -> Vec<MatchSummary> {
+    /// unless `batch` came from `resolve` on these pairs. The batch's
+    /// borrow keeps [`Repository::replace`] and [`Repository::remove`]
+    /// out until this call, so every key it caches names live schemas.
+    pub fn answer(&self, batch: SharedBatch<'_>, pairs: &[(usize, usize)]) -> Vec<MatchSummary> {
         let answers = {
             let cache = self.cache();
             let serve = |&(i, j): &(usize, usize)| {
@@ -825,9 +871,10 @@ impl<'a> Repository<'a> {
     /// Execute a worklist of pairs (by repository indices), cached or
     /// not, once per content-hash key, through `&self`
     /// ([`MatchSession::match_pairs`], which fills the session memo in
-    /// place and counts the executions). Panics if an index is out of
-    /// bounds.
-    pub fn execute_pairs_shared(&self, pairs: &[(usize, usize)]) -> SharedBatch {
+    /// place and counts the executions). The batch borrows the
+    /// repository like [`Repository::resolve`]'s. Panics if an index is
+    /// out of bounds.
+    pub fn execute_pairs_shared(&self, pairs: &[(usize, usize)]) -> SharedBatch<'_> {
         let mut seen = BTreeSet::new();
         let (keys, worklist): (Vec<_>, Vec<_>) = pairs
             .iter()
@@ -835,7 +882,7 @@ impl<'a> Repository<'a> {
             .filter(|&(key, _)| seen.insert(key))
             .unzip();
         let summaries = self.session.match_pairs(&worklist);
-        SharedBatch { summaries: keys.into_iter().zip(summaries).collect() }
+        SharedBatch { summaries: keys.into_iter().zip(summaries).collect(), repo: PhantomData }
     }
 
     /// Index-assisted discovery (DESIGN.md §8.4): build the
@@ -865,10 +912,9 @@ impl<'a> Repository<'a> {
     }
 
     /// Persist the repository to its snapshot file and fold the journal
-    /// into the new snapshot generation. Cache entries keyed by hashes
-    /// no longer in the corpus (from
-    /// [`Repository::replace`]/[`Repository::remove`]) are pruned
-    /// first, so snapshots do not grow monotonically.
+    /// into the new snapshot generation. The pair cache is written as
+    /// it stands: [`Repository::replace`] and [`Repository::remove`]
+    /// already evicted every entry keyed by a hash no schema holds.
     ///
     /// The crash-safe sequence (DESIGN.md §10.2): write the snapshot to
     /// `<snapshot>.tmp`, `fsync` it, rename it over the snapshot, `fsync`
@@ -881,16 +927,13 @@ impl<'a> Repository<'a> {
     /// snapshot that was published). At no point can a record be lost
     /// or replayed twice.
     pub fn save(&mut self) -> Result<(), RepoError> {
-        let live: BTreeSet<u64> = self.hashes.iter().copied().collect();
-        let cache = self.pair_cache.get_mut().unwrap_or_else(PoisonError::into_inner);
-        cache.retain(|(a, b), _| live.contains(a) && live.contains(b));
         let refs = snapshot::SnapshotRefs {
             names: &self.names,
             hashes: &self.hashes,
             sources: &self.sources,
             prepared: self.session.prepared(),
             table: self.session.table(),
-            cache,
+            cache: self.pair_cache.get_mut().unwrap_or_else(PoisonError::into_inner),
         };
         let bytes =
             snapshot::encode(&refs, self.config.fingerprint(), self.thesaurus.fingerprint());
@@ -1258,14 +1301,13 @@ mod tests {
         // ...and match_pair serves the identical summary.
         assert_eq!(repo.match_pair("S0", "S1").unwrap(), served[0]);
         assert_eq!(repo.pairs_executed(), 1);
-        // A batch answered after its schema was replaced parks under the
-        // old (now dead) key instead of corrupting the cache.
-        let stale = repo.resolve(&[(2, 3), (1, 2)]);
-        assert_eq!(stale.len(), 2);
-        repo.replace(&schema("S2", "Order", &[("Qty", DataType::Int)])).unwrap();
-        assert!(repo.answer(stale, &[]).is_empty());
-        assert_eq!(repo.stats().cached_pairs, 3);
+        // A replace evicts exactly the pairs it strands. (A batch cannot
+        // be kept across it: `SharedBatch`'s `compile_fail` doctest.)
         let (s2, s3) = (repo.index_of("S2").unwrap(), repo.index_of("S3").unwrap());
+        assert!(repo.answer(repo.resolve(&[(s2, s3), (1, s2)]), &[]).is_empty());
+        assert_eq!(repo.stats().cached_pairs, 3);
+        repo.replace(&schema("S2", "Order", &[("Qty", DataType::Int)])).unwrap();
+        assert_eq!(repo.stats().cached_pairs, 1, "S2's two cached pairs are evicted");
         assert_eq!(
             repo.resolve(&[(s2, s3)]).len(),
             1,

@@ -18,13 +18,14 @@
 //! ```
 //!
 //! Decoding is strict: bad magic, an unknown version, a checksum
-//! mismatch or any structural inconsistency is
+//! mismatch, any structural inconsistency, or a cached pair keyed by a
+//! hash no schema holds is
 //! [`RepoError::Corrupt`]; fingerprints that do not match the opening
 //! config/thesaurus are [`RepoError::Stale`] (the snapshot is valid,
 //! just computed under a different matcher — `open_or_create`
 //! discards it and starts fresh rather than serving wrong results).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use cupid_core::{MatchSummary, PreparedSchema};
 use cupid_lexical::TokenTable;
@@ -184,6 +185,12 @@ pub(crate) fn decode(
     if seen.len() != state.names.len() {
         return Err(corrupt("duplicate schema names".to_string()));
     }
+    // No writer saves a dead key (mutations evict them, and older
+    // versions pruned them at save), so one came from outside.
+    let live: BTreeSet<u64> = state.hashes.iter().copied().collect();
+    if let Some((a, b)) = state.cache.keys().find(|(a, b)| !live.contains(a) || !live.contains(b)) {
+        return Err(corrupt(format!("cached pair ({a:#x}, {b:#x}) names a hash no schema holds")));
+    }
     Ok(state)
 }
 
@@ -225,6 +232,48 @@ mod tests {
             let mut broken = bytes.clone();
             broken[i] ^= 0x01;
             assert!(decode(&broken, 1, 2).is_err(), "flipping byte {i} must not decode silently");
+        }
+    }
+
+    /// A cache key naming a hash that no schema in the snapshot holds
+    /// is refused, whichever side names it.
+    #[test]
+    fn a_cached_pair_naming_a_dead_hash_is_corrupt() {
+        use cupid_core::{CupidConfig, MatchSession};
+        use cupid_lexical::Thesaurus;
+        use cupid_model::{DataType, ElementKind, SchemaBuilder};
+
+        let (config, thesaurus) = (CupidConfig::default(), Thesaurus::empty());
+        let schema = |name: &str| {
+            let mut b = SchemaBuilder::new(name);
+            let item = b.structured(b.root(), "Item", ElementKind::XmlElement);
+            b.atomic(item, "Qty", ElementKind::XmlElement, DataType::Int);
+            b.build().unwrap()
+        };
+        let sources = vec![schema("A"), schema("B")];
+        let mut session = MatchSession::new(&config, &thesaurus);
+        let ids = session.add_corpus(&sources).unwrap();
+        let summary = session.match_pair(ids[0], ids[1]);
+        let names = ["A", "B"].map(String::from);
+        let hashes: Vec<u64> = sources.iter().map(Schema::content_hash).collect();
+        let bytes = |key| {
+            let cache = BTreeMap::from([(key, summary.clone())]);
+            let refs = SnapshotRefs {
+                names: &names,
+                hashes: &hashes,
+                sources: &sources,
+                prepared: session.prepared(),
+                table: session.table(),
+                cache: &cache,
+            };
+            encode(&refs, 1, 2)
+        };
+        assert_eq!(decode(&bytes((hashes[0], hashes[1])), 1, 2).unwrap().cache.len(), 1);
+        for key in [(hashes[0], !hashes[1]), (!hashes[0], hashes[1])] {
+            match decode(&bytes(key), 1, 2) {
+                Err(RepoError::Corrupt { message }) => assert!(message.contains("no schema holds")),
+                other => panic!("expected Corrupt for {key:x?}, got {other:?}"),
+            }
         }
     }
 

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Barrier};
 
-use cupid::core::{Cupid, CupidConfig, MatchSummary};
+use cupid::core::{Cupid, CupidConfig, MatchSession, MatchSummary};
 use cupid::corpus::synthetic::{generate, SyntheticConfig};
 use cupid::model::Schema;
 use cupid::prelude::{CupidRepositoryExt, Repository};
@@ -193,10 +193,11 @@ proptest! {
     }
 }
 
-/// Non-proptest: a snapshot saved with one corpus state and re-saved
-/// after edits keeps the cache pruned (no monotonic growth).
+/// A replace evicts the summaries it strands at once, so the cache holds
+/// only live pairs right after the mutation, after the re-match, and
+/// after a save and a reload: `save` has nothing left to prune.
 #[test]
-fn save_prunes_unreachable_cache_entries() {
+fn mutations_evict_unreachable_cache_entries() {
     let tmp = TempSnap::new();
     let schemas = corpus(7, 6);
     let thesaurus = generate(&SyntheticConfig::sized(6, 7)).thesaurus;
@@ -208,20 +209,90 @@ fn save_prunes_unreachable_cache_entries() {
     repo.match_all_pairs();
     assert_eq!(repo.stats().cached_pairs, 6);
     repo.save().unwrap();
-    let size_before = std::fs::metadata(&tmp.0).unwrap().len();
 
     let edited = rename(&generate(&SyntheticConfig::sized(6, 9100)).source, schemas[0].name());
     repo.replace(&edited).unwrap();
+    assert_eq!(repo.stats().cached_pairs, 3, "the replace evicts the edited schema's 3 pairs");
     repo.match_all_pairs();
-    assert_eq!(repo.stats().cached_pairs, 9, "3 stale + 6 live before pruning");
+    assert_eq!(repo.stats().cached_pairs, 6, "the re-match caches live pairs only");
     repo.save().unwrap();
-    assert_eq!(repo.stats().cached_pairs, 6, "save prunes entries keyed by dead hashes");
+    assert_eq!(repo.stats().cached_pairs, 6, "save writes the cache as it stands");
     // and a reload agrees (the handle must drop first: a snapshot has
     // exactly one writer at a time)
     drop(repo);
     let warm = Repository::open_or_create(&tmp.0, &config, &thesaurus).unwrap();
     assert_eq!(warm.stats().cached_pairs, 6);
-    let _ = size_before;
+}
+
+/// A seeded stream of replaces and remove-then-adds, each with fresh
+/// content and followed by a refresh. Every mutation evicts the N−1 pairs
+/// it strands, so the cache never holds more than the live corpus's
+/// N(N−1)/2, and every refresh equals a fresh session over the current
+/// schemas. The stream saves halfway and ends unsaved: reopening replays
+/// the second half from the journal, which must evict the same way.
+#[test]
+fn churn_keeps_the_cache_within_the_live_corpus() {
+    let tmp = TempSnap::new();
+    let thesaurus = generate(&SyntheticConfig::sized(6, 51)).thesaurus;
+    let config = CupidConfig::default();
+    let fresh = |schemas: &[Schema]| {
+        let mut session = MatchSession::new(&config, &thesaurus);
+        session.add_corpus(schemas).unwrap();
+        bits(&session.match_all_pairs())
+    };
+    // In repository order: a re-added schema moves to the end.
+    let mut live: Vec<Schema> = corpus(51, 6)
+        .into_iter()
+        .chain(corpus(52, 6))
+        .enumerate()
+        .map(|(i, s)| rename(&s, &format!("C{i}")))
+        .collect();
+    let n = live.len();
+    let full = n * (n - 1) / 2;
+    let mut repo = Repository::open_or_create(&tmp.0, &config, &thesaurus).unwrap();
+    repo.add_corpus(&live).unwrap();
+    repo.match_all_pairs();
+    let (steps, mut rng, mut saved, mut unsaved) = (12, 0x5eed_u64, Vec::new(), 0);
+    for step in 0..steps {
+        rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        let k = (rng >> 33) as usize % n;
+        let name = live[k].name().to_string();
+        let edited = rename(&generate(&SyntheticConfig::sized(6, 1_000 + step)).source, &name);
+        if step % 2 == 0 {
+            repo.replace(&edited).unwrap();
+            live[k] = edited;
+            unsaved += 1;
+        } else {
+            repo.remove(&name).unwrap();
+            repo.add(&edited).unwrap();
+            live.remove(k);
+            live.push(edited);
+            unsaved += 2;
+        }
+        assert_eq!(
+            repo.stats().cached_pairs,
+            full - (n - 1),
+            "step {step}: {name}'s pairs evicted"
+        );
+        assert!(bits(&repo.match_all_pairs()) == fresh(&live), "step {step}: refresh diverged");
+        assert_eq!(repo.stats().cached_pairs, full, "step {step}: the refresh caches live pairs");
+        if step == steps / 2 {
+            repo.save().unwrap();
+            saved = live.iter().map(Schema::content_hash).collect();
+            unsaved = 0;
+        }
+    }
+    repo.sync_journal().unwrap();
+    drop(repo);
+    // The snapshot's pairs between schemas no later mutation touched.
+    let kept = live.iter().filter(|s| saved.contains(&s.content_hash())).count();
+    assert!(kept < n, "the stream mutates after its save");
+    let warm = Repository::open_or_create(&tmp.0, &config, &thesaurus).unwrap();
+    assert_eq!(warm.durability().replayed_records, unsaved);
+    assert_eq!(warm.stats().cached_pairs, kept * (kept - 1) / 2, "replay evicts like the handle");
+    assert!(bits(&warm.match_all_pairs()) == fresh(&live), "the reopened repository diverged");
+    assert_eq!(warm.stats().cached_pairs, full);
+    assert_eq!(warm.pairs_executed(), full - kept * (kept - 1) / 2);
 }
 
 /// Name ids are derived state: decoding a snapshot interns every

@@ -455,6 +455,62 @@ fn mutations_errors_and_restart() {
     });
 }
 
+/// Replaces over the wire evict the summaries they strand. After each
+/// replace, a read of the replaced schema's pairs serves what a fresh
+/// in-process session computes, and the Stats frame counts exactly the
+/// distinct live pairs read so far, never more than N(N−1)/2.
+#[test]
+fn replaces_keep_the_daemon_cache_within_the_live_corpus() {
+    let tmp = TempSnap::new();
+    let config = CupidConfig::default();
+    let th = thesaurus();
+    let mut live: Vec<String> = CORPUS_SDL.iter().map(|sdl| sdl.to_string()).collect();
+    let names: Vec<String> = corpus().iter().map(|s| s.name().to_string()).collect();
+    let n = names.len();
+
+    let server =
+        Server::bind("127.0.0.1:0", &tmp.0, &config, &th, ServeOptions::default()).unwrap();
+    let addr = server.local_addr();
+    let handle = server.shutdown_handle();
+    std::thread::scope(|scope| {
+        scope.spawn(move || server.run().unwrap());
+        let _guard = DrainOnPanic(handle);
+        let mut client = ServeClient::connect(addr).unwrap();
+        for sdl in &live {
+            client.add_sdl(sdl).unwrap();
+        }
+        // The pairs read since either schema last changed, as (i < j).
+        let mut read = std::collections::BTreeSet::new();
+        for round in 0..2 * n {
+            let t = round % n;
+            live[t] = format!(
+                "schema {}\n  element Item\n    attr Qty : int\n    attr Field{round} : string\n",
+                names[t]
+            );
+            client.replace_sdl(&live[t]).unwrap();
+            read.retain(|&(a, b)| a != t && b != t);
+            let pairs: Vec<(usize, usize)> =
+                (0..n).filter(|&j| j != t).map(|j| (t.min(j), t.max(j))).collect();
+            let named: Vec<(&str, &str)> =
+                pairs.iter().map(|&(a, b)| (names[a].as_str(), names[b].as_str())).collect();
+            let got = client.match_pairs(&named).unwrap();
+            let schemas: Vec<Schema> = live.iter().map(|sdl| parse_sdl(sdl).unwrap()).collect();
+            let mut session = MatchSession::new(&config, &th);
+            let ids = session.add_corpus(&schemas).unwrap();
+            for (&(a, b), summary) in pairs.iter().zip(got) {
+                let want = session.match_pair(ids[a], ids[b]);
+                assert_eq!(summary.unwrap(), want, "round {round}: {}~{}", names[a], names[b]);
+            }
+            read.extend(pairs);
+            let cached = client.stats().unwrap().cached_pairs as usize;
+            assert!(cached <= n * (n - 1) / 2, "round {round}: {cached} pairs cached");
+            assert_eq!(cached, read.len(), "round {round}: the replace evicted what it stranded");
+        }
+        assert_eq!(read.len(), n * (n - 1) / 2, "every pair was read since its last replace");
+        client.shutdown().unwrap();
+    });
+}
+
 /// Process-mode daemon used by [`restart_under_load_loses_no_acked_mutation`]:
 /// a no-op under the normal test run, a real `--autosave 1` daemon when
 /// re-executed with the child environment set. The bound address is
