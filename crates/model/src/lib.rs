@@ -40,4 +40,6 @@ pub use error::ModelError;
 pub use joinview::ExpandOptions;
 pub use schema::Schema;
 pub use tree::{expand, NodeId, SchemaTree, TreeNode};
-pub use wire::{fnv1a, read_frame, write_frame, FrameError, WireError, WireReader, WireWriter};
+pub use wire::{
+    fnv1a, fnv1a_extend, read_frame, write_frame, FrameError, WireError, WireReader, WireWriter,
+};

@@ -88,8 +88,14 @@ pub struct SchemaTree {
     nodes: Vec<TreeNode>,
     root: NodeId,
     post_order: Vec<NodeId>,
+    /// `post_order` without its leaves.
+    nonleaf_post_order: Vec<NodeId>,
     /// Per node: sorted leaf indices reachable from it.
     leaves: Vec<Vec<u32>>,
+    /// Every node's maximal runs of consecutive leaf indices, node after
+    /// node; node `i`'s are `leaf_runs[run_offsets[i]..run_offsets[i + 1]]`.
+    leaf_runs: Vec<(u32, u32)>,
+    run_offsets: Vec<u32>,
     /// Per node: sorted leaf indices reachable via at least one path with
     /// no optional node strictly below the node (§8.4 "Optionality").
     required_leaves: Vec<Vec<u32>>,
@@ -145,9 +151,22 @@ impl SchemaTree {
         &self.post_order
     }
 
+    /// [`SchemaTree::post_order`] without its leaves.
+    pub fn nonleaf_post_order(&self) -> &[NodeId] {
+        &self.nonleaf_post_order
+    }
+
     /// Sorted leaf indices under `id` (including `id` itself if a leaf).
     pub fn leaves(&self, id: NodeId) -> &[u32] {
         &self.leaves[id.index()]
+    }
+
+    /// [`SchemaTree::leaves`] of `id` as its maximal runs of consecutive
+    /// leaf indices, each a half-open `(start, end)`, ascending: one run
+    /// for a plain subtree, possibly several for a join view.
+    pub fn leaf_runs(&self, id: NodeId) -> &[(u32, u32)] {
+        let (i, o) = (id.index(), &self.run_offsets);
+        &self.leaf_runs[o[i] as usize..o[i + 1] as usize]
     }
 
     /// Leaf indices under `id` reachable through required-only paths.
@@ -176,6 +195,11 @@ impl SchemaTree {
     /// Node of a leaf index.
     pub fn leaf_node(&self, leaf: u32) -> NodeId {
         self.leaf_nodes[leaf as usize]
+    }
+
+    /// The node of every leaf, in leaf-index order.
+    pub fn leaf_nodes(&self) -> &[NodeId] {
+        &self.leaf_nodes
     }
 
     /// Leaf index of a node, if it is a leaf.
@@ -250,7 +274,10 @@ impl SchemaTree {
             nodes: Vec::new(),
             root: NodeId(0),
             post_order: Vec::new(),
+            nonleaf_post_order: Vec::new(),
             leaves: Vec::new(),
+            leaf_runs: Vec::new(),
+            run_offsets: Vec::new(),
             required_leaves: Vec::new(),
             leaf_masks: Vec::new(),
             required_masks: Vec::new(),
@@ -304,11 +331,14 @@ impl SchemaTree {
 
         // leaf numbering in post-order (≈ left-to-right)
         self.leaf_nodes.clear();
+        self.nonleaf_post_order.clear();
         self.leaf_index = vec![u32::MAX; n];
         for &id in &self.post_order {
             if self.nodes[id.index()].is_leaf() {
                 self.leaf_index[id.index()] = self.leaf_nodes.len() as u32;
                 self.leaf_nodes.push(id);
+            } else {
+                self.nonleaf_post_order.push(id);
             }
         }
 
@@ -348,6 +378,13 @@ impl SchemaTree {
         };
         self.leaf_masks = rows(&self.leaves);
         self.required_masks = rows(&self.required_leaves);
+        self.leaf_runs.clear();
+        self.run_offsets = vec![0];
+        for set in &self.leaves {
+            let runs = set.chunk_by(|&a, &b| b == a + 1).map(|r| (r[0], r[r.len() - 1] + 1));
+            self.leaf_runs.extend(runs);
+            self.run_offsets.push(self.leaf_runs.len() as u32);
+        }
 
         // depth + paths via primary parents (BFS from root over first-parent
         // relation; reification parents never become primary)

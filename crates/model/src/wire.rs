@@ -430,10 +430,12 @@ pub const JOURNAL_REMOVE: u8 = 0x43;
 const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Fold more bytes into a running FNV-1a state (the incremental form
-/// every FNV user in this module goes through, so the constants exist
-/// exactly once).
-fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+/// Fold more bytes into a running FNV-1a state: the incremental form
+/// every FNV user goes through, so the constants exist exactly once.
+/// FNV-1a streams, so `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`: a
+/// hash over bytes that begin with an already-hashed prefix needs only
+/// the rest.
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
@@ -994,5 +996,14 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn fnv1a_extends_a_prefix_hash() {
+        let bytes = b"CUPIDREP snapshot body, then its checksum";
+        for split in 0..=bytes.len() {
+            let (head, tail) = bytes.split_at(split);
+            assert_eq!(fnv1a_extend(fnv1a(head), tail), fnv1a(bytes), "split at {split}");
+        }
     }
 }

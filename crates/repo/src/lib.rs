@@ -97,7 +97,7 @@ use cupid_core::{
     SessionStats,
 };
 use cupid_lexical::{SimStore, Thesaurus};
-use cupid_model::{fnv1a, ModelError, Schema};
+use cupid_model::{ModelError, Schema};
 
 pub mod fault;
 mod index;
@@ -405,18 +405,20 @@ impl<'a> Repository<'a> {
         };
         let mut state = None;
         let mut recovered_stale = None;
+        let mut snapshot_id = 0;
         if let Some(b) = &bytes {
             match snapshot::decode(b, config.fingerprint(), thesaurus.fingerprint()) {
                 Ok(s) => state = Some(s),
                 Err(RepoError::Stale { reason }) => recovered_stale = Some(reason),
                 Err(e) => return Err(e),
             }
+            snapshot_id = snapshot::id(b);
         }
         let header = JournalHeader {
             version: JOURNAL_VERSION,
             config_fp: config.fingerprint(),
             thesaurus_fp: thesaurus.fingerprint(),
-            snapshot_id: bytes.as_deref().map(fnv1a).unwrap_or(0),
+            snapshot_id,
         };
         let journal_file = journal::journal_path(&path);
         let (journal, mut recovery) = Journal::open(&journal_file, header)
@@ -965,7 +967,7 @@ impl<'a> Repository<'a> {
             version: JOURNAL_VERSION,
             config_fp: self.config.fingerprint(),
             thesaurus_fp: self.thesaurus.fingerprint(),
-            snapshot_id: fnv1a(&bytes),
+            snapshot_id: snapshot::id(&bytes),
         };
         match self.journal.reset(header) {
             Ok(()) => {
@@ -1067,7 +1069,7 @@ impl CupidRepositoryExt for Cupid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cupid_model::{DataType, ElementKind, SchemaBuilder};
+    use cupid_model::{fnv1a, DataType, ElementKind, SchemaBuilder};
     use std::sync::atomic::{AtomicU32, Ordering};
 
     /// A unique, self-cleaning snapshot location per test.
@@ -1206,6 +1208,49 @@ mod tests {
         let th2 = Thesaurus::empty();
         let repo = Repository::open_or_create(&tmp.0, &config, &th2).unwrap();
         assert!(repo.recovered_stale().unwrap().contains("thesaurus fingerprint"));
+    }
+
+    /// The id a journal names its snapshot by is `fnv1a` of the file,
+    /// computed from the checksum `encode` wrote or `decode` verified: at
+    /// a save, at a reopen, and at an open that finds the snapshot stale.
+    #[test]
+    fn snapshot_id_is_fnv1a_of_the_file() {
+        let tmp = TempRepo::new();
+        let th = Thesaurus::with_default_stopwords();
+        let config = CupidConfig::default();
+        let journal = |what: &str| {
+            let bytes = std::fs::read(journal::journal_path(&tmp.0)).unwrap();
+            let header = journal::scan(&bytes).header.unwrap();
+            let file = std::fs::read(&tmp.0).unwrap();
+            assert_eq!(snapshot::id(&file), fnv1a(&file), "{what}");
+            assert_eq!(header.snapshot_id, fnv1a(&file), "{what}");
+            header
+        };
+        {
+            let mut repo = Repository::open_or_create(&tmp.0, &config, &th).unwrap();
+            repo.add_corpus(&corpus()).unwrap();
+            repo.match_all_pairs();
+            repo.save().unwrap();
+            journal("saved");
+            repo.remove("S1").unwrap();
+            repo.sync_journal().unwrap();
+        }
+        {
+            // An id other than the saved one would discard the record as
+            // another generation's.
+            let repo = Repository::open_or_create(&tmp.0, &config, &th).unwrap();
+            assert!(repo.was_loaded());
+            assert_eq!(repo.durability().replayed_records, 1);
+            assert_eq!(repo.durability().replay_discarded, None);
+        }
+        let mut other = CupidConfig::default();
+        other.th_accept = 0.45;
+        let mut repo = Repository::open_or_create(&tmp.0, &other, &th).unwrap();
+        assert!(repo.recovered_stale().is_some());
+        // The first append writes this open's header.
+        repo.add(&corpus()[0]).unwrap();
+        repo.sync_journal().unwrap();
+        assert_eq!(journal("stale").config_fp, other.fingerprint());
     }
 
     #[test]

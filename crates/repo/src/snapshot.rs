@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use cupid_core::{MatchSummary, PreparedSchema};
 use cupid_lexical::TokenTable;
-use cupid_model::{fnv1a, Schema, WireReader, WireWriter};
+use cupid_model::{fnv1a, fnv1a_extend, Schema, WireReader, WireWriter};
 
 use crate::RepoError;
 
@@ -94,6 +94,16 @@ pub(crate) fn encode(state: &SnapshotRefs<'_>, config_fp: u64, thesaurus_fp: u64
     let checksum = fnv1a(w.bytes());
     w.put_u64(checksum);
     w.into_bytes()
+}
+
+/// The id of a snapshot that [`encode`] wrote or whose checksum
+/// [`decode`] verified (it returned `Ok` or [`RepoError::Stale`]):
+/// `fnv1a` of its bytes (DESIGN.md §10.1). The stored checksum is the FNV
+/// state after the body, so the id extends it over the checksum's own 8
+/// bytes instead of hashing the body a second time.
+pub(crate) fn id(bytes: &[u8]) -> u64 {
+    let tail = &bytes[bytes.len() - 8..];
+    fnv1a_extend(u64::from_le_bytes(tail.try_into().expect("8 bytes")), tail)
 }
 
 /// Decode and validate a snapshot against the opening config/thesaurus

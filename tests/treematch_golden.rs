@@ -18,7 +18,8 @@
 //!
 //! The pairs are the paper's four (with their experiment configs; the
 //! relational one reifies join views, so DAGs are covered) and a seeded
-//! set of synthetic pairs of 8–64 leaves. The corners are each pair's
+//! set of synthetic pairs of 8–144 leaves; the two largest give strong
+//! rows of two and three 64-bit words. The corners are each pair's
 //! base config plus `leaf_ratio_prune: None`, `use_optionality: false`
 //! and `leaf_depth_limit` of 1 and 2.
 //!
@@ -33,7 +34,8 @@ use cupid::corpus::synthetic::{generate, SyntheticConfig};
 use cupid::corpus::{cidx_excel, fig1, fig2, star_rdb, thesauri};
 use cupid::eval::configs;
 use cupid::lexical::Thesaurus;
-use cupid::model::{expand, fnv1a, Schema, SchemaTree, WireReader, WireWriter};
+use cupid::model::tree::SyntheticKind;
+use cupid::model::{expand, fnv1a, NodeId, Schema, SchemaTree, WireReader, WireWriter};
 
 /// Recorded digests per pair, one per corner in [`CORNERS`] order.
 #[rustfmt::skip]
@@ -48,6 +50,8 @@ const EXPECTED: &[(&str, [u64; 5])] = &[
     ("synthetic_32", [0xf9ef852cb7fd522d, 0xb88c4df504fd187e, 0xf9ef852cb7fd522d, 0xf7d4e3a84c033b80, 0xd53d8ecd9e3a680a]),
     ("synthetic_48", [0xecb94c823ce73c99, 0x009fc676e3e53e5e, 0xecb94c823ce73c99, 0xc2a5dec1e0f37a7b, 0x3fb019c1551e2a5b]),
     ("synthetic_64", [0x6ca5d69972ca8c24, 0xaa5f24fcc6fc3bf8, 0x6ca5d69972ca8c24, 0xf0769118a2efba61, 0x9ad09711e8ed2708]),
+    ("synthetic_96", [0x08afb6eb8158238c, 0x97f6cba0c8daae57, 0x08afb6eb8158238c, 0x8bef7b0ae52958ec, 0x189eae6937b63164]),
+    ("synthetic_144", [0xb2b315c935371536, 0xb274479e84469c44, 0xb2b315c935371536, 0x4caafaf75108f1eb, 0xe058406f8fff6e99]),
 ];
 
 /// Recorded pipeline digests per pair, one per corner in [`CORNERS`]
@@ -64,6 +68,8 @@ const EXPECTED_PIPELINE: &[(&str, [u64; 5])] = &[
     ("synthetic_32", [0x8ca6dc54e93112ac, 0xeb7ca1e49ef8bd43, 0x8ca6dc54e93112ac, 0xe9de58c1a481c6c0, 0xc9ca653e6e1d86bf]),
     ("synthetic_48", [0x324e21cfcc3f8ca9, 0x9c2c9c51fc362cb1, 0x324e21cfcc3f8ca9, 0x4a25118f9a384a62, 0xe118a743b60d6c32]),
     ("synthetic_64", [0xab00da3f46d072b5, 0x1eba1337689b6680, 0xab00da3f46d072b5, 0x47e57af0773e109d, 0x04d9323fc7fa458b]),
+    ("synthetic_96", [0x7a8a367738d9daeb, 0x98e3440a9aca9d1e, 0x7a8a367738d9daeb, 0x40b34b40e0e720ed, 0x4a0114d7bbb8cf93]),
+    ("synthetic_144", [0xdb9fd10d08e07acb, 0x54fd1b6931494ae8, 0xdb9fd10d08e07acb, 0xc9345d631bab192a, 0xd022721283600424]),
 ];
 
 /// A named edit of a pair's base config.
@@ -79,8 +85,8 @@ const CORNERS: [Corner; 5] = [
 ];
 
 /// Synthetic pairs as (approximate leaves, generator seed).
-const SYNTHETIC: [(usize, u64); 6] =
-    [(8, 131), (16, 132), (24, 133), (32, 134), (48, 135), (64, 136)];
+const SYNTHETIC: [(usize, u64); 8] =
+    [(8, 131), (16, 132), (24, 133), (32, 134), (48, 135), (64, 136), (96, 137), (144, 138)];
 
 struct Case {
     name: String,
@@ -253,18 +259,34 @@ fn bits(row: &[u64]) -> Vec<u32> {
     (0..64 * row.len() as u32).filter(|&l| row[l as usize / 64] >> (l % 64) & 1 == 1).collect()
 }
 
-/// The trees own TreeMatch's leaf masks: for every node of the paper's
-/// eight schemas (join views included) and of the synthetic pairs,
-/// `leaf_mask` and `required_mask` hold exactly `leaves` and
-/// `required_leaves`, and decoding a tree rebuilds them.
+/// The trees own TreeMatch's per-tree tables: for every node of the
+/// paper's eight schemas (join views included) and of the synthetic
+/// pairs, `leaf_mask` and `required_mask` hold exactly `leaves` and
+/// `required_leaves`, `leaf_runs` concatenate to `leaves`,
+/// `nonleaf_post_order` is the post-order without its leaves, and
+/// `leaf_nodes` lists `leaf_node` of every leaf; decoding a tree rebuilds
+/// them all.
 #[test]
 fn tree_masks_hold_the_leaf_sets() {
-    let check = |what: &str, tree: &SchemaTree| {
+    let mut split_runs = 0;
+    let mut check = |what: &str, tree: &SchemaTree| {
         for (id, _) in tree.iter() {
             assert_eq!(tree.leaf_mask(id).len(), tree.leaf_count().div_ceil(64), "{what} {id}");
             assert_eq!(bits(tree.leaf_mask(id)), tree.leaves(id), "{what} {id}");
             assert_eq!(bits(tree.required_mask(id)), tree.required_leaves(id), "{what} {id}");
+            let runs = tree.leaf_runs(id);
+            let joined: Vec<u32> = runs.iter().flat_map(|&(start, end)| start..end).collect();
+            assert_eq!(joined, tree.leaves(id), "{what} {id}");
+            assert!(runs.windows(2).all(|w| w[0].1 < w[1].0), "{what} {id}: runs are maximal");
+            let view = tree.node(id).synthetic == Some(SyntheticKind::JoinView);
+            split_runs += usize::from(view && runs.len() >= 2);
         }
+        let nonleaf: Vec<NodeId> =
+            tree.post_order().iter().copied().filter(|&id| !tree.is_leaf(id)).collect();
+        assert_eq!(tree.nonleaf_post_order(), nonleaf, "{what}");
+        let leaf_nodes: Vec<NodeId> =
+            (0..tree.leaf_count() as u32).map(|l| tree.leaf_node(l)).collect();
+        assert_eq!(tree.leaf_nodes(), leaf_nodes, "{what}");
     };
     for case in cases() {
         for schema in [&case.source, &case.target] {
@@ -281,4 +303,8 @@ fn tree_masks_hold_the_leaf_sets() {
             check(&format!("decoded {what}"), &back);
         }
     }
+    // RDB's and Star's join views cover leaves that are not consecutive,
+    // so some view node has two runs or more (counted before and after
+    // decoding).
+    assert!(split_runs >= 2, "no join-view node with two runs or more");
 }
